@@ -5,7 +5,7 @@
 //
 //   serving_bench --workload requests_dyhsl|requests_metro|fleet_tick
 //                 --seed N --seconds S --trace 0|1
-//                 [--out-dir DIR] [--git-sha SHA] [--rate R] [--calibrate]
+//                 [--out-dir DIR] [--git-sha SHA] [--calibrate]
 //
 // The last stdout line is one JSON object {correct, attempted, failed,
 // metrics}: the end-to-end metrics with --trace 0, the per-layer metrics
@@ -95,7 +95,8 @@ constexpr int64_t kFleetHorizon = 3;
 constexpr int64_t kResyncEvery = 12;
 constexpr int64_t kFleetHidden = 16;
 constexpr int kFleetCheckEvery = 6;
-/// A run whose generator runs later than this at p99 is marked invalid.
+/// A run whose generator is later than this at p99 is invalid: it exits
+/// non-zero and prints no result.
 constexpr double kLatenessLimitMs = 2.0;
 
 double MsBetween(Clock::time_point a, Clock::time_point b) {
@@ -139,15 +140,23 @@ double MaxOf(const std::vector<double>& v) {
   return v.empty() ? 0.0 : *std::max_element(v.begin(), v.end());
 }
 
-/// Peak resident set of this process (VmHWM), in MB.
-double PeakRssMb() {
+/// A kB field of /proc/self/status ("VmHWM:", "VmRSS:"), in MB; -1 when
+/// the field is missing.
+double StatusMb(const std::string& key) {
   std::ifstream status("/proc/self/status");
   std::string line;
   while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
+    if (line.rfind(key, 0) == 0) {
+      return std::strtod(line.c_str() + key.size(), nullptr) / 1024.0;
     }
   }
+  return -1.0;
+}
+
+/// Peak resident set of this process (VmHWM), in MB.
+double PeakRssMb() {
+  const double hwm = StatusMb("VmHWM:");
+  if (hwm >= 0.0) return hwm;
   struct rusage usage;
   std::memset(&usage, 0, sizeof(usage));
   getrusage(RUSAGE_SELF, &usage);
@@ -284,7 +293,6 @@ struct Args {
   bool trace = false;
   std::string out_dir = ".bench_out";
   std::string git_sha = "unknown";
-  double rate = 0.0;  // 0 = the workload's fixed rate
   bool calibrate = false;
 };
 
@@ -301,6 +309,16 @@ struct Outcome {
   std::vector<std::pair<std::string, std::string>> detail;
   std::unique_ptr<SpanLog> spans;
 };
+
+/// Resident and peak resident set just before the first set-up, into the
+/// run record: the benchmark's own share of rss_mb (inputs, reference
+/// model, checkpoint writing).
+void RecordMemoryBaseline(Outcome* outcome) {
+  outcome->detail.push_back(
+      {"rss_before_setup_mb", JsonNumber(StatusMb("VmRSS:"))});
+  outcome->detail.push_back(
+      {"peak_rss_before_setup_mb", JsonNumber(PeakRssMb())});
+}
 
 std::string CompilerName() {
 #if defined(__clang__)
@@ -513,10 +531,44 @@ double ReplayPackBatch(const tn::Tensor& window, int64_t b) {
 }
 
 // --------------------------------------------------------------------------
+// Request workloads (requests_dyhsl, requests_metro).
+// --------------------------------------------------------------------------
+struct RequestWorkload {
+  std::string model;  // router model name
+  double rate = 0.0;
+  bool sharded = false;
+  data::TrafficDataset dataset;
+  train::ForecastTask task;
+  /// Requests cycle through the consecutive test-split inputs, built when
+  /// a request is about to be sent so they do not count in rss_mb.
+  int64_t first_window = 0;
+  int64_t num_windows = 0;
+  serve::ModelFactory factory;
+  std::string checkpoint;           // unsharded file / shard family prefix
+  graph::ShardPlan plan;
+  /// Reference model (B=1, unsharded) loaded from the same weights.
+  std::unique_ptr<train::ForecastModel> reference;
+  /// Allowed forecast difference, in units of the training std.
+  double tolerance = 0.0;
+  /// Warm-up bursts. Each must form one batch within max_delay_us, so the
+  /// arenas, and with them rss_mb, come out the same on every run.
+  std::vector<int> warm_bursts;
+
+  /// The (T, N, F) input of request window i (any i; wraps around).
+  tn::Tensor Window(size_t i) const {
+    return dataset.MakeInput(first_window +
+                             static_cast<int64_t>(i) % num_windows);
+  }
+};
+
+// --------------------------------------------------------------------------
 // Open-loop request generation. One thread both sends on a seeded Poisson
-// schedule and collects: between sends it waits on the oldest outstanding
-// future until the next due time, so a completion is stamped when it
-// happens and a send is never held up by a slow response.
+// schedule and collects. It spins, pinned to the last available core while
+// the engines are pinned from the first: a sleeping thread, or one that
+// shares a core with an engine, can be late by milliseconds, which would
+// show as generator lateness and as latency the server did not cause.
+// Between sends it polls the oldest outstanding future, so a completion is
+// stamped when it happens and a send is never held up by a slow response.
 // --------------------------------------------------------------------------
 struct RequestSample {
   int64_t id = 0;
@@ -537,8 +589,6 @@ struct OpenLoopRun {
     tn::Tensor forecast;
   };
   std::vector<Kept> kept;
-  Clock::time_point start;
-  Clock::time_point last_ready;
 };
 
 /// Arrival offsets (seconds) of a Poisson process of `rate` conditioned on
@@ -553,12 +603,12 @@ std::vector<double> PoissonSchedule(double rate, double seconds, Rng* rng) {
   return offsets;
 }
 
-OpenLoopRun RunOpenLoop(serve::ForecastRouter* router, const std::string& model,
-                        const std::vector<tn::Tensor>& windows, double rate,
-                        double seconds, uint64_t seed, int64_t first_id,
-                        size_t first_window, SpanLog* spans) {
+OpenLoopRun RunOpenLoop(serve::ForecastRouter* router,
+                        const RequestWorkload& w, double seconds,
+                        uint64_t seed, int64_t first_id, size_t first_window,
+                        SpanLog* spans) {
   Rng rng(seed * 0x9E3779B97F4A7C15ULL + 17);
-  const std::vector<double> offsets = PoissonSchedule(rate, seconds, &rng);
+  const std::vector<double> offsets = PoissonSchedule(w.rate, seconds, &rng);
   struct Pending {
     RequestSample sample;
     std::future<serve::ForecastResponse> future;
@@ -590,60 +640,64 @@ OpenLoopRun RunOpenLoop(serve::ForecastRouter* router, const std::string& model,
                    std::min(q0 + s.queue_us + s.compute_us, spans->Us(ready)),
                    spans->Us(ready));
     }
-    run.last_ready = std::max(run.last_ready, ready);
     run.samples.push_back(s);
   };
 
-  run.start = Clock::now() + std::chrono::milliseconds(2);
-  run.last_ready = run.start;
+  const std::vector<int> cores = core::AvailableCores();
+  (void)core::PinCurrentThread({cores.back()});
+  const Clock::time_point start = Clock::now() + std::chrono::milliseconds(2);
   size_t next = 0;
+  tn::Tensor upcoming;  // the next request's window, built before it is due
   while (next < offsets.size() || !outstanding.empty()) {
-    if (next == offsets.size()) {
-      outstanding.front().future.wait();
+    if (!outstanding.empty() &&
+        outstanding.front().future.wait_for(std::chrono::seconds(0)) ==
+            std::future_status::ready) {
       finish(&outstanding.front(), Clock::now());
       outstanding.pop_front();
       continue;
     }
+    if (next == offsets.size()) {
+      std::this_thread::yield();
+      continue;
+    }
+    const size_t window =
+        (first_window + next) % static_cast<size_t>(w.num_windows);
+    if (!upcoming.defined()) upcoming = w.Window(window);
     const Clock::time_point due =
-        run.start + std::chrono::duration_cast<Clock::duration>(
-                        std::chrono::duration<double>(offsets[next]));
-    if (!outstanding.empty()) {
-      if (outstanding.front().future.wait_until(due) ==
-          std::future_status::ready) {
-        finish(&outstanding.front(), Clock::now());
-        outstanding.pop_front();
-        continue;
-      }
-    } else {
-      std::this_thread::sleep_until(due);
+        start + std::chrono::duration_cast<Clock::duration>(
+                    std::chrono::duration<double>(offsets[next]));
+    const Clock::time_point now = Clock::now();
+    if (now < due) {
+      std::this_thread::yield();
+      continue;
     }
     Pending p;
     p.sample.id = first_id + static_cast<int64_t>(next);
-    p.sample.window = (first_window + next) % windows.size();
+    p.sample.window = window;
     p.sample.due = due;
-    p.sample.sent = Clock::now();
-    p.future = router->Submit(
-        serve::RouterRequest{model, windows[p.sample.window]});
+    p.sample.sent = now;
+    p.future = router->Submit(serve::RouterRequest{w.model, upcoming});
     p.sample.submitted = Clock::now();
+    upcoming = tn::Tensor();
     outstanding.push_back(std::move(p));
     ++next;
   }
+  (void)core::PinCurrentThread(cores);
   return run;
 }
 
 /// Saturated closed-loop throughput (requests/s) with `inflight` requests
 /// always outstanding — the capacity the fixed rates are a share of.
-double Saturate(serve::ForecastRouter* router, const std::string& model,
-                const std::vector<tn::Tensor>& windows, double seconds,
-                int inflight) {
+double Saturate(serve::ForecastRouter* router, const RequestWorkload& w,
+                double seconds, int inflight) {
   std::deque<std::future<serve::ForecastResponse>> outstanding;
   size_t next = 0;
   int64_t done = 0;
   const Clock::time_point start = Clock::now();
   while (MsBetween(start, Clock::now()) < 1000.0 * seconds) {
     while (static_cast<int>(outstanding.size()) < inflight) {
-      outstanding.push_back(router->Submit(
-          serve::RouterRequest{model, windows[next++ % windows.size()]}));
+      outstanding.push_back(
+          router->Submit(serve::RouterRequest{w.model, w.Window(next++)}));
     }
     outstanding.front().get();
     outstanding.pop_front();
@@ -659,15 +713,14 @@ double Saturate(serve::ForecastRouter* router, const std::string& model,
 /// Warm-up before the window (counted in setup_s): the first burst sizes
 /// the engine arenas for the largest batch, smaller bursts and single
 /// requests touch the other batch shapes.
-bool WarmUp(serve::ForecastRouter* router, const std::string& model,
-            const std::vector<tn::Tensor>& windows,
-            const std::vector<int>& bursts) {
+bool WarmUp(serve::ForecastRouter* router, const RequestWorkload& w) {
   size_t next = 0;
-  for (int burst : bursts) {
+  for (int burst : w.warm_bursts) {
+    std::vector<tn::Tensor> inputs;
+    for (int i = 0; i < burst; ++i) inputs.push_back(w.Window(next++));
     std::vector<std::future<serve::ForecastResponse>> futures;
-    for (int i = 0; i < burst; ++i) {
-      futures.push_back(router->Submit(
-          serve::RouterRequest{model, windows[next++ % windows.size()]}));
+    for (const tn::Tensor& input : inputs) {
+      futures.push_back(router->Submit(serve::RouterRequest{w.model, input}));
     }
     for (auto& f : futures) {
       if (!f.get().status.ok()) return false;
@@ -681,8 +734,35 @@ struct RequestMetrics {
   std::vector<double> latency_ms;  // due -> ready, OK requests
   std::vector<double> lateness_ms;
   int64_t failed = 0;
+  /// OK requests per second of engine busy time (see BusySeconds).
   double throughput = 0.0;
 };
+
+/// Seconds during which at least one OK request was being computed: the
+/// union of the compute intervals from the response telemetry. Requests of
+/// one batch share an interval; on sharded requests it is the slowest
+/// shard's.
+double BusySeconds(const std::vector<RequestSample>& samples) {
+  std::vector<std::pair<double, double>> spans;  // ms since the first due
+  for (const RequestSample& s : samples) {
+    if (!s.ok) continue;
+    const double begin =
+        MsBetween(samples.front().due, s.submitted) + s.queue_us / 1000.0;
+    spans.push_back({begin, begin + s.compute_us / 1000.0});
+  }
+  if (spans.empty()) return 0.0;
+  std::sort(spans.begin(), spans.end());
+  double busy_ms = 0.0;
+  auto [open, close] = spans.front();
+  for (const auto& [begin, end] : spans) {
+    if (begin > close) {
+      busy_ms += close - open;
+      open = begin;
+    }
+    close = std::max(close, end);
+  }
+  return (busy_ms + close - open) / 1000.0;
+}
 
 RequestMetrics Summarize(const OpenLoopRun& run) {
   RequestMetrics m;
@@ -694,43 +774,22 @@ RequestMetrics Summarize(const OpenLoopRun& run) {
     }
     m.latency_ms.push_back(MsBetween(s.due, s.ready));
   }
-  const double wall_s = MsBetween(run.start, run.last_ready) / 1000.0;
+  const double busy_s = BusySeconds(run.samples);
   m.throughput =
-      wall_s > 0.0 ? static_cast<double>(m.latency_ms.size()) / wall_s : 0.0;
+      busy_s > 0.0 ? static_cast<double>(m.latency_ms.size()) / busy_s : 0.0;
   return m;
 }
 
-// --------------------------------------------------------------------------
-// Request workloads (requests_dyhsl, requests_metro).
-// --------------------------------------------------------------------------
-struct RequestWorkload {
-  std::string model;  // router model name
-  double rate = 0.0;
-  bool sharded = false;
-  data::TrafficDataset dataset;
-  train::ForecastTask task;
-  std::vector<tn::Tensor> windows;  // consecutive test-split inputs
-  serve::ModelFactory factory;
-  std::string checkpoint;           // unsharded file / shard family prefix
-  graph::ShardPlan plan;
-  /// Reference model (B=1, unsharded) loaded from the same weights.
-  std::unique_ptr<train::ForecastModel> reference;
-  /// Allowed forecast difference, in units of the training std.
-  double tolerance = 0.0;
-  /// Warm-up bursts. Each must form one batch within max_delay_us, so the
-  /// arenas, and with them rss_mb, come out the same on every run.
-  std::vector<int> warm_bursts;
-};
-
-/// One thread per engine. Multi-threaded engines ran a fork-join per
-/// kernel, and on a host with CPU steal any preempted team member stalled
-/// the whole forward: the 3-thread DyHSL engine's run-to-run p50 spread
-/// 21-29%. One thread is the load generator + collector, so generator +
-/// engine threads <= nproc for up to nproc - 1 engines.
+/// One thread per engine, engine i pinned to the i-th available core.
+/// Multi-threaded engines ran a fork-join per kernel, and on a host with
+/// CPU steal any preempted team member stalled the whole forward: the
+/// 3-thread DyHSL engine's run-to-run p50 spread 21-29%. One more thread is
+/// the load generator + collector, so generator + engine threads <= nproc
+/// for up to nproc - 1 engines.
 serve::RouterOptions RequestRouterOptions(int64_t engines) {
   serve::RouterOptions options;
   options.num_stitchers = 1;
-  options.placement = serve::Placement::kPartition;
+  options.placement = serve::Placement::kPinned;
   options.thread_budget = engines;
   return options;
 }
@@ -756,7 +815,7 @@ std::unique_ptr<serve::ForecastRouter> SetUpRequestRouter(
     std::fprintf(stderr, "router bring-up: %s\n", added.ToString().c_str());
     return nullptr;
   }
-  if (!WarmUp(router.get(), w.model, w.windows, w.warm_bursts)) {
+  if (!WarmUp(router.get(), w)) {
     return nullptr;
   }
   return router;
@@ -768,7 +827,7 @@ int64_t CheckRequests(RequestWorkload* w, const OpenLoopRun& run, int team,
   int64_t mismatches = 0;
   for (const OpenLoopRun::Kept& k : run.kept) {
     tn::Tensor ref =
-        ReferenceForward(w->reference.get(), w->windows[k.window], team);
+        ReferenceForward(w->reference.get(), w->Window(k.window), team);
     outcome->checked += 1;
     outcome->bit_exact += Matches(k.forecast, ref, 0.0) ? 1 : 0;
     if (!Matches(k.forecast, ref, w->tolerance * w->task.scaler_std)) {
@@ -798,9 +857,8 @@ bool PrepareRequestWorkload(const Args& args, const std::string& ckpt_dir,
   w->dataset = data::TrafficDataset::Generate(spec);
   w->task = train::ForecastTask::FromDataset(w->dataset);
   const auto range = w->dataset.test_range();
-  for (int64_t t0 = range.begin; t0 < range.end; ++t0) {
-    w->windows.push_back(w->dataset.MakeInput(t0));
-  }
+  w->first_window = range.begin;
+  w->num_windows = range.end - range.begin;
   std::unique_ptr<train::ForecastModel> model;
   if (metro) {
     w->model = "stgcn";
@@ -853,8 +911,9 @@ void ReplayDyhsl(RequestWorkload* w, serve::ForecastEngine* engine,
   const int64_t t_hist = w->task.history;
   const int64_t d = config.hidden_dim;
   const int64_t batch = std::max<int64_t>(1, std::llround(mean_batch));
-  std::vector<tn::Tensor> items(static_cast<size_t>(batch), w->windows[0]);
-  tn::Tensor x1 = w->windows[0].Reshape({1, t_hist, n, 3});
+  const tn::Tensor window = w->Window(0);
+  std::vector<tn::Tensor> items(static_cast<size_t>(batch), window);
+  tn::Tensor x1 = window.Reshape({1, t_hist, n, 3});
   tn::Tensor xb = tn::PackBatch(items);
 
   Rng rng(5);
@@ -912,7 +971,7 @@ double ReplayShards(RequestWorkload* w, serve::ForecastRouter* router,
   auto route = router->RouteFor(w->model);
   if (!route.ok()) return 0.0;
   const serve::StreamRoute& r = route.ValueOrDie();
-  const tn::Tensor& window = w->windows[0];
+  const tn::Tensor window = w->Window(0);
   const int64_t t_hist = window.size(0), n = window.size(1),
                 f = window.size(2);
   double slowest = 0.0;
@@ -954,11 +1013,11 @@ bool RunRequestWorkload(const Args& args, const std::string& ckpt_dir,
     std::fprintf(stderr, "workload preparation failed\n");
     return false;
   }
-  const double rate = args.rate > 0.0 ? args.rate : w.rate;
 
   // Set-up: router creation, checkpoint load with prepack enrolment,
   // warm-up. This router serves the run; the other set-ups are timed
   // after the run, so they cannot inflate its peak RSS.
+  RecordMemoryBaseline(outcome);
   std::vector<double> setup_s;
   std::unique_ptr<serve::ForecastRouter> router;
   auto set_up = [&] {
@@ -973,8 +1032,7 @@ bool RunRequestWorkload(const Args& args, const std::string& ckpt_dir,
   const int team = static_cast<int>(fleet.engines[0].team_size);
 
   if (args.calibrate) {
-    const double sat = Saturate(router.get(), w.model, w.windows,
-                                args.seconds, 32);
+    const double sat = Saturate(router.get(), w, args.seconds, 32);
     std::printf("calibrate %s: saturated %.2f req/s (fixed rate %.1f = "
                 "%.0f%%)\n",
                 args.workload.c_str(), sat, w.rate, 100.0 * w.rate / sat);
@@ -985,8 +1043,8 @@ bool RunRequestWorkload(const Args& args, const std::string& ckpt_dir,
   // same arrival schedule, so the tracing overhead is measured in the
   // same process against the same load.
   const double untraced_s = args.trace ? args.seconds / 2.0 : args.seconds;
-  OpenLoopRun run = RunOpenLoop(router.get(), w.model, w.windows, rate,
-                                untraced_s, args.seed, 0, 0, nullptr);
+  OpenLoopRun run =
+      RunOpenLoop(router.get(), w, untraced_s, args.seed, 0, 0, nullptr);
   RequestMetrics m = Summarize(run);
   const double rss_mb = PeakRssMb();
   outcome->attempted += static_cast<int64_t>(run.samples.size());
@@ -995,7 +1053,7 @@ bool RunRequestWorkload(const Args& args, const std::string& ckpt_dir,
 
   const double lateness_p99 = Quantile(m.lateness_ms, 0.99);
   outcome->valid = lateness_p99 <= kLatenessLimitMs;
-  outcome->detail.push_back({"rate_rps", JsonNumber(rate)});
+  outcome->detail.push_back({"rate_rps", JsonNumber(w.rate)});
   outcome->detail.push_back(
       {"latency_samples", std::to_string(m.latency_ms.size())});
   outcome->detail.push_back({"latency_ms", QuantilesJson(m.latency_ms)});
@@ -1029,7 +1087,7 @@ bool RunRequestWorkload(const Args& args, const std::string& ckpt_dir,
   outcome->spans = std::make_unique<SpanLog>(Clock::now());
   SpanLog* spans = outcome->spans.get();
   OpenLoopRun traced = RunOpenLoop(
-      router.get(), w.model, w.windows, rate, args.seconds - untraced_s,
+      router.get(), w, args.seconds - untraced_s,
       args.seed, static_cast<int64_t>(run.samples.size()),
       run.samples.size(), spans);
   const serve::RouterStats after = router->Stats();
@@ -1092,7 +1150,7 @@ bool RunRequestWorkload(const Args& args, const std::string& ckpt_dir,
   layer.push_back({"session.resyncs_per_tick", 0.0, "count"});
 
   auto route = router->RouteFor(w.model);
-  const tn::Tensor& window = w.windows[0];
+  const tn::Tensor window = w.Window(0);
   const int64_t n_nodes = w.task.num_nodes;
   if (!w.sharded) {
     ReplayDyhsl(&w, route.ValueOrDie().engines[0], mean_batch, team, &layer);
@@ -1403,6 +1461,7 @@ bool RunFleetWorkload(const Args& args, const std::string& ckpt_dir,
   }
   // As in the request workloads, the first set-up serves the run and
   // the rest are timed after it.
+  RecordMemoryBaseline(outcome);
   std::vector<double> setup_s;
   Fleet fleet;
   auto set_up = [&] {
@@ -1640,8 +1699,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->out_dir = value;
     } else if (flag == "--git-sha") {
       args->git_sha = value;
-    } else if (flag == "--rate") {
-      args->rate = std::strtod(value.c_str(), nullptr);
     } else {
       return false;
     }
@@ -1658,7 +1715,7 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: serving_bench --workload requests_dyhsl|"
                  "requests_metro|fleet_tick --seed N --seconds S --trace 0|1 "
-                 "[--out-dir DIR] [--git-sha SHA] [--rate R] [--calibrate]\n");
+                 "[--out-dir DIR] [--git-sha SHA] [--calibrate]\n");
     return 2;
   }
   const int omp_threads = ConfigureParallelism();
@@ -1688,12 +1745,6 @@ int Main(int argc, char** argv) {
     outcome.e2e.push_back(
         {"success_rate",
          1.0 - static_cast<double>(outcome.failed) / attempted, "ratio"});
-  }
-  if (!outcome.valid) {
-    std::fprintf(stderr,
-                 "warning: the generator fell behind its schedule "
-                 "(p99 lateness > %.1f ms); run marked invalid\n",
-                 kLatenessLimitMs);
   }
 
   // Run record.
@@ -1727,6 +1778,13 @@ int Main(int argc, char** argv) {
                          std::to_string(args.seed) + ".spans.json");
   }
 
+  if (!outcome.valid) {
+    std::fprintf(stderr,
+                 "the generator fell behind its schedule (p99 lateness > "
+                 "%.1f ms): run invalid, no result\n",
+                 kLatenessLimitMs);
+    return 3;
+  }
   const std::vector<Metric>& metrics = args.trace ? outcome.layer : outcome.e2e;
   std::printf("%s seed=%llu %s: checked %lld forecasts, %lld mismatches\n",
               args.workload.c_str(), static_cast<unsigned long long>(args.seed),
