@@ -1,9 +1,8 @@
 // google-benchmark microbenchmarks for the inference-plan GEMM paths:
-// prepacked weights vs on-the-fly packing, the direct-A kernels vs the
-// legacy all-packed path, and the small-size serial fast path — at the
-// shapes the serving hot loops actually run (metro-scale B=1 N=207
-// activations against d=64 weights, and district-scale N=24 fleet
-// batches against d=16 weights).
+// prepacked weights vs on-the-fly packing of op(B), plus the one-time
+// pack and the cache lookup — at the shapes the serving hot loops
+// actually run (metro-scale B=1 N=207 activations against d=64 weights,
+// and district-scale N=24 fleet batches against d=16 weights).
 
 #include <benchmark/benchmark.h>
 
@@ -18,22 +17,10 @@ namespace {
 
 namespace T = ::dyhsl::tensor;
 
-// Restores the process-wide fast-path toggle around each benchmark so the
-// registration order cannot leak one benchmark's mode into the next.
-class FastPathGuard {
- public:
-  explicit FastPathGuard(bool enabled) : prev_(T::SetGemmFastPaths(enabled)) {}
-  ~FastPathGuard() { T::SetGemmFastPaths(prev_); }
-
- private:
-  bool prev_;
-};
-
-// One serving-shaped GEMM, legacy kernel: packs op(A) and op(B) on every
-// call. `m` is the activation row count (batch x nodes), n = k = d.
-void BM_GemmLegacyPacked(benchmark::State& state) {
+// One serving-shaped GEMM with op(B) packed on every call; op(A) is read
+// in place. `m` is the activation row count (batch x nodes), n = k = d.
+void BM_GemmOnTheFly(benchmark::State& state) {
   const int64_t m = state.range(0), d = state.range(1);
-  FastPathGuard guard(false);
   Rng rng(1);
   T::Tensor x = T::Tensor::Randn({m, d}, &rng);
   T::Tensor w = T::Tensor::Randn({d, d}, &rng);
@@ -44,36 +31,15 @@ void BM_GemmLegacyPacked(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * m * d * d);
 }
-BENCHMARK(BM_GemmLegacyPacked)
+BENCHMARK(BM_GemmOnTheFly)
     ->Args({207, 64})
     ->Args({2484, 64})
     ->Args({1536, 16});
 
-// Same shapes through the fast paths: direct-A kernels (no A packing) and
-// the small-size serial path, op(B) still packed per call.
-void BM_GemmFastPaths(benchmark::State& state) {
-  const int64_t m = state.range(0), d = state.range(1);
-  FastPathGuard guard(true);
-  Rng rng(1);
-  T::Tensor x = T::Tensor::Randn({m, d}, &rng);
-  T::Tensor w = T::Tensor::Randn({d, d}, &rng);
-  T::Tensor out({m, d});
-  for (auto _ : state) {
-    T::MatMulInto(x, w, false, false, 0.0f, &out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * m * d * d);
-}
-BENCHMARK(BM_GemmFastPaths)
-    ->Args({207, 64})
-    ->Args({2484, 64})
-    ->Args({1536, 16});
-
-// Full inference plan: fast paths plus a prepacked constant weight served
-// straight from heap-pinned panels — the per-call pack cost is zero.
+// Full inference plan: the same GEMM with a prepacked constant weight
+// served straight from heap-pinned panels — the per-call pack cost is zero.
 void BM_GemmPrepacked(benchmark::State& state) {
   const int64_t m = state.range(0), d = state.range(1);
-  FastPathGuard guard(true);
   Rng rng(1);
   T::Tensor x = T::Tensor::Randn({m, d}, &rng);
   T::Tensor w = T::Tensor::Randn({d, d}, &rng);

@@ -1,19 +1,8 @@
-// Serving benchmark: grad-free vs taped forward latency, the inference
-// plan's attributable win (prepacked weights + GEMM fast paths vs the
-// legacy all-packed path), engine single-stream latency, and closed-loop
-// multi-client throughput.
+// Serving benchmark: grad-free vs taped forward latency, engine
+// single-stream latency, and closed-loop multi-client throughput.
 //
 //   $ ./build/bench_serve                          # prints a table
-//   $ ./build/bench_serve --check-prepack-floor=1.15   # CI guard
 //   $ DYHSL_BENCH_OUT=BENCH_serve.json ./build/bench_serve
-//
-// The plan phase forks the same grad-free forward three ways in
-// interleaved rounds: legacy (fast paths off, no prepack — the pre-plan
-// kernel), fast (direct-A/small-path kernels, packing still on the fly),
-// and plan (fast + prepacked constant weights served by the
-// PrepackCache). All three are bit-identical by construction; the gap is
-// pure packing/dispatch time, reported as `packing_share`.
-// --check-prepack-floor=R exits non-zero when legacy/plan < R.
 //
 // Scale: DYHSL_PROFILE=tiny|quick|full adjusts iteration counts only —
 // the model is always the paper-default DyHSL (d=64, Lp=6, Ls=2, I=32,
@@ -26,7 +15,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <future>
 #include <memory>
 #include <string>
@@ -38,8 +26,6 @@
 #include "src/core/profile.h"
 #include "src/models/dyhsl.h"
 #include "src/serve/engine.h"
-#include "src/tensor/gemm.h"
-#include "src/tensor/prepack.h"
 #include "src/tensor/workspace.h"
 #include "src/train/model_zoo.h"
 
@@ -88,77 +74,6 @@ struct ForwardTimes {
   double taped_ms = 0.0;
   double gradfree_ms = 0.0;
 };
-
-/// The three kernel configurations of the plan fork (all bit-identical).
-enum class PlanMode {
-  kLegacy,  // fast paths off, no prepack: the pre-plan serving kernel
-  kFast,    // direct-A/small-path kernels, packing still per call
-  kPlan,    // kFast + prepacked constant weights from the PrepackCache
-};
-
-// One timed burst of grad-free forwards under the given kernel mode.
-double TimePlanModeOnce(models::DyHsl* model, const T::Tensor& x,
-                        T::Workspace* workspace, PlanMode mode, int iters) {
-  const bool prev_fast = T::SetGemmFastPaths(mode != PlanMode::kLegacy);
-  Clock::time_point start = Clock::now();
-  for (int i = 0; i < iters; ++i) {
-    T::WorkspaceScope scope(workspace);
-    autograd::InferenceModeGuard no_grad;
-    if (mode == PlanMode::kPlan) {
-      T::PrepackLookupScope prepack;
-      volatile float sink = model->Forward(x, false).value().data()[0];
-      (void)sink;
-    } else {
-      volatile float sink = model->Forward(x, false).value().data()[0];
-      (void)sink;
-    }
-    workspace->Reset();
-  }
-  double ms = MsSince(start) / iters;
-  T::SetGemmFastPaths(prev_fast);
-  return ms;
-}
-
-struct PlanTimes {
-  double legacy_ms = 0.0;
-  double fast_ms = 0.0;
-  double plan_ms = 0.0;
-};
-
-// Interleaved legacy / fast / plan rounds (best-of per mode), same forked
-// structure as TimeForwardPair so no mode is biased by machine drift.
-PlanTimes TimePlanFork(models::DyHsl* model, const T::Tensor& x, int iters,
-                       int rounds) {
-  T::Workspace legacy_ws, fast_ws, plan_ws;
-  TimePlanModeOnce(model, x, &legacy_ws, PlanMode::kLegacy, 1);
-  TimePlanModeOnce(model, x, &fast_ws, PlanMode::kFast, 1);
-  TimePlanModeOnce(model, x, &plan_ws, PlanMode::kPlan, 1);
-  PlanTimes best{1e30, 1e30, 1e30};
-  for (int r = 0; r < rounds; ++r) {
-    best.legacy_ms = std::min(
-        best.legacy_ms,
-        TimePlanModeOnce(model, x, &legacy_ws, PlanMode::kLegacy, iters));
-    best.fast_ms = std::min(
-        best.fast_ms,
-        TimePlanModeOnce(model, x, &fast_ws, PlanMode::kFast, iters));
-    best.plan_ms = std::min(
-        best.plan_ms,
-        TimePlanModeOnce(model, x, &plan_ws, PlanMode::kPlan, iters));
-  }
-  return best;
-}
-
-// Enrolls every 2-D weight of the model in the PrepackCache (what
-// ForecastEngine::Create does for engines; the standalone forward phase
-// needs it done by hand).
-void EnrollModel(const nn::Module& module) {
-  for (const auto& [name, var] : module.NamedParameters()) {
-    if (var.value().dim() == 2) T::PrepackCache::Instance().Enroll(var.value());
-  }
-  for (const auto& [name, var] : module.NamedConstants()) {
-    if (var.value().dim() == 2) T::PrepackCache::Instance().Enroll(var.value());
-  }
-}
 
 // Interleaved taped / grad-free rounds (best-of per mode): alternating
 // bursts keep machine-state drift (frequency, cache pressure from
@@ -237,15 +152,9 @@ LoadResult RunLoad(serve::ForecastEngine* engine, const T::Tensor& window,
 }  // namespace
 }  // namespace dyhsl::bench
 
-int main(int argc, char** argv) {
+int main() {
   using namespace dyhsl;
   using namespace dyhsl::bench;
-  double check_prepack_floor = 0.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--check-prepack-floor=", 22) == 0) {
-      check_prepack_floor = std::atof(argv[i] + 22);
-    }
-  }
   ConfigureParallelism();
   RunProfile profile = GetRunProfile();
   int fwd_iters = profile == RunProfile::kTiny ? 5 : 20;
@@ -269,24 +178,6 @@ int main(int argc, char** argv) {
   double speedup = gradfree_ms > 0.0 ? taped_ms / gradfree_ms : 0.0;
   std::printf("forward (B=1): taped %.2f ms, grad-free %.2f ms  -> %.2fx\n",
               taped_ms, gradfree_ms, speedup);
-
-  // 1b. The inference plan's attributable win: the same grad-free forward
-  // under the legacy kernel, the fast paths alone, and the full plan
-  // (fast paths + prepacked weights). Bit-identical outputs; the gap is
-  // packing and dispatch time only.
-  EnrollModel(model);
-  PlanTimes plan = TimePlanFork(&model, x1, fwd_iters, 6);
-  const double prepack_speedup =
-      plan.plan_ms > 0.0 ? plan.legacy_ms / plan.plan_ms : 0.0;
-  const double packing_share =
-      plan.legacy_ms > 0.0
-          ? (plan.legacy_ms - plan.plan_ms) / plan.legacy_ms
-          : 0.0;
-  std::printf(
-      "grad-free plan fork (B=1): legacy %.2f ms, fast %.2f ms, "
-      "plan %.2f ms  -> %.2fx (packing share %.1f%%)\n",
-      plan.legacy_ms, plan.fast_ms, plan.plan_ms, prepack_speedup,
-      100.0 * packing_share);
 
   // 2. Engine under closed-loop load at 1 / 4 / 16 clients.
   serve::EngineOptions options;
@@ -329,12 +220,6 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  \"forward_taped_ms\": %.4f,\n", taped_ms);
   std::fprintf(out, "  \"forward_gradfree_ms\": %.4f,\n", gradfree_ms);
   std::fprintf(out, "  \"gradfree_speedup\": %.4f,\n", speedup);
-  std::fprintf(out, "  \"forward_gradfree_legacy_ms\": %.4f,\n",
-               plan.legacy_ms);
-  std::fprintf(out, "  \"forward_gradfree_fast_ms\": %.4f,\n", plan.fast_ms);
-  std::fprintf(out, "  \"forward_gradfree_plan_ms\": %.4f,\n", plan.plan_ms);
-  std::fprintf(out, "  \"prepack_speedup\": %.4f,\n", prepack_speedup);
-  std::fprintf(out, "  \"packing_share\": %.4f,\n", packing_share);
   std::fprintf(out, "  \"engine\": {\"max_batch\": %lld, \"max_delay_us\": "
                     "%lld, \"num_workers\": %lld},\n",
                static_cast<long long>(options.max_batch),
@@ -352,14 +237,5 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());
-
-  if (check_prepack_floor > 0.0 && prepack_speedup < check_prepack_floor) {
-    std::fprintf(stderr,
-                 "FLOOR VIOLATION: prepack speedup %.2fx below required "
-                 "%.2fx (legacy %.2f ms vs plan %.2f ms)\n",
-                 prepack_speedup, check_prepack_floor, plan.legacy_ms,
-                 plan.plan_ms);
-    return 1;
-  }
   return 0;
 }

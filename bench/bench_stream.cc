@@ -45,18 +45,10 @@
 // recurrent forwards into one batched GEMM per tick, which is where
 // cross-session batching pays.
 //
-// The batched tick additionally runs a forked legacy pass — the same
-// loop with the GEMM fast paths and PrepackCache lookups disabled
-// process-wide (the pre-plan serving kernel) — so the report attributes
-// the inference plan's share of the fleet tick explicitly
-// (`plan_speedup`, `packing_share`). District-sized fleet GEMMs are
-// packing- and dispatch-dominated, which is where the plan pays most.
-//
 // --check-floor=R exits non-zero if the warm-session p50 per-forecast
 // latency is not at least R x better than full-window resubmission.
 // --check-batch-floor=R does the same for the batched-vs-sequential
-// fleet throughput ratio at DCRNN B=64, and --check-prepack-floor=R
-// for the batched fleet tick's plan-vs-legacy ratio at DCRNN B=64.
+// fleet throughput ratio at DCRNN B=64.
 //
 // DYHSL_PROFILE=tiny|quick|full scales tick counts only; model and
 // network sizes are fixed so numbers are comparable across profiles.
@@ -75,8 +67,6 @@
 #include "src/core/rng.h"
 #include "src/serve/router.h"
 #include "src/serve/session.h"
-#include "src/tensor/gemm.h"
-#include "src/tensor/prepack.h"
 #include "src/tensor/tensor.h"
 #include "src/train/model_zoo.h"
 
@@ -226,31 +216,9 @@ struct FleetResult {
   int sessions = 0;
   double sequential_sticks_per_s = 0.0;
   double batched_sticks_per_s = 0.0;
-  double batched_legacy_sticks_per_s = 0.0;  // fast paths + prepack off
   double speedup = 0.0;
   double ingest_speedup = 0.0;    // B x Append vs one AppendMany
   double forecast_speedup = 0.0;  // B x Forecast vs one ForecastBatch
-  double plan_speedup = 0.0;      // batched tick: legacy / plan wall time
-  double packing_share = 0.0;     // (legacy - plan) / legacy
-};
-
-// RAII fork into the pre-plan serving kernel: GEMM fast paths and
-// PrepackCache lookups off process-wide, restored on scope exit. Engine
-// workers consult both switches per call, so the fork applies to the
-// whole serving stack without touching engine state.
-class LegacyKernelScope {
- public:
-  LegacyKernelScope()
-      : prev_fast_(T::SetGemmFastPaths(false)),
-        prev_lookups_(T::SetPrepackLookupsEnabled(false)) {}
-  ~LegacyKernelScope() {
-    T::SetPrepackLookupsEnabled(prev_lookups_);
-    T::SetGemmFastPaths(prev_fast_);
-  }
-
- private:
-  bool prev_fast_;
-  bool prev_lookups_;
 };
 
 // One (model, fleet-size) comparison: a fresh fleet of B lock-step
@@ -334,50 +302,16 @@ bool RunFleet(serve::ForecastRouter* router, const std::string& model,
   }
   const double bat_ms = bat_ingest_ms + bat_forecast_ms;
 
-  // Plan fork: the same batched tick loop under the pre-plan kernel
-  // (fast paths and prepack lookups disabled process-wide) and once more
-  // under the plan, interleaved so machine drift cannot bias one side.
-  // Each burst is timed whole; best-of per mode.
-  double legacy_ms = 1e30, plan_ms = bat_ms;
-  for (int round = 0; round < 2; ++round) {
-    {
-      LegacyKernelScope legacy;
-      Clock::time_point start = Clock::now();
-      for (int t = 0; t < ticks; ++t, ++tick) {
-        FillRawFrame(task, &rng, raw.data());
-        if (!barrier_ok(manager.AppendMany(ids, tick, frames))) return false;
-        for (const serve::ForecastResponse& r : manager.ForecastBatch(ids)) {
-          if (!r.status.ok()) return false;
-        }
-      }
-      legacy_ms = std::min(legacy_ms, MsSince(start));
-    }
-    Clock::time_point start = Clock::now();
-    for (int t = 0; t < ticks; ++t, ++tick) {
-      FillRawFrame(task, &rng, raw.data());
-      if (!barrier_ok(manager.AppendMany(ids, tick, frames))) return false;
-      for (const serve::ForecastResponse& r : manager.ForecastBatch(ids)) {
-        if (!r.status.ok()) return false;
-      }
-    }
-    plan_ms = std::min(plan_ms, MsSince(start));
-  }
-
   const double session_ticks = static_cast<double>(sessions) * ticks;
   result->sequential_sticks_per_s =
       seq_ms > 0.0 ? 1000.0 * session_ticks / seq_ms : 0.0;
   result->batched_sticks_per_s =
       bat_ms > 0.0 ? 1000.0 * session_ticks / bat_ms : 0.0;
-  result->batched_legacy_sticks_per_s =
-      legacy_ms > 0.0 ? 1000.0 * session_ticks / legacy_ms : 0.0;
   result->speedup = seq_ms > 0.0 && bat_ms > 0.0 ? seq_ms / bat_ms : 0.0;
   result->ingest_speedup =
       bat_ingest_ms > 0.0 ? seq_ingest_ms / bat_ingest_ms : 0.0;
   result->forecast_speedup =
       bat_forecast_ms > 0.0 ? seq_forecast_ms / bat_forecast_ms : 0.0;
-  result->plan_speedup = plan_ms > 0.0 ? legacy_ms / plan_ms : 0.0;
-  result->packing_share =
-      legacy_ms > 0.0 ? (legacy_ms - plan_ms) / legacy_ms : 0.0;
   return true;
 }
 
@@ -402,14 +336,11 @@ int main(int argc, char** argv) {
   using namespace dyhsl::bench;
   double check_floor = 0.0;
   double check_batch_floor = 0.0;
-  double check_prepack_floor = 0.0;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--check-floor=", 14) == 0) {
       check_floor = std::atof(argv[i] + 14);
     } else if (std::strncmp(argv[i], "--check-batch-floor=", 20) == 0) {
       check_batch_floor = std::atof(argv[i] + 20);
-    } else if (std::strncmp(argv[i], "--check-prepack-floor=", 22) == 0) {
-      check_prepack_floor = std::atof(argv[i] + 22);
     }
   }
   ConfigureParallelism();
@@ -542,13 +473,8 @@ int main(int argc, char** argv) {
                 run.result.sequential_sticks_per_s,
                 run.result.batched_sticks_per_s, run.result.speedup,
                 run.result.ingest_speedup, run.result.forecast_speedup);
-    std::printf("%-22s         plan fork: legacy %9.1f st/s -> "
-                "%5.2fx  (packing share %.1f%%)\n",
-                "", run.result.batched_legacy_sticks_per_s,
-                run.result.plan_speedup, 100.0 * run.result.packing_share);
   }
   const double batch_speedup_64 = fleet_runs[0].result.speedup;
-  const double fleet_prepack_speedup_64 = fleet_runs[0].result.plan_speedup;
 
   const double warm_speedup = dcrnn_session.p50_ms > 0.0
                                   ? dcrnn_resubmit.p50_ms / dcrnn_session.p50_ms
@@ -604,25 +530,19 @@ int main(int argc, char** argv) {
                  "    \"%s\": {\"sessions\": %d, "
                  "\"sequential_session_ticks_per_s\": %.2f, "
                  "\"batched_session_ticks_per_s\": %.2f, "
-                 "\"batched_legacy_session_ticks_per_s\": %.2f, "
                  "\"speedup\": %.4f, \"ingest_speedup\": %.4f, "
-                 "\"forecast_speedup\": %.4f, \"plan_speedup\": %.4f, "
-                 "\"packing_share\": %.4f}%s\n",
+                 "\"forecast_speedup\": %.4f}%s\n",
                  run.key, run.result.sessions,
                  run.result.sequential_sticks_per_s,
                  run.result.batched_sticks_per_s,
-                 run.result.batched_legacy_sticks_per_s, run.result.speedup,
-                 run.result.ingest_speedup, run.result.forecast_speedup,
-                 run.result.plan_speedup, run.result.packing_share,
-                 i + 1 < 4 ? "," : "");
+                 run.result.speedup, run.result.ingest_speedup,
+                 run.result.forecast_speedup, i + 1 < 4 ? "," : "");
   }
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"warm_session_speedup\": %.4f,\n", warm_speedup);
   std::fprintf(out, "  \"windowed_session_speedup\": %.4f,\n",
                windowed_speedup);
-  std::fprintf(out, "  \"batch_speedup_64\": %.4f,\n", batch_speedup_64);
-  std::fprintf(out, "  \"fleet_prepack_speedup_64\": %.4f\n",
-               fleet_prepack_speedup_64);
+  std::fprintf(out, "  \"batch_speedup_64\": %.4f\n", batch_speedup_64);
   std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());
@@ -639,14 +559,6 @@ int main(int argc, char** argv) {
                  "FLOOR VIOLATION: batched fleet speedup %.2fx at B=64 < "
                  "required %.2fx\n",
                  batch_speedup_64, check_batch_floor);
-    return 1;
-  }
-  if (check_prepack_floor > 0.0 &&
-      fleet_prepack_speedup_64 < check_prepack_floor) {
-    std::fprintf(stderr,
-                 "FLOOR VIOLATION: fleet-tick plan speedup %.2fx at B=64 < "
-                 "required %.2fx\n",
-                 fleet_prepack_speedup_64, check_prepack_floor);
     return 1;
   }
   return 0;

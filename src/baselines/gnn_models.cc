@@ -1,11 +1,7 @@
 #include "src/baselines/gnn_models.h"
 
-#include <atomic>
 #include <cmath>
 #include <cstring>
-#include <mutex>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "src/autograd/inference.h"
@@ -592,9 +588,10 @@ Variable HgcRnn::Forward(const tensor::Tensor& x, bool training) {
 
 namespace {
 
-// Thread-local structure cache, keyed per Dhgnn instance — the same
-// shape as DhslBlock's TopKPatternCache registry: serving workers each
-// stay warm on the sessions they serve, with zero cross-thread sharing.
+// Thread-local structure cache, keyed per Dhgnn instance in the same
+// registry scheme as DhslBlock's TopKPatternCache (src/core/thread_cache.h):
+// serving workers each stay warm on the sessions they serve, with zero
+// cross-thread sharing, and a dead model's entries are swept.
 struct DhgnnStructure {
   bool valid = false;
   /// Per-node signature means of the window the structure was built
@@ -606,67 +603,8 @@ struct DhgnnStructure {
   T::TopKPatternCache::Stats stats;
 };
 
-// Same bounded-registry scheme as DhslBlock's pattern caches: the model
-// destructor retires its id and bumps a generation; each thread sweeps
-// retired entries out of its registry before the next lookup, so a
-// long-lived serving thread never accumulates structures for dead models.
-std::mutex& DhgnnLiveIdMutex() {
-  static std::mutex mu;
-  return mu;
-}
-
-std::unordered_set<uint64_t>& DhgnnLiveIds() {
-  // Leaked: serving threads may sweep during static destruction.
-  static auto* ids = new std::unordered_set<uint64_t>();
-  return *ids;
-}
-
-std::atomic<uint64_t>& DhgnnLiveGeneration() {
-  static std::atomic<uint64_t> gen{0};
-  return gen;
-}
-
-uint64_t NextDhgnnCacheId() {
-  static std::atomic<uint64_t> counter{0};
-  uint64_t id = counter.fetch_add(1, std::memory_order_relaxed) + 1;
-  std::lock_guard<std::mutex> lock(DhgnnLiveIdMutex());
-  DhgnnLiveIds().insert(id);
-  return id;
-}
-
-void RetireDhgnnCacheId(uint64_t id) {
-  std::lock_guard<std::mutex> lock(DhgnnLiveIdMutex());
-  DhgnnLiveIds().erase(id);
-  DhgnnLiveGeneration().fetch_add(1, std::memory_order_release);
-}
-
-struct DhgnnThreadRegistry {
-  std::unordered_map<uint64_t, DhgnnStructure> structures;
-  uint64_t seen_generation = 0;
-};
-
-DhgnnThreadRegistry& DhgnnRegistryForThread() {
-  thread_local DhgnnThreadRegistry registry;
-  return registry;
-}
-
-void DhgnnSweepDeadIds(DhgnnThreadRegistry& registry) {
-  const uint64_t gen =
-      DhgnnLiveGeneration().load(std::memory_order_acquire);
-  if (gen == registry.seen_generation) return;
-  std::lock_guard<std::mutex> lock(DhgnnLiveIdMutex());
-  for (auto it = registry.structures.begin();
-       it != registry.structures.end();) {
-    it = DhgnnLiveIds().count(it->first) ? std::next(it)
-                                         : registry.structures.erase(it);
-  }
-  registry.seen_generation = gen;
-}
-
-DhgnnStructure& DhgnnCacheForThread(uint64_t cache_id) {
-  DhgnnThreadRegistry& registry = DhgnnRegistryForThread();
-  DhgnnSweepDeadIds(registry);
-  return registry.structures[cache_id];
+DhgnnStructure& DhgnnCacheForThread(const core::CacheOwnerId& cache_id) {
+  return core::ThreadCaches<DhgnnStructure>()[cache_id.value()];
 }
 
 // A node counts as drifted once its signature mean moved by more than
@@ -726,7 +664,6 @@ Dhgnn::Dhgnn(const train::ForecastTask& task, int64_t hidden_dim,
       knn_(knn),
       structure_reuse_(structure_reuse),
       structure_drift_threshold_(structure_drift_threshold),
-      cache_id_(NextDhgnnCacheId()),
       encoder_(task.input_dim, hidden_dim, &rng_),
       hconv1_(hidden_dim, hidden_dim, &rng_),
       hconv2_(hidden_dim, hidden_dim, &rng_),
@@ -740,12 +677,8 @@ Dhgnn::Dhgnn(const train::ForecastTask& task, int64_t hidden_dim,
 }
 
 int64_t ThreadStructureRegistrySizeForTesting() {
-  DhgnnThreadRegistry& registry = DhgnnRegistryForThread();
-  DhgnnSweepDeadIds(registry);
-  return static_cast<int64_t>(registry.structures.size());
+  return static_cast<int64_t>(core::ThreadCaches<DhgnnStructure>().size());
 }
-
-Dhgnn::~Dhgnn() { RetireDhgnnCacheId(cache_id_); }
 
 tensor::TopKPatternCache::Stats Dhgnn::StructureCacheStats() const {
   return DhgnnCacheForThread(cache_id_).stats;

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/thread_cache.h"
 #include "src/hypergraph/hypergraph.h"
 #include "src/nn/layers.h"
 #include "src/nn/module.h"
@@ -215,9 +216,6 @@ class Dhgnn : public GnnModelBase {
   Dhgnn(const train::ForecastTask& task, int64_t hidden_dim,
         int64_t num_clusters, int64_t knn, uint64_t seed,
         bool structure_reuse = false, float structure_drift_threshold = 0.05f);
-  /// \brief Retires the structure-cache id so every thread's registry
-  /// evicts this model's entry on its next lookup (bounded registries).
-  ~Dhgnn() override;
   Variable Forward(const tensor::Tensor& x, bool training) override;
   std::string name() const override { return "DHGNN"; }
 
@@ -237,8 +235,9 @@ class Dhgnn : public GnnModelBase {
   int64_t knn_;
   bool structure_reuse_;
   float structure_drift_threshold_;
-  /// Thread-local cache registry key (caches are keyed per instance).
-  uint64_t cache_id_;
+  /// Thread-local structure-cache key; retired with the model, so every
+  /// thread's registry evicts this model's entry on its next lookup.
+  core::CacheOwnerId cache_id_;
   nn::GruCell encoder_;
   nn::Linear hconv1_;
   nn::Linear hconv2_;

@@ -1,10 +1,7 @@
 #include "src/models/blocks.h"
 
-#include <atomic>
 #include <cmath>
-#include <mutex>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "src/autograd/inference.h"
@@ -19,78 +16,17 @@ namespace T = ::dyhsl::tensor;
 
 namespace {
 
-// Pattern caches are looked up thread-locally by block id: Forward stays
-// const, concurrent serving workers never share mutable state, and each
-// warm worker keeps its own patterns across the requests it handles (the
-// per-session reuse the serve engine wants).
-//
-// Thread-local entries must not outlive their block: long-lived serving
-// threads that touch many short-lived blocks (model zoo churn, per-request
-// model construction in tests) would otherwise grow every registry without
-// bound. A process-wide live-id set plus a generation counter bounds this:
-// the block destructor retires its id and bumps the generation, and each
-// thread sweeps dead ids out of its registry the next time it looks a
-// cache up after the generation moved. Amortized O(1) per lookup.
-std::mutex& LiveIdMutex() {
-  static std::mutex mu;
-  return mu;
-}
-
-std::unordered_set<uint64_t>& LiveIds() {
-  // Leaked: serving threads may sweep during static destruction.
-  static auto* ids = new std::unordered_set<uint64_t>();
-  return *ids;
-}
-
-std::atomic<uint64_t>& LiveGeneration() {
-  static std::atomic<uint64_t> gen{0};
-  return gen;
-}
-
-uint64_t NextCacheId() {
-  static std::atomic<uint64_t> counter{0};
-  uint64_t id = counter.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(LiveIdMutex());
-  LiveIds().insert(id);
-  return id;
-}
-
-void RetireCacheId(uint64_t id) {
-  std::lock_guard<std::mutex> lock(LiveIdMutex());
-  LiveIds().erase(id);
-  LiveGeneration().fetch_add(1, std::memory_order_release);
-}
-
-struct ThreadRegistry {
-  std::unordered_map<uint64_t, T::TopKPatternCache> caches;
-  uint64_t seen_generation = 0;
-};
-
-ThreadRegistry& RegistryForThread() {
-  thread_local ThreadRegistry registry;
-  return registry;
-}
-
-void SweepDeadIds(ThreadRegistry& registry) {
-  const uint64_t gen = LiveGeneration().load(std::memory_order_acquire);
-  if (gen == registry.seen_generation) return;
-  std::lock_guard<std::mutex> lock(LiveIdMutex());
-  for (auto it = registry.caches.begin(); it != registry.caches.end();) {
-    it = LiveIds().count(it->first) ? std::next(it)
-                                    : registry.caches.erase(it);
-  }
-  registry.seen_generation = gen;
-}
-
-T::TopKPatternCache& CacheForThread(uint64_t cache_id,
+// Pattern caches are looked up thread-locally by block id (see
+// src/core/thread_cache.h): each warm serving worker keeps its own
+// patterns, and a block's entries are swept once the block dies.
+T::TopKPatternCache& CacheForThread(const core::CacheOwnerId& cache_id,
                                     float drift_threshold) {
-  ThreadRegistry& registry = RegistryForThread();
-  SweepDeadIds(registry);
-  auto it = registry.caches.find(cache_id);
-  if (it == registry.caches.end()) {
+  auto& caches = core::ThreadCaches<T::TopKPatternCache>();
+  auto it = caches.find(cache_id.value());
+  if (it == caches.end()) {
     T::TopKPatternCache::Options opts;
     opts.drift_threshold = drift_threshold;
-    it = registry.caches.emplace(cache_id, T::TopKPatternCache(opts)).first;
+    it = caches.emplace(cache_id.value(), T::TopKPatternCache(opts)).first;
   }
   return it->second;
 }
@@ -98,9 +34,8 @@ T::TopKPatternCache& CacheForThread(uint64_t cache_id,
 }  // namespace
 
 int64_t ThreadPatternRegistrySizeForTesting() {
-  ThreadRegistry& registry = RegistryForThread();
-  SweepDeadIds(registry);
-  return static_cast<int64_t>(registry.caches.size());
+  return static_cast<int64_t>(
+      core::ThreadCaches<T::TopKPatternCache>().size());
 }
 
 PriorGraphEncoder::PriorGraphEncoder(
@@ -163,8 +98,7 @@ DhslBlock::DhslBlock(int64_t hidden_dim, int64_t num_hyperedges, Rng* rng,
       mode_(mode),
       sparse_topk_(sparse_topk),
       pattern_reuse_(pattern_reuse),
-      drift_threshold_(drift_threshold),
-      cache_id_(NextCacheId()) {
+      drift_threshold_(drift_threshold) {
   DYHSL_CHECK_GE(sparse_topk, 0);
   DYHSL_CHECK_MSG(sparse_topk <= num_hyperedges,
                   "sparse_topk " + std::to_string(sparse_topk) +
@@ -189,12 +123,6 @@ DhslBlock::DhslBlock(int64_t hidden_dim, int64_t num_hyperedges, Rng* rng,
   edge_mixer_ = RegisterParameter(
       "edge_mixer",
       nn::GlorotUniform2D(num_hyperedges, num_hyperedges, rng));
-}
-
-DhslBlock::~DhslBlock() {
-  // Retire the cache id so every thread's registry can drop this block's
-  // pattern cache on its next lookup (the unbounded-growth fix).
-  RetireCacheId(cache_id_);
 }
 
 void DhslBlock::RegisterSequenceLength(int64_t rows, Rng* rng) {

@@ -12,6 +12,7 @@
 #include "src/autograd/ops.h"
 #include "src/autograd/variable.h"
 #include "src/core/rng.h"
+#include "src/core/thread_cache.h"
 #include "src/nn/layers.h"
 #include "src/nn/module.h"
 #include "src/tensor/sparse.h"
@@ -89,11 +90,6 @@ class DhslBlock : public nn::Module {
             int64_t sparse_topk = 0, bool pattern_reuse = false,
             float drift_threshold = 0.05f);
 
-  /// \brief Retires this block's pattern-cache id: every thread's
-  /// thread-local registry evicts the dead entry on its next cache lookup,
-  /// so registries stay bounded by the number of *live* blocks.
-  ~DhslBlock() override;
-
   /// \brief One hypergraph convolution pass over H (B, R, d).
   Variable Forward(const Variable& h) const;
 
@@ -126,7 +122,9 @@ class DhslBlock : public nn::Module {
   int64_t sparse_topk_;
   bool pattern_reuse_;
   float drift_threshold_;
-  uint64_t cache_id_;  // key into the thread-local cache registry
+  /// Key into the thread-local pattern-cache registry; retired with the
+  /// block, so registries stay bounded by the number of *live* blocks.
+  core::CacheOwnerId cache_id_;
   Variable incidence_weight_;  // (d, I); parameter for kLowRank,
                                // constant for kFixedRandom
   Variable edge_mixer_;        // U: (I, I)

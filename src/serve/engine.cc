@@ -205,8 +205,7 @@ std::future<ForecastResponse> ForecastEngine::Submit(ForecastRequest request) {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {
       ForecastResponse response;
-      response.status =
-          Status::InvalidArgument("ForecastEngine is shut down");
+      response.status = Status::Unavailable("ForecastEngine is shut down");
       promise.set_value(std::move(response));
       return future;
     }
@@ -283,7 +282,7 @@ ForecastResponse ForecastEngine::ForecastNow(const tensor::Tensor& window) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {
-      response.status = Status::InvalidArgument("ForecastEngine is shut down");
+      response.status = Status::Unavailable("ForecastEngine is shut down");
       return response;
     }
   }
@@ -345,7 +344,7 @@ BatchForecastResponse ForecastEngine::SubmitBatch(
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {
-      response.status = Status::InvalidArgument("ForecastEngine is shut down");
+      response.status = Status::Unavailable("ForecastEngine is shut down");
       return response;
     }
   }
@@ -431,7 +430,7 @@ ForecastResponse ForecastEngine::ForecastFromState(
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {
-      response.status = Status::InvalidArgument("ForecastEngine is shut down");
+      response.status = Status::Unavailable("ForecastEngine is shut down");
       return response;
     }
   }
@@ -488,7 +487,7 @@ BatchForecastResponse ForecastEngine::ForecastFromStateBatch(
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {
-      response.status = Status::InvalidArgument("ForecastEngine is shut down");
+      response.status = Status::Unavailable("ForecastEngine is shut down");
       return response;
     }
   }

@@ -258,8 +258,8 @@ class ForecastEngine {
   /// @}
 
   /// \brief Stops accepting new requests, serves everything already
-  /// queued, and joins the worker threads. Idempotent; also run by the
-  /// destructor.
+  /// queued, and joins the worker threads. Requests made afterwards fail
+  /// with kUnavailable. Idempotent; also run by the destructor.
   void Shutdown();
 
   const train::ForecastTask& task() const { return task_; }

@@ -270,7 +270,7 @@ std::future<ForecastResponse> ForecastRouter::Submit(RouterRequest request) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {
-      fail(Status::InvalidArgument("ForecastRouter is shut down"));
+      fail(Status::Unavailable("ForecastRouter is shut down"));
       return future;
     }
     if (!request.model.empty()) {
@@ -329,7 +329,7 @@ std::future<ForecastResponse> ForecastRouter::Submit(RouterRequest request) {
   std::lock_guard<std::mutex> lock(mu_);
   if (stopping_) {
     requests_ -= 1;  // counted in phase 1, never fanned out
-    fail(Status::InvalidArgument("ForecastRouter is shut down"));
+    fail(Status::Unavailable("ForecastRouter is shut down"));
     return future;
   }
   StitchJob job;

@@ -210,8 +210,9 @@ class ForecastRouter {
   std::future<ForecastResponse> Submit(RouterRequest request);
 
   /// \brief Stops accepting requests, stitches everything in flight, and
-  /// shuts down every engine (draining their queues). Idempotent; also
-  /// run by the destructor.
+  /// shuts down every engine (draining their queues). A Submit made
+  /// afterwards fails with kUnavailable. Idempotent; also run by the
+  /// destructor.
   void Shutdown();
 
   std::vector<std::string> ModelNames() const;

@@ -1,7 +1,6 @@
 #include "src/tensor/gemm.h"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -30,11 +29,6 @@ constexpr int64_t kKc = 240;  // K panel: B panel of kKc x kNr stays in L1
 // Multiply-add count below which the OpenMP fork/join overhead dominates.
 constexpr int64_t kParallelCutoff = 1 << 15;
 
-// Inference fast paths (direct-A kernels, small-size no-plan path). The
-// legacy all-packed path is bit-identical; the toggle lets benchmarks and
-// property tests compare both in one process.
-std::atomic<bool> g_fast_paths{true};
-
 // Stand-in rows for the padded lanes of a row-group tail: the packed path
 // zero-pads rows past mb, so the direct path points their row pointers at
 // zeros — same values, same (unused) accumulator lanes.
@@ -42,23 +36,18 @@ alignas(64) constexpr float kZeroRow[kKc] = {};
 
 int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
 
-// Fallback packing buffers for threads with no active WorkspaceScope:
-// thread-local vectors, reused across calls so steady-state GEMMs perform
+// Fallback B-packing buffer for threads with no active WorkspaceScope: a
+// thread-local vector, reused across calls so steady-state GEMMs perform
 // no allocation at all. When a scope *is* installed (training steps, eval
 // batches, serve workers), packing memory comes from the step arena
 // instead — see the PackPlan below — so it is recycled with everything
-// else at Reset() and stays cache-warm. The small-size fast path also
-// routes its packs here: it is serial by construction, so the scratch is
-// private to the call and skipping the arena plan saves the per-call
-// allocation that dominates tiny GEMMs.
-struct Scratch {
-  std::vector<float> a_pack;
-  std::vector<float> b_pack;
-};
-
-Scratch* TlsScratch() {
-  static thread_local Scratch scratch;
-  return &scratch;
+// else at Reset() and stays cache-warm. The small-size path also routes
+// its pack here: it is serial by construction, so the scratch is private
+// to the call and skipping the arena plan saves the per-call allocation
+// that dominates tiny GEMMs.
+std::vector<float>* TlsBPack() {
+  static thread_local std::vector<float> b_pack;
+  return &b_pack;
 }
 
 int64_t ThreadNum() {
@@ -69,22 +58,18 @@ int64_t ThreadNum() {
 #endif
 }
 
-// Packing-buffer layout for one BatchedGemmInto call. With an active
+// B-packing buffer layout for one BatchedGemmInto call. With an active
 // Workspace the whole plan is one arena allocation sized for the largest
-// K panel (shared packs first, then one per-OpenMP-thread task region);
-// the handle drops at end of call, which the arena's LIFO reclaim rewinds
-// immediately. Without a workspace, the shared packs fall back to local
-// vectors and task packs to the thread-local Scratch.
+// K panel (the shared pack first, then one per-OpenMP-thread task
+// region); the handle drops at end of call, which the arena's LIFO
+// reclaim rewinds immediately. Without a workspace, the shared pack falls
+// back to a local vector and task packs to the thread-local TlsBPack.
 struct PackPlan {
   std::shared_ptr<float[]> arena;   // single arena block (may be null)
-  float* shared_a = nullptr;
   float* shared_b = nullptr;
-  float* tasks = nullptr;           // num_threads x task_stride floats
-  int64_t task_a_floats = 0;
+  float* tasks = nullptr;           // num_threads x task_b_floats floats
   int64_t task_b_floats = 0;
-  int64_t task_stride = 0;
-  std::vector<float> fallback_a;    // shared packs when no workspace
-  std::vector<float> fallback_b;
+  std::vector<float> fallback_b;    // shared pack when no workspace
 };
 
 // Packs op(A) rows [i0, i0+mb) x panel columns [p0, p0+kb) into kMr-row
@@ -714,14 +699,6 @@ void ScaleOutput(int64_t batch, int64_t m, int64_t n, float beta, float* c,
 
 }  // namespace
 
-bool SetGemmFastPaths(bool enabled) {
-  return g_fast_paths.exchange(enabled, std::memory_order_relaxed);
-}
-
-bool GemmFastPathsEnabled() {
-  return g_fast_paths.load(std::memory_order_relaxed);
-}
-
 std::shared_ptr<const PackedPanels> PackedPanels::PackBOperand(
     const float* b, int64_t ldb, bool trans, int64_t k, int64_t n) {
   DYHSL_CHECK(b != nullptr);
@@ -797,49 +774,34 @@ void BatchedGemmPrepackedInto(int64_t batch, bool trans_a, bool trans_b,
     DYHSL_CHECK_EQ(pre_a->k(), k);
     DYHSL_CHECK_EQ(pre_a->mn(), m);
   }
-  const bool shared_a = a_stride == 0;
   const bool shared_b = b_stride == 0;
-  const bool fast = GemmFastPathsEnabled();
-  // Direct-A: when op(A) rows are unit-stride in memory (!trans_a), the
-  // kernels read them in place — no A packing at all. Profiling shows the
-  // activation side is ~90% of grad-free packing time, so this is the
-  // main lever; the prepacked/packed paths remain for trans_a and for
-  // callers that supplied panels.
-  const bool direct_a = fast && !trans_a && pre_a == nullptr;
-  // Direct-A for trans_a: op(A)'s row lanes of one K step are contiguous
-  // (a row of A), so the strided kernels read them in place; only the row
-  // tail group stages through PackA (see ComputeBlockDirectAT).
-  const bool direct_at = fast && trans_a && pre_a == nullptr;
+  // A is never packed here. Without prepacked panels the kernels read
+  // op(A) in place: direct-A for !trans_a, where op(A) rows are
+  // unit-stride in memory, and direct-AT for trans_a, where op(A)'s row
+  // lanes of one K step are contiguous (a row of A) and only the row tail
+  // group stages through PackA (see ComputeBlockDirectAT). Profiling shows
+  // the activation side is ~90% of grad-free packing time, so this is the
+  // main lever.
   const int64_t ic_blocks = CeilDiv(m, kMc);
   const int64_t panels = CeilDiv(n, kNr);
   const int64_t kb_max = std::min<int64_t>(kKc, k);
-  // Small-size fast path: the call runs serial either way — below the
-  // parallel cutoff, or the calling thread's team budget is one (a pinned
-  // engine worker) — so skip the arena plan and the OpenMP region and
-  // stage any packs in the thread-local scratch.
+  // Small-size path: the call runs serial either way — below the parallel
+  // cutoff, or the calling thread's team budget is one (a pinned engine
+  // worker) — so skip the arena plan and the OpenMP region and stage the
+  // B pack in the thread-local scratch.
   const int avail_team = core::TeamThreads();
   const bool small =
-      fast &&
-      (avail_team == 1 || batch * m * n * kb_max <= kParallelCutoff);
+      avail_team == 1 || batch * m * n * kb_max <= kParallelCutoff;
 
-  // Packing buffers, sized for the largest K panel. With an active
+  // B-packing buffers, sized for the largest K panel. With an active
   // WorkspaceScope the plan is one step-arena allocation, released (and
-  // LIFO-rewound) when this call returns; otherwise shared packs use
-  // local vectors and task packs the thread-local Scratch. Prepacked and
-  // direct operands need no buffer at all.
-  const int64_t shared_a_floats =
-      (shared_a && pre_a == nullptr && !direct_a && !direct_at)
-          ? CeilDiv(m, kMr) * kb_max * kMr
-          : 0;
+  // LIFO-rewound) when this call returns; otherwise the shared pack uses
+  // a local vector and task packs the thread-local scratch. A prepacked
+  // B needs no buffer at all.
   const int64_t shared_b_floats =
       (shared_b && pre_b == nullptr) ? panels * kb_max * kNr : 0;
   PackPlan plan;
-  plan.task_a_floats =
-      (shared_a || direct_a || direct_at)
-          ? 0
-          : CeilDiv(std::min<int64_t>(kMc, m), kMr) * kb_max * kMr;
   plan.task_b_floats = shared_b ? 0 : panels * kb_max * kNr;
-  plan.task_stride = plan.task_a_floats + plan.task_b_floats;
   // Intra-op team scoping: the region below is bounded by the calling
   // thread's ThreadBudget slice (TeamScope), so an engine worker's GEMMs
   // can never spawn a machine-wide team and oversubscribe its peers.
@@ -847,30 +809,19 @@ void BatchedGemmPrepackedInto(int64_t batch, bool trans_a, bool trans_b,
   (void)team;  // consumed only by the pragma; unused without OpenMP
   Workspace* workspace = small ? nullptr : Workspace::Current();
   if (workspace != nullptr) {
-    plan.arena = workspace->Allocate(shared_a_floats + shared_b_floats +
-                                     plan.task_stride * team);
-    float* cursor = plan.arena.get();
-    plan.shared_a = shared_a_floats > 0 ? cursor : nullptr;
-    cursor += shared_a_floats;
-    plan.shared_b = shared_b_floats > 0 ? cursor : nullptr;
-    cursor += shared_b_floats;
-    plan.tasks = cursor;
+    plan.arena =
+        workspace->Allocate(shared_b_floats + plan.task_b_floats * team);
+    plan.shared_b = shared_b_floats > 0 ? plan.arena.get() : nullptr;
+    plan.tasks = plan.arena.get() + shared_b_floats;
   } else if (small) {
-    // Serial: shared and per-task packs are mutually exclusive per side,
-    // so both can draw from the same thread-local scratch vectors.
-    Scratch* scratch = TlsScratch();
-    if (shared_a_floats > 0) {
-      scratch->a_pack.resize(shared_a_floats);
-      plan.shared_a = scratch->a_pack.data();
-    }
+    // Serial: a shared pack and per-task packs are mutually exclusive, so
+    // either can draw from the same thread-local scratch vector.
     if (shared_b_floats > 0) {
-      scratch->b_pack.resize(shared_b_floats);
-      plan.shared_b = scratch->b_pack.data();
+      TlsBPack()->resize(shared_b_floats);
+      plan.shared_b = TlsBPack()->data();
     }
   } else {
-    plan.fallback_a.resize(shared_a_floats);
     plan.fallback_b.resize(shared_b_floats);
-    plan.shared_a = shared_a_floats > 0 ? plan.fallback_a.data() : nullptr;
     plan.shared_b = shared_b_floats > 0 ? plan.fallback_b.data() : nullptr;
   }
 
@@ -880,7 +831,7 @@ void BatchedGemmPrepackedInto(int64_t batch, bool trans_a, bool trans_b,
     const float eff_beta = p0 == 0 ? beta : 1.0f;
     // Shared packed panels for this K panel: prepacked bytes when the
     // caller supplied them (identical to what PackB/PackA would write),
-    // packed on the fly otherwise.
+    // packed on the fly for a shared B otherwise.
     const float* sb = nullptr;
     if (shared_b) {
       if (pre_b != nullptr) {
@@ -890,17 +841,9 @@ void BatchedGemmPrepackedInto(int64_t batch, bool trans_a, bool trans_b,
         sb = plan.shared_b;
       }
     }
-    const float* sa = nullptr;
-    if (shared_a && !direct_a && !direct_at) {
-      if (pre_a != nullptr) {
-        sa = pre_a->data() + (p0 / kKc) * pre_a->panel_stride();
-      } else {
-        // kMc is a multiple of kMr, so row-block g starts at packed group
-        // i0 / kMr and per-block consumption aligns with one whole-M pack.
-        PackA(a, lda, trans_a, 0, m, p0, kb, plan.shared_a);
-        sa = plan.shared_a;
-      }
-    }
+    const float* sa = pre_a != nullptr
+                          ? pre_a->data() + (p0 / kKc) * pre_a->panel_stride()
+                          : nullptr;
 
     const int64_t tasks = batch * ic_blocks;
     auto run_task = [&](int64_t t) {
@@ -908,51 +851,31 @@ void BatchedGemmPrepackedInto(int64_t batch, bool trans_a, bool trans_b,
       const int64_t ic = t % ic_blocks;
       const int64_t i0 = ic * kMc;
       const int64_t mb = std::min<int64_t>(kMc, m - i0);
-      const bool need_task_a = !shared_a && !direct_a && !direct_at;
-      float* task_a = nullptr;
-      float* task_b = nullptr;
-      if (plan.arena != nullptr) {
-        float* mine = plan.tasks + ThreadNum() * plan.task_stride;
-        task_a = need_task_a ? mine : nullptr;
-        task_b = shared_b ? nullptr : mine + plan.task_a_floats;
-      } else {
-        Scratch* scratch = TlsScratch();
-        if (need_task_a) {
-          scratch->a_pack.resize(plan.task_a_floats);
-          task_a = scratch->a_pack.data();
+      const float* b_pack = sb;
+      if (!shared_b) {
+        float* task_b;
+        if (plan.arena != nullptr) {
+          task_b = plan.tasks + ThreadNum() * plan.task_b_floats;
+        } else {
+          TlsBPack()->resize(plan.task_b_floats);
+          task_b = TlsBPack()->data();
         }
-        if (!shared_b) {
-          scratch->b_pack.resize(plan.task_b_floats);
-          task_b = scratch->b_pack.data();
-        }
-      }
-
-      const float* b_pack;
-      if (shared_b) {
-        b_pack = sb;
-      } else {
         PackB(b + bi * b_stride, ldb, trans_b, p0, kb, n, task_b);
         b_pack = task_b;
       }
       float* cdst = c + bi * c_stride + i0 * ldc;
-      if (direct_a) {
-        ComputeBlockDirectA(a + bi * a_stride, lda, i0, p0, b_pack, mb, n,
-                            kb, cdst, ldc, eff_beta);
-        return;
-      }
-      if (direct_at) {
+      if (sa != nullptr) {
+        // kMc is a multiple of kMr, so row-block ic starts at packed group
+        // i0 / kMr of the whole-M prepacked panel.
+        ComputeBlock(sa + (i0 / kMr) * kb * kMr, b_pack, mb, n, kb, cdst, ldc,
+                     eff_beta);
+      } else if (trans_a) {
         ComputeBlockDirectAT(a + bi * a_stride, lda, i0, p0, b_pack, mb, n,
                              kb, cdst, ldc, eff_beta);
-        return;
-      }
-      const float* a_pack;
-      if (shared_a) {
-        a_pack = sa + (i0 / kMr) * kb * kMr;
       } else {
-        PackA(a + bi * a_stride, lda, trans_a, i0, mb, p0, kb, task_a);
-        a_pack = task_a;
+        ComputeBlockDirectA(a + bi * a_stride, lda, i0, p0, b_pack, mb, n,
+                            kb, cdst, ldc, eff_beta);
       }
-      ComputeBlock(a_pack, b_pack, mb, n, kb, cdst, ldc, eff_beta);
     };
     // Deterministic per thread count: tasks partition the output, and each
     // element's accumulation order is fixed by the (p0, p) loop structure.

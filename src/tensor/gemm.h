@@ -4,9 +4,9 @@
 // Design notes
 //  * BLIS-style blocking: the K dimension is split into kKc panels, rows
 //    into kMc blocks, and a kMr x kNr register tile is accumulated per
-//    micro-kernel call. Operands are packed into contiguous panels first,
-//    so every trans_a/trans_b combination runs unit-stride inner loops —
-//    the packing absorbs the strides.
+//    micro-kernel call. The B operand is packed into contiguous panels
+//    first, so both trans_b settings run unit-stride inner loops — the
+//    packing absorbs the strides.
 //  * Deterministic for any OpenMP thread count: parallelism is over
 //    (batch, row-block) tasks inside a K-panel, each output element is
 //    written by exactly one task, and its floating-point accumulation
@@ -14,13 +14,13 @@
 //    the thread count.
 //  * beta semantics follow BLAS: C = beta * C + op(A) op(B), and beta == 0
 //    never reads C, so the output may be uninitialized arena memory.
-//  * Inference fast paths (on by default, see SetGemmFastPaths): a
-//    no-trans A operand is consumed directly through strided row pointers
-//    instead of being packed (activations dominate packing time), and
-//    GEMMs under the parallel cutoff skip the arena plan and OpenMP
-//    region entirely. Both paths replay the packed kernels' per-element
-//    accumulation order exactly, so results stay bit-identical to the
-//    legacy all-packed path.
+//  * The A operand is never packed at call time: no-trans A is consumed
+//    directly through strided row pointers and trans A through strided
+//    row lanes (activations dominate packing time), unless the caller
+//    supplies prepacked A panels. GEMMs under the parallel cutoff skip the
+//    arena plan and OpenMP region entirely. The direct kernels replay the
+//    packed kernels' per-element accumulation order exactly, so results
+//    are bit-identical to packing op(A) with PackedPanels::PackAOperand.
 //  * PackedPanels lets a caller pack a long-lived operand (a frozen
 //    checkpoint weight) once and reuse the panels across calls — the
 //    packed bytes are the same ones the on-the-fly path would produce,
@@ -97,8 +97,8 @@ void GemmInto(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
 
 /// \brief Batched GemmInto. `a_stride`/`b_stride`/`c_stride` advance each
 /// operand between batch items; a stride of 0 shares that operand across
-/// the whole batch, in which case it is packed once and reused by every
-/// batch item (the shared-weight fast path).
+/// the whole batch. A shared B is packed once and reused by every batch
+/// item (the shared-weight fast path).
 void BatchedGemmInto(int64_t batch, bool trans_a, bool trans_b, int64_t m,
                      int64_t n, int64_t k, const float* a, int64_t a_stride,
                      int64_t lda, const float* b, int64_t b_stride,
@@ -117,16 +117,6 @@ void BatchedGemmPrepackedInto(int64_t batch, bool trans_a, bool trans_b,
                               int64_t b_stride, int64_t ldb,
                               const PackedPanels* pre_b, float beta, float* c,
                               int64_t c_stride, int64_t ldc);
-
-/// \brief Enables/disables the inference fast paths (direct-A kernels and
-/// the small-size no-plan path) process-wide; returns the previous value.
-/// On by default. The legacy all-packed path produces bit-identical
-/// results — the toggle exists so benchmarks can measure the attributable
-/// win and property tests can compare the paths in one process.
-bool SetGemmFastPaths(bool enabled);
-
-/// \brief Current fast-path setting.
-bool GemmFastPathsEnabled();
 
 }  // namespace dyhsl::tensor
 

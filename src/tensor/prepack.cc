@@ -24,7 +24,6 @@ ThreadTally* Tally() {
 }
 
 thread_local int g_lookup_depth = 0;
-std::atomic<bool> g_lookups_enabled{true};
 
 // Pack slot per (side, trans) orientation of one enrolled pointer.
 int SlotIndex(PackedPanels::Side side, bool trans) {
@@ -170,22 +169,10 @@ PrepackCache::Stats PrepackCache::ThreadCounters() {
   return stats;
 }
 
-PrepackLookupScope::PrepackLookupScope() : previous_(g_lookup_depth > 0) {
-  ++g_lookup_depth;
-}
+PrepackLookupScope::PrepackLookupScope() { ++g_lookup_depth; }
 
-PrepackLookupScope::~PrepackLookupScope() {
-  --g_lookup_depth;
-  (void)previous_;
-}
+PrepackLookupScope::~PrepackLookupScope() { --g_lookup_depth; }
 
-bool PrepackLookupActive() {
-  return g_lookup_depth > 0 &&
-         g_lookups_enabled.load(std::memory_order_relaxed);
-}
-
-bool SetPrepackLookupsEnabled(bool enabled) {
-  return g_lookups_enabled.exchange(enabled, std::memory_order_relaxed);
-}
+bool PrepackLookupActive() { return g_lookup_depth > 0; }
 
 }  // namespace dyhsl::tensor

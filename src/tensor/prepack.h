@@ -109,19 +109,11 @@ class PrepackLookupScope {
 
   PrepackLookupScope(const PrepackLookupScope&) = delete;
   PrepackLookupScope& operator=(const PrepackLookupScope&) = delete;
-
- private:
-  bool previous_;
 };
 
-/// \brief True when a PrepackLookupScope is active on this thread (and
-/// lookups are not globally disabled).
+/// \brief True when a PrepackLookupScope is active on this thread — the
+/// only gate on prepack lookups.
 bool PrepackLookupActive();
-
-/// \brief Process-wide kill switch for scope lookups; returns the previous
-/// value. On by default — benchmarks turn it off to measure the
-/// attributable win of the inference plan in a forked phase.
-bool SetPrepackLookupsEnabled(bool enabled);
 
 }  // namespace dyhsl::tensor
 

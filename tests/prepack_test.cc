@@ -1,12 +1,12 @@
-// Tests for the inference-plan layer: the GEMM fast paths (direct-A
-// kernels, the small-size no-plan path), prepacked operands
+// Tests for the inference-plan layer: the GEMM's in-place A kernels
+// (direct-A, direct-AT, the small-size no-plan path), prepacked operands
 // (tensor::PackedPanels / BatchedGemmPrepackedInto), the process
 // PrepackCache with its enrollment/lookup/invalidation lifecycle, the
 // serving engine's plan bring-up and stats, and the bounded thread-local
 // cache registries (DhslBlock patterns, DHGNN structures).
 //
-// The contract under test everywhere is *bit* identity: every fast or
-// prepacked path must reproduce the legacy all-packed kernel exactly,
+// The contract under test everywhere is *bit* identity: every in-place or
+// prepacked path must reproduce the packed-A reference kernel exactly,
 // for every trans combination, beta mode and sharing pattern — "close"
 // is a failure.
 
@@ -20,6 +20,7 @@
 
 #include "src/autograd/inference.h"
 #include "src/baselines/gnn_models.h"
+#include "src/core/parallel.h"
 #include "src/core/rng.h"
 #include "src/models/blocks.h"
 #include "src/serve/engine.h"
@@ -36,17 +37,6 @@ namespace {
 
 using ::dyhsl::testing::TempPath;
 using ::dyhsl::testing::TensorEq;
-
-// Restores the process fast-path setting on scope exit, so a failing
-// assertion in one test cannot leak a disabled state into the next.
-class FastPathGuard {
- public:
-  explicit FastPathGuard(bool enabled) : previous_(SetGemmFastPaths(enabled)) {}
-  ~FastPathGuard() { SetGemmFastPaths(previous_); }
-
- private:
-  bool previous_;
-};
 
 Tensor RandomMatrix(int64_t rows, int64_t cols, uint64_t seed) {
   Rng rng(seed);
@@ -69,11 +59,45 @@ Tensor RunBatched(int64_t batch, bool trans_a, bool trans_b, int64_t m,
   return c;
 }
 
-// The GEMM property sweep: every fast path (direct-A, small no-plan) must
-// be bitwise identical to the legacy all-packed path over odd and prime
-// shapes that exercise micro-kernel tails, multiple K panels (k > 240),
-// multiple MC blocks (m > 120) and lone-panel n tails.
-TEST(GemmFastPathTest, FastPathsBitIdenticalToLegacy) {
+// The oracle for RunBatched: the same product with op(A) served from
+// PackAOperand panels, so the packed-A reference kernel (PackA +
+// ComputeBlock) computes every element. A prepacked A must be shared, so
+// a non-shared A runs one batch item at a time at batch 1, each against
+// its own packed item.
+Tensor RunPackedA(int64_t batch, bool trans_a, bool trans_b, int64_t m,
+                  int64_t n, int64_t k, const Tensor& a, bool shared_a,
+                  const Tensor& b, bool shared_b, float beta) {
+  Rng rng(91);
+  Tensor c = Tensor::Randn({batch, m, n}, &rng, 1.0f);
+  const int64_t lda = trans_a ? m : k;
+  const int64_t ldb = trans_b ? k : n;
+  const int64_t b_stride = shared_b ? 0 : k * n;
+  if (shared_a) {
+    auto pre_a = PackedPanels::PackAOperand(a.data(), lda, trans_a, m, k);
+    BatchedGemmPrepackedInto(batch, trans_a, trans_b, m, n, k, a.data(), 0,
+                             lda, pre_a.get(), b.data(), b_stride, ldb,
+                             nullptr, beta, c.data(), m * n, n);
+    return c;
+  }
+  for (int64_t bi = 0; bi < batch; ++bi) {
+    const float* a_item = a.data() + bi * m * k;
+    auto pre_a = PackedPanels::PackAOperand(a_item, lda, trans_a, m, k);
+    BatchedGemmPrepackedInto(1, trans_a, trans_b, m, n, k, a_item, 0, lda,
+                             pre_a.get(), b.data() + bi * b_stride, b_stride,
+                             ldb, nullptr, beta, c.data() + bi * m * n,
+                             m * n, n);
+  }
+  return c;
+}
+
+// The GEMM property sweep: reading A in place (direct-A for !trans_a,
+// direct-AT for trans_a) must be bitwise identical to the packed-A
+// reference over odd and prime shapes that exercise micro-kernel tails,
+// multiple K panels (k > 240), multiple MC blocks (m > 120) and lone-panel
+// n tails. At the default team size, {13,97,53}, {31,33,241} and
+// {127,19,67} exceed the parallel cutoff and take the planned path; the
+// TeamScope(1) leg forces the small serial path for every case.
+TEST(GemmDirectATest, DirectABitIdenticalToPackedA) {
   struct Case {
     int64_t m, n, k;
   };
@@ -93,22 +117,25 @@ TEST(GemmFastPathTest, FastPathsBitIdenticalToLegacy) {
                                         trans_a ? c.m : c.k, 17);
                 Tensor b = RandomMatrix(b_items * (trans_b ? c.n : c.k),
                                         trans_b ? c.k : c.n, 29);
-                Tensor fast, legacy;
+                Tensor direct = RunBatched(batch, trans_a, trans_b, c.m, c.n,
+                                           c.k, a, shared_a, b, shared_b,
+                                           beta);
+                Tensor serial;
                 {
-                  FastPathGuard on(true);
-                  fast = RunBatched(batch, trans_a, trans_b, c.m, c.n, c.k,
-                                    a, shared_a, b, shared_b, beta);
-                }
-                {
-                  FastPathGuard off(false);
-                  legacy = RunBatched(batch, trans_a, trans_b, c.m, c.n, c.k,
+                  core::TeamScope team(1);
+                  serial = RunBatched(batch, trans_a, trans_b, c.m, c.n, c.k,
                                       a, shared_a, b, shared_b, beta);
                 }
-                ASSERT_TRUE(TensorEq(fast, legacy))
-                    << "m=" << c.m << " n=" << c.n << " k=" << c.k
-                    << " batch=" << batch << " ta=" << trans_a
-                    << " tb=" << trans_b << " beta=" << beta
-                    << " sa=" << shared_a << " sb=" << shared_b;
+                Tensor packed = RunPackedA(batch, trans_a, trans_b, c.m, c.n,
+                                           c.k, a, shared_a, b, shared_b,
+                                           beta);
+                SCOPED_TRACE(::testing::Message()
+                             << "m=" << c.m << " n=" << c.n << " k=" << c.k
+                             << " batch=" << batch << " ta=" << trans_a
+                             << " tb=" << trans_b << " beta=" << beta
+                             << " sa=" << shared_a << " sb=" << shared_b);
+                ASSERT_TRUE(TensorEq(direct, packed));
+                ASSERT_TRUE(TensorEq(serial, packed)) << "team=1";
               }
             }
           }
@@ -119,7 +146,7 @@ TEST(GemmFastPathTest, FastPathsBitIdenticalToLegacy) {
 }
 
 // Prepacked operands replace on-the-fly packing bit-identically, for
-// every orientation and with the fast paths both on and off.
+// every orientation.
 TEST(PackedPanelsTest, PrepackedBitIdenticalToFreshPacking) {
   struct Case {
     int64_t m, n, k;
@@ -129,54 +156,49 @@ TEST(PackedPanelsTest, PrepackedBitIdenticalToFreshPacking) {
     for (int64_t batch : {int64_t{1}, int64_t{4}}) {
       for (bool trans_a : {false, true}) {
         for (bool trans_b : {false, true}) {
-          for (bool fast : {true, false}) {
-            FastPathGuard guard(fast);
-            Tensor a = RandomMatrix(batch * (trans_a ? c.k : c.m),
-                                    trans_a ? c.m : c.k, 3);
-            Tensor bw = RandomMatrix(trans_b ? c.n : c.k,
-                                     trans_b ? c.k : c.n, 5);
-            const int64_t lda = trans_a ? c.m : c.k;
-            const int64_t ldb = trans_b ? c.k : c.n;
-            auto pre_b =
-                PackedPanels::PackBOperand(bw.data(), ldb, trans_b, c.k, c.n);
-            ASSERT_GT(pre_b->bytes(), 0);
-            Rng rng(7);
-            Tensor c_pre = Tensor::Randn({batch, c.m, c.n}, &rng, 1.0f);
-            Tensor c_ref = c_pre.Clone();
-            BatchedGemmPrepackedInto(
-                batch, trans_a, trans_b, c.m, c.n, c.k, a.data(),
-                trans_a ? c.k * c.m : c.m * c.k, lda, nullptr, bw.data(), 0,
-                ldb, pre_b.get(), 0.5f, c_pre.data(), c.m * c.n, c.n);
-            BatchedGemmInto(batch, trans_a, trans_b, c.m, c.n, c.k, a.data(),
-                            trans_a ? c.k * c.m : c.m * c.k, lda, bw.data(),
-                            0, ldb, 0.5f, c_ref.data(), c.m * c.n, c.n);
-            ASSERT_TRUE(TensorEq(c_pre, c_ref))
-                << "pre_b m=" << c.m << " n=" << c.n << " k=" << c.k
-                << " batch=" << batch << " ta=" << trans_a
-                << " tb=" << trans_b << " fast=" << fast;
+          Tensor a = RandomMatrix(batch * (trans_a ? c.k : c.m),
+                                  trans_a ? c.m : c.k, 3);
+          Tensor bw = RandomMatrix(trans_b ? c.n : c.k,
+                                   trans_b ? c.k : c.n, 5);
+          const int64_t lda = trans_a ? c.m : c.k;
+          const int64_t ldb = trans_b ? c.k : c.n;
+          auto pre_b =
+              PackedPanels::PackBOperand(bw.data(), ldb, trans_b, c.k, c.n);
+          ASSERT_GT(pre_b->bytes(), 0);
+          Rng rng(7);
+          Tensor c_pre = Tensor::Randn({batch, c.m, c.n}, &rng, 1.0f);
+          Tensor c_ref = c_pre.Clone();
+          BatchedGemmPrepackedInto(
+              batch, trans_a, trans_b, c.m, c.n, c.k, a.data(),
+              trans_a ? c.k * c.m : c.m * c.k, lda, nullptr, bw.data(), 0,
+              ldb, pre_b.get(), 0.5f, c_pre.data(), c.m * c.n, c.n);
+          BatchedGemmInto(batch, trans_a, trans_b, c.m, c.n, c.k, a.data(),
+                          trans_a ? c.k * c.m : c.m * c.k, lda, bw.data(),
+                          0, ldb, 0.5f, c_ref.data(), c.m * c.n, c.n);
+          ASSERT_TRUE(TensorEq(c_pre, c_ref))
+              << "pre_b m=" << c.m << " n=" << c.n << " k=" << c.k
+              << " batch=" << batch << " ta=" << trans_a << " tb=" << trans_b;
 
-            // A-side prepack: one shared op(A), batched B.
-            Tensor aw = RandomMatrix(trans_a ? c.k : c.m,
-                                     trans_a ? c.m : c.k, 11);
-            Tensor bb = RandomMatrix(batch * (trans_b ? c.n : c.k),
-                                     trans_b ? c.k : c.n, 13);
-            auto pre_a =
-                PackedPanels::PackAOperand(aw.data(), lda, trans_a, c.m, c.k);
-            Tensor d_pre = Tensor::Randn({batch, c.m, c.n}, &rng, 1.0f);
-            Tensor d_ref = d_pre.Clone();
-            BatchedGemmPrepackedInto(
-                batch, trans_a, trans_b, c.m, c.n, c.k, aw.data(), 0, lda,
-                pre_a.get(), bb.data(), trans_b ? c.n * c.k : c.k * c.n, ldb,
-                nullptr, 0.0f, d_pre.data(), c.m * c.n, c.n);
-            BatchedGemmInto(batch, trans_a, trans_b, c.m, c.n, c.k,
-                            aw.data(), 0, lda, bb.data(),
-                            trans_b ? c.n * c.k : c.k * c.n, ldb, 0.0f,
-                            d_ref.data(), c.m * c.n, c.n);
-            ASSERT_TRUE(TensorEq(d_pre, d_ref))
-                << "pre_a m=" << c.m << " n=" << c.n << " k=" << c.k
-                << " batch=" << batch << " ta=" << trans_a
-                << " tb=" << trans_b << " fast=" << fast;
-          }
+          // A-side prepack: one shared op(A), batched B.
+          Tensor aw = RandomMatrix(trans_a ? c.k : c.m,
+                                   trans_a ? c.m : c.k, 11);
+          Tensor bb = RandomMatrix(batch * (trans_b ? c.n : c.k),
+                                   trans_b ? c.k : c.n, 13);
+          auto pre_a =
+              PackedPanels::PackAOperand(aw.data(), lda, trans_a, c.m, c.k);
+          Tensor d_pre = Tensor::Randn({batch, c.m, c.n}, &rng, 1.0f);
+          Tensor d_ref = d_pre.Clone();
+          BatchedGemmPrepackedInto(
+              batch, trans_a, trans_b, c.m, c.n, c.k, aw.data(), 0, lda,
+              pre_a.get(), bb.data(), trans_b ? c.n * c.k : c.k * c.n, ldb,
+              nullptr, 0.0f, d_pre.data(), c.m * c.n, c.n);
+          BatchedGemmInto(batch, trans_a, trans_b, c.m, c.n, c.k,
+                          aw.data(), 0, lda, bb.data(),
+                          trans_b ? c.n * c.k : c.k * c.n, ldb, 0.0f,
+                          d_ref.data(), c.m * c.n, c.n);
+          ASSERT_TRUE(TensorEq(d_pre, d_ref))
+              << "pre_a m=" << c.m << " n=" << c.n << " k=" << c.k
+              << " batch=" << batch << " ta=" << trans_a << " tb=" << trans_b;
         }
       }
     }
@@ -255,12 +277,8 @@ TEST(PrepackCacheTest, InvalidateRepacksFromFreshBytesNeverStale) {
   EXPECT_EQ(cache.StatsFor({w.data()}).invalidations, 1);
   // The next lookup repacked from the fresh bytes: the product matches a
   // plain un-prepacked multiply of the new weights, bit for bit.
-  Tensor expected;
-  {
-    SetGemmFastPaths(SetGemmFastPaths(true));  // no-op, keep state
-    Tensor clean = w_new.Clone();               // never enrolled
-    expected = MatMul(x, clean);
-  }
+  Tensor clean = w_new.Clone();  // never enrolled
+  Tensor expected = MatMul(x, clean);
   EXPECT_TRUE(TensorEq(MatMul(x, w), expected));
   EXPECT_FALSE(TensorEq(MatMul(x, w), MatMul(x, w_old)));
   cache.Release(w.data());

@@ -18,6 +18,7 @@
 #include "src/autograd/inference.h"
 #include "src/core/parallel.h"
 #include "src/serve/engine.h"
+#include "src/serve/router.h"
 #include "src/train/checkpoint.h"
 #include "src/train/model_zoo.h"
 #include "src/train/trainer.h"
@@ -237,6 +238,9 @@ TEST(ForecastEngineTest, RejectsMalformedWindow) {
   EXPECT_FALSE(undefined.status.ok());
 }
 
+// A draining engine or router answers kUnavailable — the same code as
+// overload — so a caller can retry elsewhere instead of treating the
+// request as malformed.
 TEST(ForecastEngineTest, SubmitAfterShutdownFails) {
   train::ForecastTask task = RingForecastTask(8, 12);
   auto engine =
@@ -247,6 +251,21 @@ TEST(ForecastEngineTest, SubmitAfterShutdownFails) {
   ForecastResponse after =
       engine->Submit(ForecastRequest{window.Clone()}).get();
   EXPECT_FALSE(after.status.ok());
+  EXPECT_EQ(after.status.code(), StatusCode::kUnavailable);
+  BatchForecastResponse batch = engine->SubmitBatch(
+      window.Reshape({1, task.history, task.num_nodes, task.input_dim}));
+  EXPECT_FALSE(batch.status.ok());
+  EXPECT_EQ(batch.status.code(), StatusCode::kUnavailable);
+
+  auto router = std::move(ForecastRouter::Create()).ValueOrDie();
+  ASSERT_TRUE(router->AddModel("dyhsl", task, DyHslFactory(TinyConfig())).ok());
+  ASSERT_TRUE(
+      router->Submit(RouterRequest{"dyhsl", window.Clone()}).get().status.ok());
+  router->Shutdown();
+  ForecastResponse routed =
+      router->Submit(RouterRequest{"dyhsl", window.Clone()}).get();
+  EXPECT_FALSE(routed.status.ok());
+  EXPECT_EQ(routed.status.code(), StatusCode::kUnavailable);
 }
 
 TEST(ForecastEngineTest, CreateValidatesMaxQueue) {
