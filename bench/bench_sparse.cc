@@ -4,7 +4,7 @@
 //   $ ./build/bench_sparse --check-floor=1.0   # + fail if sparse loses at
 //                                              #   N=1024 graph propagation
 //
-// Three operator families, each timed dense (materialized (N,N) GEMM) and
+// Two operator families, each timed dense (materialized (N,N) GEMM) and
 // sparse at N ∈ {207, 512, 1024, 2048}:
 //
 //  * graph       — symmetric-normalized road adjacency × (N, d) features,
@@ -13,18 +13,10 @@
 //  * hypergraph  — predefined-district propagation G = D_v⁻¹ Λ D_e⁻¹ Λᵀ,
 //                  timed as the materialized product operator and as the
 //                  factored two-SpMM form
-//  * dhsl_topk   — the DHSL block's Eq. 7/8 incidence products on a
-//                  (R, I) learned Λ: dense BatchedMatMul vs top-k
-//                  sparsification + CSR products (selection cost included),
-//                  plus the cached-refresh mode (TopKPatternCache reuse +
-//                  O(nnz) value gather under a light per-step drift) with
-//                  its exact-vs-stale accuracy delta
 //
-// Results land in BENCH_sparse.json (override with DYHSL_BENCH_OUT). CI
-// regression floors (--check-floor=X): graph propagation at N=1024 and
-// dhsl_topk_i32 at N=207 (each mode's best; --skip-dhsl-floor exempts the
-// latter for scalar-dispatch builds where vector selection is off), and
-// the dhsl_topk_i32 speedup must be non-decreasing in N (0.9x tolerance).
+// Results land in BENCH_sparse.json (override with DYHSL_BENCH_OUT). The
+// CI regression floor (--check-floor=X) is the graph propagation speedup
+// at N=1024.
 
 #include <algorithm>
 #include <chrono>
@@ -51,8 +43,6 @@ using Clock = std::chrono::steady_clock;
 
 constexpr int64_t kFeatureDim = 64;
 constexpr int64_t kHyperedgesPerNodeGroup = 16;  // |e| ~ 2 * group size
-constexpr int64_t kDhslHyperedges = 32;          // paper I
-constexpr int64_t kDhslTopK = 4;
 
 double MsSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
@@ -88,6 +78,19 @@ T::CsrMatrix DistrictIncidence(int64_t n) {
   return T::CsrMatrix::FromTriplets(n, num_edges, std::move(inc));
 }
 
+// CSR copy of the entries of a dense (rows, cols) matrix with |v| >= eps.
+T::CsrMatrix Sparsify(const T::Tensor& dense, float eps) {
+  const int64_t rows = dense.size(0), cols = dense.size(1);
+  std::vector<T::Triplet> trips;
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int64_t c = 0; c < cols; ++c) {
+      const float v = dense.data()[r * cols + c];
+      if (std::fabs(v) >= eps) trips.push_back({r, c, v});
+    }
+  }
+  return T::CsrMatrix::FromTriplets(rows, cols, std::move(trips));
+}
+
 // Best-of-`rounds` mean ms per call, dense and sparse bursts interleaved
 // so machine-state drift cannot bias one side.
 struct Timed {
@@ -119,8 +122,6 @@ struct Entry {
   double sparse_ms;
   double extra_ms;  // hypergraph: factored form; otherwise 0
   double speedup;
-  double cached_ms = 0.0;       // dhsl: pattern-reuse mode; otherwise 0
-  double stale_rel_err = 0.0;   // dhsl: cached-vs-exact product delta
 };
 
 volatile float g_sink;
@@ -133,14 +134,9 @@ int main(int argc, char** argv) {
   using namespace dyhsl::bench;
   ConfigureParallelism();
   double check_floor = -1.0;
-  bool skip_dhsl_floor = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--check-floor=", 14) == 0) {
       check_floor = std::atof(argv[i] + 14);
-    } else if (std::strcmp(argv[i], "--skip-dhsl-floor") == 0) {
-      // Scalar-dispatch builds (DYHSL_SIMD=scalar, non-AVX hardware) keep
-      // the graph floor but are exempt from the vector-selection one.
-      skip_dhsl_floor = true;
     }
   }
   RunProfile profile = GetRunProfile();
@@ -177,7 +173,7 @@ int main(int argc, char** argv) {
     // Materialized product G = e2n * n2e via the dense route (bench setup
     // only), then re-sparsified for the sparse product timing.
     T::Tensor g_dense = T::MatMul(e2n.ToDense(), n2e.ToDense());
-    T::CsrMatrix g_sparse = T::RowThreshold(g_dense, 1e-12f);
+    T::CsrMatrix g_sparse = Sparsify(g_dense, 1e-12f);
     Timed hyper = TimePair(
         [&] { g_sink = T::MatMul(g_dense, x).data()[0]; },
         [&] { g_sink = T::SpMM(g_sparse, x).data()[0]; }, iters, rounds);
@@ -191,120 +187,12 @@ int main(int argc, char** argv) {
                        hyper.sparse_ms, factored_ms,
                        hyper.dense_ms / hyper_best});
 
-    // --- DHSL incidence products: ΛᵀH then ΛE -------------------------
-    // R = 3N rows ~ the ε=4 pooled scale of a T=12 window; top-k timing
-    // includes selection + pattern build (the price the sparse mode pays
-    // every step). Two hyperedge counts: the paper default I=32 (where
-    // the dense GEMM's flop efficiency roughly cancels the I/k flop
-    // advantage — dense stays the default for a reason) and I=128, the
-    // scaled-up regime the top-k mode exists for.
-    int64_t rows = 3 * n;
-    T::Tensor h = T::Tensor::Randn({rows, kFeatureDim}, &rng, 0.5f);
-    struct DhslShape {
-      const char* name;
-      int64_t hyperedges;
-      int64_t topk;
-    };
-    for (DhslShape shape : {DhslShape{"dhsl_topk_i32", kDhslHyperedges,
-                                      kDhslTopK},
-                            DhslShape{"dhsl_topk_i128", 128, 8}}) {
-      T::Tensor lam =
-          T::Tensor::Randn({rows, shape.hyperedges}, &rng, 0.5f);
-      T::Tensor edges_feat =
-          T::Tensor::Randn({shape.hyperedges, kFeatureDim}, &rng, 0.5f);
-      auto dense_step = [&] {
-        g_sink = T::MatMul(lam, h, /*trans_a=*/true).data()[0];
-        g_sink = T::MatMul(lam, edges_feat).data()[0];
-      };
-      auto sparse_step = [&] {
-        T::Tensor vals({rows * shape.topk});
-        auto p = T::RowTopKPattern(lam.data(), rows, shape.hyperedges,
-                                   shape.topk, vals.data());
-        g_sink = T::SpMMPattern(*p, vals, h, /*trans_a=*/true).data()[0];
-        g_sink = T::SpMMPattern(*p, vals, edges_feat, false).data()[0];
-      };
-      // Cached-refresh mode: the pattern is reused across steps and only
-      // the kept values are re-gathered; ~1% of Λ's rows get a small
-      // additive perturbation per step, modeling how the learned incidence
-      // moves between adjacent time steps. Drift accumulates, so the
-      // timing honestly amortizes the periodic forced re-selections.
-      T::Tensor lam_drift = lam.Clone();
-      T::TopKPatternCache cache;
-      Rng drift_rng(11);
-      const int64_t drift_rows = std::max<int64_t>(1, rows / 100);
-      auto cached_step = [&] {
-        for (int64_t j = 0; j < drift_rows; ++j) {
-          int64_t r = static_cast<int64_t>(drift_rng.NextBelow(rows));
-          int64_t c = static_cast<int64_t>(
-              drift_rng.NextBelow(shape.hyperedges));
-          lam_drift.data()[r * shape.hyperedges + c] += 0.01f;
-        }
-        auto p = cache.SelectOrReuse(0, lam_drift.data(), rows,
-                                     shape.hyperedges, shape.topk);
-        T::Tensor vals({p->nnz()});
-        T::GatherPatternSlice(*p, lam_drift.data(), vals.data());
-        g_sink = T::SpMMPattern(*p, vals, h, /*trans_a=*/true).data()[0];
-        g_sink = T::SpMMPattern(*p, vals, edges_feat, false).data()[0];
-      };
-      // All three modes interleave inside each round so machine-state
-      // drift cannot bias any one of them (same policy as TimePair).
-      dense_step();
-      sparse_step();
-      cached_step();  // warm (the cold selection happens here)
-      Timed dhsl;
-      double cached_ms = 1e30;
-      for (int r = 0; r < rounds; ++r) {
-        Clock::time_point t0 = Clock::now();
-        for (int i = 0; i < iters; ++i) dense_step();
-        dhsl.dense_ms = std::min(dhsl.dense_ms, MsSince(t0) / iters);
-        t0 = Clock::now();
-        for (int i = 0; i < iters; ++i) sparse_step();
-        dhsl.sparse_ms = std::min(dhsl.sparse_ms, MsSince(t0) / iters);
-        t0 = Clock::now();
-        for (int i = 0; i < iters; ++i) cached_step();
-        cached_ms = std::min(cached_ms, MsSince(t0) / iters);
-      }
-      // Exact-vs-stale accuracy delta at the final drifted state: the
-      // cached pattern's ΛᵀH against a fresh selection's.
-      auto cached_p = cache.SelectOrReuse(0, lam_drift.data(), rows,
-                                          shape.hyperedges, shape.topk);
-      T::Tensor cached_vals({cached_p->nnz()});
-      T::GatherPatternSlice(*cached_p, lam_drift.data(),
-                            cached_vals.data());
-      T::Tensor fresh_vals({rows * shape.topk});
-      auto fresh_p =
-          T::RowTopKPattern(lam_drift.data(), rows, shape.hyperedges,
-                            shape.topk, fresh_vals.data());
-      T::Tensor cached_out =
-          T::SpMMPattern(*cached_p, cached_vals, h, /*trans_a=*/true);
-      T::Tensor fresh_out =
-          T::SpMMPattern(*fresh_p, fresh_vals, h, /*trans_a=*/true);
-      double scale = 1.0, max_abs = 0.0;
-      for (int64_t i = 0; i < fresh_out.numel(); ++i) {
-        scale = std::max(scale,
-                         static_cast<double>(std::fabs(fresh_out.data()[i])));
-        max_abs = std::max(
-            max_abs, static_cast<double>(std::fabs(
-                         fresh_out.data()[i] - cached_out.data()[i])));
-      }
-      double stale_rel_err = max_abs / scale;
-
-      double dhsl_best = std::min(dhsl.sparse_ms, cached_ms);
-      entries.push_back({shape.name, n, rows * shape.topk, dhsl.dense_ms,
-                         dhsl.sparse_ms, 0.0, dhsl.dense_ms / dhsl_best,
-                         cached_ms, stale_rel_err});
-    }
-
-    for (size_t i = entries.size() - 4; i < entries.size(); ++i) {
+    for (size_t i = entries.size() - 2; i < entries.size(); ++i) {
       const Entry& e = entries[i];
       std::printf("%-12s %6lld %10lld %11.3f %11.3f %8.2fx\n", e.op,
                   static_cast<long long>(e.nodes),
                   static_cast<long long>(e.nnz), e.dense_ms, e.sparse_ms,
                   e.speedup);
-      if (e.cached_ms > 0.0) {
-        std::printf("%-12s %6s %10s %11s %11.3f   (stale_rel_err %.1e)\n",
-                    "  cached", "", "", "", e.cached_ms, e.stale_rel_err);
-      }
     }
   }
 
@@ -317,44 +205,29 @@ int main(int argc, char** argv) {
     return 1;
   }
   double floor_speedup = 0.0;
-  double dhsl_floor_speedup = 0.0;
-  std::vector<double> dhsl_i32_speedups;  // in size order
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"profile\": \"%s\",\n", RunProfileName(profile));
   std::fprintf(out, "  \"feature_dim\": %lld,\n",
                static_cast<long long>(kFeatureDim));
-  std::fprintf(out, "  \"dhsl\": {\"hyperedges\": %lld, \"topk\": %lld},\n",
-               static_cast<long long>(kDhslHyperedges),
-               static_cast<long long>(kDhslTopK));
   std::fprintf(out, "  \"entries\": [\n");
   for (size_t i = 0; i < entries.size(); ++i) {
     const Entry& e = entries[i];
     if (std::strcmp(e.op, "graph") == 0 && e.nodes == 1024) {
       floor_speedup = e.speedup;
     }
-    if (std::strcmp(e.op, "dhsl_topk_i32") == 0) {
-      if (e.nodes == 207) dhsl_floor_speedup = e.speedup;
-      dhsl_i32_speedups.push_back(e.speedup);
-    }
     std::fprintf(out,
                  "    {\"op\": \"%s\", \"nodes\": %lld, \"nnz\": %lld, "
                  "\"dense_ms\": %.4f, \"sparse_ms\": %.4f, "
-                 "\"factored_ms\": %.4f, \"cached_ms\": %.4f, "
-                 "\"stale_rel_err\": %.3e, \"speedup\": %.3f}%s\n",
+                 "\"factored_ms\": %.4f, \"speedup\": %.3f}%s\n",
                  e.op, static_cast<long long>(e.nodes),
                  static_cast<long long>(e.nnz), e.dense_ms, e.sparse_ms,
-                 e.extra_ms, e.cached_ms, e.stale_rel_err, e.speedup,
-                 i + 1 < entries.size() ? "," : "");
+                 e.extra_ms, e.speedup, i + 1 < entries.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
   std::fprintf(out,
                "  \"floor\": {\"op\": \"graph\", \"nodes\": 1024, "
-               "\"speedup\": %.3f},\n",
+               "\"speedup\": %.3f}\n",
                floor_speedup);
-  std::fprintf(out,
-               "  \"dhsl_floor\": {\"op\": \"dhsl_topk_i32\", \"nodes\": "
-               "207, \"speedup\": %.3f}\n",
-               dhsl_floor_speedup);
   std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());
@@ -365,29 +238,6 @@ int main(int argc, char** argv) {
                  "the required floor %.3f\n",
                  floor_speedup, check_floor);
     return 1;
-  }
-  if (check_floor > 0.0 && !skip_dhsl_floor) {
-    if (dhsl_floor_speedup < check_floor) {
-      std::fprintf(stderr,
-                   "FAIL: dhsl_topk_i32 speedup %.3f at N=207 is below the "
-                   "required floor %.3f\n",
-                   dhsl_floor_speedup, check_floor);
-      return 1;
-    }
-    // The sparse advantage must hold (or grow) as N does — a shrinking
-    // gap means the selection/cache kernels regressed at scale. The 0.8x
-    // allowance absorbs run-to-run timer noise at the largest sizes
-    // (observed ~±10% on shared runners) while still catching a real
-    // scaling regression, which shows up as a monotone slide, not a blip.
-    for (size_t i = 1; i < dhsl_i32_speedups.size(); ++i) {
-      if (dhsl_i32_speedups[i] < 0.8 * dhsl_i32_speedups[i - 1]) {
-        std::fprintf(stderr,
-                     "FAIL: dhsl_topk_i32 speedup is not non-decreasing in "
-                     "N: %.3f after %.3f\n",
-                     dhsl_i32_speedups[i], dhsl_i32_speedups[i - 1]);
-        return 1;
-      }
-    }
   }
   return 0;
 }

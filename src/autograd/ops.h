@@ -14,9 +14,9 @@
 #include <memory>
 #include <vector>
 
-// The taped sparse ops (SpMM over a SparseConstant, SparseDenseMatMul,
-// GatherSparse, ...) live in src/autograd/sparse.h; it is included here so
-// call sites keep seeing the full op vocabulary through one header.
+// The taped sparse op (SpMM over a SparseConstant) lives in
+// src/autograd/sparse.h; it is included here so call sites keep seeing the
+// full op vocabulary through one header.
 #include "src/autograd/sparse.h"
 #include "src/autograd/variable.h"
 #include "src/core/rng.h"

@@ -8,24 +8,6 @@ namespace dyhsl::autograd {
 
 namespace T = ::dyhsl::tensor;
 
-namespace {
-
-// Validates a per-batch pattern list against (B, rows, d) operands: every
-// pattern must share one shape and nnz so the packed (B, nnz) value layout
-// and the batched output are rectangular.
-void CheckPatterns(const CsrPatternList& patterns, int64_t batch) {
-  DYHSL_CHECK_MSG(!patterns.empty(), "empty pattern list");
-  DYHSL_CHECK_EQ(static_cast<int64_t>(patterns.size()), batch);
-  for (const auto& p : patterns) {
-    DYHSL_CHECK(p != nullptr);
-    DYHSL_CHECK_EQ(p->rows, patterns[0]->rows);
-    DYHSL_CHECK_EQ(p->cols, patterns[0]->cols);
-    DYHSL_CHECK_EQ(p->nnz(), patterns[0]->nnz());
-  }
-}
-
-}  // namespace
-
 Variable SpMM(const SparseConstant& a, const Variable& x, bool trans_a) {
   DYHSL_CHECK(a.defined());
   const T::CsrMatrix& forward = trans_a ? a.transpose() : a.matrix();
@@ -38,134 +20,6 @@ Variable SpMM(const SparseConstant& a, const Variable& x, bool trans_a) {
     T::SpMMInto(backward, n->grad, internal::EnsureGradBeta(parent),
                 &parent->grad);
   });
-}
-
-Variable SparseDenseMatMul(
-    const std::shared_ptr<const tensor::CsrPattern>& pattern,
-    const Variable& values, const Variable& x, bool trans_a) {
-  DYHSL_CHECK(pattern != nullptr);
-  DYHSL_CHECK_EQ(values.dim(), 1);
-  DYHSL_CHECK_EQ(values.numel(), pattern->nnz());
-  T::Tensor vv = values.value();
-  T::Tensor xv = x.value();
-  T::Tensor y = T::SpMMPattern(*pattern, vv, xv, trans_a);
-  return MakeOpResult(
-      std::move(y), {values, x}, [pattern, vv, xv, trans_a](Node* n) {
-        Node* pvals = n->parents[0].get();
-        if (pvals->requires_grad) {
-          // d values at nonzero k = dot over the feature (and batch) axis
-          // of the adjoint row and the dense row the nonzero paired:
-          //   y = A x  : dv[k] = <grad[row_k], x[col_k]>
-          //   y = Aᵀ x : dv[k] = <x[row_k], grad[col_k]>
-          T::Tensor dv = trans_a ? T::Sddmm(*pattern, xv, n->grad)
-                                 : T::Sddmm(*pattern, n->grad, xv);
-          pvals->AccumulateGrad(dv);
-        }
-        Node* px = n->parents[1].get();
-        if (px->requires_grad) {
-          T::SpMMPatternInto(*pattern, vv, n->grad, !trans_a,
-                             internal::EnsureGradBeta(px), &px->grad);
-        }
-      });
-}
-
-Variable BatchedSparseDenseMatMul(CsrPatternList patterns,
-                                  const Variable& values, const Variable& x,
-                                  bool trans_a) {
-  T::Tensor vv = values.value();
-  T::Tensor xv = x.value();
-  DYHSL_CHECK_EQ(xv.dim(), 3);
-  const int64_t batch = xv.size(0);
-  CheckPatterns(patterns, batch);
-  DYHSL_CHECK_EQ(vv.dim(), 2);
-  DYHSL_CHECK_EQ(vv.size(0), batch);
-  DYHSL_CHECK_EQ(vv.size(1), patterns[0]->nnz());
-  const int64_t out_rows = trans_a ? patterns[0]->cols : patterns[0]->rows;
-  const int64_t in_rows = trans_a ? patterns[0]->rows : patterns[0]->cols;
-  DYHSL_CHECK_EQ(xv.size(1), in_rows);
-  const int64_t f = xv.size(2);
-  const int64_t nnz = patterns[0]->nnz();
-
-  T::Tensor y({batch, out_rows, f});
-  for (int64_t b = 0; b < batch; ++b) {
-    T::SpMMPatternSliceInto(*patterns[b], vv.data() + b * nnz,
-                            xv.data() + b * in_rows * f, f, trans_a, 0.0f,
-                            y.data() + b * out_rows * f);
-  }
-  return MakeOpResult(
-      std::move(y), {values, x},
-      [patterns = std::move(patterns), vv, xv, trans_a, nnz, in_rows,
-       out_rows, f](Node* n) {
-        const int64_t batch = xv.size(0);
-        Node* pvals = n->parents[0].get();
-        if (pvals->requires_grad) {
-          T::Tensor dv({batch, nnz});
-          for (int64_t b = 0; b < batch; ++b) {
-            const float* g = n->grad.data() + b * out_rows * f;
-            const float* xb = xv.data() + b * in_rows * f;
-            if (trans_a) {
-              T::SddmmSliceInto(*patterns[b], xb, g, f, 0.0f,
-                                dv.data() + b * nnz);
-            } else {
-              T::SddmmSliceInto(*patterns[b], g, xb, f, 0.0f,
-                                dv.data() + b * nnz);
-            }
-          }
-          pvals->AccumulateGrad(dv);
-        }
-        Node* px = n->parents[1].get();
-        if (px->requires_grad) {
-          // beta resolves once: 0 allocates and lets every slice overwrite
-          // its (disjoint) region, 1 accumulates into all of them.
-          float beta = internal::EnsureGradBeta(px);
-          for (int64_t b = 0; b < batch; ++b) {
-            T::SpMMPatternSliceInto(*patterns[b], vv.data() + b * nnz,
-                                    n->grad.data() + b * out_rows * f, f,
-                                    !trans_a, beta,
-                                    px->grad.data() + b * in_rows * f);
-          }
-        }
-      });
-}
-
-Variable GatherSparse(const Variable& dense, CsrPatternList patterns) {
-  const T::Tensor& dv = dense.value();
-  DYHSL_CHECK_EQ(dv.dim(), 3);
-  const int64_t batch = dv.size(0);
-  CheckPatterns(patterns, batch);
-  const int64_t rows = patterns[0]->rows;
-  const int64_t cols = patterns[0]->cols;
-  DYHSL_CHECK_EQ(dv.size(1), rows);
-  DYHSL_CHECK_EQ(dv.size(2), cols);
-  const int64_t nnz = patterns[0]->nnz();
-
-  T::Tensor out({batch, nnz});
-  for (int64_t b = 0; b < batch; ++b) {
-    T::GatherPatternSlice(*patterns[b], dv.data() + b * rows * cols,
-                          out.data() + b * nnz);
-  }
-  return MakeOpResult(
-      std::move(out), {dense},
-      [patterns = std::move(patterns), batch, rows, cols, nnz](Node* n) {
-        Node* parent = n->parents[0].get();
-        if (!parent->requires_grad) return;
-        // Scatter straight into the parent's gradient: a first touch
-        // zero-fills once (the buffer is freshly allocated), later
-        // touches accumulate — no dense-sized temporary either way.
-        if (internal::EnsureGradBeta(parent) == 0.0f) {
-          parent->grad.Fill(0.0f);
-        }
-        for (int64_t b = 0; b < batch; ++b) {
-          float* slab = parent->grad.data() + b * rows * cols;
-          const float* g = n->grad.data() + b * nnz;
-          const auto& p = *patterns[b];
-          for (int64_t r = 0; r < rows; ++r) {
-            for (int64_t k = p.row_ptr[r]; k < p.row_ptr[r + 1]; ++k) {
-              slab[r * cols + p.col_idx[k]] += g[k];
-            }
-          }
-        }
-      });
 }
 
 }  // namespace dyhsl::autograd

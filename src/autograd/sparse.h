@@ -1,27 +1,18 @@
 // Sparse matrices on the autograd tape.
 //
-// Two kinds of sparse operand enter the tape:
+// A SparseConstant has its structure AND values fixed (road adjacencies,
+// temporal graphs, hypergraph propagation operators). It never carries
+// gradient; SpMM only differentiates through the dense side, pulling the
+// gradient back through the precomputed transpose.
 //
-//  * SparseConstant — structure AND values fixed (road adjacencies,
-//    temporal graphs, hypergraph propagation operators). It never carries
-//    gradient; SpMM only differentiates through the dense side, pulling
-//    the gradient back through the precomputed transpose.
-//  * pattern + values — structure fixed for the step, values produced by
-//    the tape (DyHSL's learned incidence Λ after top-k sparsification).
-//    SparseDenseMatMul differentiates through both the dense operand
-//    (transpose SpMM) and the values (SDDMM at the structural nonzeros);
-//    GatherSparse routes the value gradient back into the dense matrix
-//    the pattern was extracted from.
-//
-// Every op here is finite-difference gradchecked in
-// tests/sparse_kernels_test.cc; keep that suite in sync when extending.
+// SpMM is finite-difference gradchecked in tests/sparse_kernels_test.cc;
+// keep that suite in sync when extending.
 
 #ifndef DYHSL_AUTOGRAD_SPARSE_H_
 #define DYHSL_AUTOGRAD_SPARSE_H_
 
 #include <memory>
 #include <utility>
-#include <vector>
 
 #include "src/autograd/variable.h"
 #include "src/tensor/sparse.h"
@@ -56,36 +47,12 @@ class SparseConstant {
   std::shared_ptr<tensor::SparseOp> op_;
 };
 
-/// \brief One immutable pattern per batch item (see tensor::CsrPattern).
-using CsrPatternList = std::vector<std::shared_ptr<const tensor::CsrPattern>>;
-
 /// \brief Sparse constant times dense variable: op(A) X with X 2-D or 3-D
 /// batched. The sparse matrix carries no gradient; the dense gradient is
 /// pulled back through the precomputed transpose and accumulates straight
 /// into the parent's grad buffer (SpMMInto beta path, no temporaries).
 Variable SpMM(const SparseConstant& a, const Variable& x,
               bool trans_a = false);
-
-/// \brief Taped sparse × dense with learnable values: y = op(A) x where A
-/// has `pattern`'s structure and `values` (a 1-D Variable of length nnz)
-/// as entries; x is 2-D or 3-D batched. VJPs: d values = SDDMM(grad, x) at
-/// the structural nonzeros (batch-summed), d x = op(A)ᵀ grad.
-Variable SparseDenseMatMul(
-    const std::shared_ptr<const tensor::CsrPattern>& pattern,
-    const Variable& values, const Variable& x, bool trans_a = false);
-
-/// \brief Per-batch-structure variant: patterns[b] (all with equal nnz and
-/// shape) multiplies x[b]; `values` is (B, nnz), x is (B, rows, d).
-Variable BatchedSparseDenseMatMul(CsrPatternList patterns,
-                                  const Variable& values, const Variable& x,
-                                  bool trans_a = false);
-
-/// \brief Gathers the entries of a dense (B, R, C) variable at each
-/// pattern's structural nonzeros -> (B, nnz) values; the backward scatters
-/// the value gradient back to the dense coordinates. This is the taped
-/// bridge from a dense learned matrix to its sparsified execution: the
-/// patterns come from tensor::RowTopK / RowThreshold over the same tensor.
-Variable GatherSparse(const Variable& dense, CsrPatternList patterns);
 
 }  // namespace dyhsl::autograd
 

@@ -588,44 +588,6 @@ Variable HgcRnn::Forward(const tensor::Tensor& x, bool training) {
 
 namespace {
 
-// Thread-local structure cache, keyed per Dhgnn instance in the same
-// registry scheme as DhslBlock's TopKPatternCache (src/core/thread_cache.h):
-// serving workers each stay warm on the sessions they serve, with zero
-// cross-thread sharing, and a dead model's entries are swept.
-struct DhgnnStructure {
-  bool valid = false;
-  /// Per-node signature means of the window the structure was built
-  /// from — the drift reference. Means (not raw signatures) make the
-  /// check shift-robust: sliding the window one tick shifts every
-  /// signature column but barely moves a node's mean.
-  std::vector<float> node_means;
-  hypergraph::FactoredIncidence op;
-  T::TopKPatternCache::Stats stats;
-};
-
-DhgnnStructure& DhgnnCacheForThread(const core::CacheOwnerId& cache_id) {
-  return core::ThreadCaches<DhgnnStructure>()[cache_id.value()];
-}
-
-// A node counts as drifted once its signature mean moved by more than
-// this relative tolerance — the per-row analogue of CountDriftedRows'
-// margin flip. The +1 floors the scale for near-zero (z-scored) means.
-constexpr float kNodeDriftTol = 0.05f;
-
-std::vector<float> SignatureMeans(const T::Tensor& signatures) {
-  const int64_t n = signatures.size(0), t_in = signatures.size(1);
-  std::vector<float> means(static_cast<size_t>(n), 0.0f);
-  for (int64_t i = 0; i < n; ++i) {
-    double sum = 0.0;
-    for (int64_t t = 0; t < t_in; ++t) {
-      sum += signatures.data()[i * t_in + t];
-    }
-    means[static_cast<size_t>(i)] =
-        static_cast<float>(sum / static_cast<double>(t_in));
-  }
-  return means;
-}
-
 // DHGNN's kNN + k-means construction (no gradient through structure).
 hypergraph::FactoredIncidence BuildDhgnnStructure(const T::Tensor& signatures,
                                                   int64_t num_clusters,
@@ -656,39 +618,19 @@ hypergraph::FactoredIncidence BuildDhgnnStructure(const T::Tensor& signatures,
 }  // namespace
 
 Dhgnn::Dhgnn(const train::ForecastTask& task, int64_t hidden_dim,
-             int64_t num_clusters, int64_t knn, uint64_t seed,
-             bool structure_reuse, float structure_drift_threshold)
+             int64_t num_clusters, int64_t knn, uint64_t seed)
     : GnnModelBase(task, seed),
       hidden_dim_(hidden_dim),
       num_clusters_(num_clusters),
       knn_(knn),
-      structure_reuse_(structure_reuse),
-      structure_drift_threshold_(structure_drift_threshold),
       encoder_(task.input_dim, hidden_dim, &rng_),
       hconv1_(hidden_dim, hidden_dim, &rng_),
       hconv2_(hidden_dim, hidden_dim, &rng_),
       head_(hidden_dim, task.horizon, &rng_) {
-  DYHSL_CHECK_GE(structure_drift_threshold_, 0.0f);
-  DYHSL_CHECK_LE(structure_drift_threshold_, 1.0f);
   RegisterChild("encoder", &encoder_);
   RegisterChild("hconv1", &hconv1_);
   RegisterChild("hconv2", &hconv2_);
   RegisterChild("head", &head_);
-}
-
-int64_t ThreadStructureRegistrySizeForTesting() {
-  return static_cast<int64_t>(core::ThreadCaches<DhgnnStructure>().size());
-}
-
-tensor::TopKPatternCache::Stats Dhgnn::StructureCacheStats() const {
-  return DhgnnCacheForThread(cache_id_).stats;
-}
-
-void Dhgnn::ClearStructureCache() const {
-  DhgnnStructure& cache = DhgnnCacheForThread(cache_id_);
-  const T::TopKPatternCache::Stats stats = cache.stats;
-  cache = DhgnnStructure();
-  cache.stats = stats;  // Clear drops the structure, not the counters
 }
 
 Variable Dhgnn::Forward(const tensor::Tensor& x, bool training) {
@@ -704,45 +646,8 @@ Variable Dhgnn::Forward(const tensor::Tensor& x, bool training) {
       }
     }
   }
-  hypergraph::FactoredIncidence hyper_op;
-  if (!structure_reuse_) {
-    hyper_op = BuildDhgnnStructure(signatures, num_clusters_, knn_);
-  } else {
-    // Incremental structure refresh: keep the cached operator while at
-    // most structure_drift_threshold_ of the nodes drifted, rebuild past
-    // it. Identical windows drift zero nodes, so reuse is exact there;
-    // a sliding window pays the O(N T) mean check instead of the
-    // k-means + kNN rebuild until the flow regime actually moves.
-    DhgnnStructure& cache = DhgnnCacheForThread(cache_id_);
-    std::vector<float> means = SignatureMeans(signatures);
-    bool rebuild = true;
-    if (!cache.valid) {
-      cache.stats.selects += 1;
-    } else {
-      int64_t drifted = 0;
-      for (int64_t i = 0; i < n; ++i) {
-        const float ref = cache.node_means[static_cast<size_t>(i)];
-        if (std::fabs(means[static_cast<size_t>(i)] - ref) >
-            kNodeDriftTol * (1.0f + std::fabs(ref))) {
-          drifted += 1;
-        }
-      }
-      if (static_cast<float>(drifted) <=
-          structure_drift_threshold_ * static_cast<float>(n)) {
-        cache.stats.reuses += 1;
-        cache.stats.drifted_rows += drifted;
-        rebuild = false;
-      } else {
-        cache.stats.drift_reselects += 1;
-      }
-    }
-    if (rebuild) {
-      cache.op = BuildDhgnnStructure(signatures, num_clusters_, knn_);
-      cache.node_means = std::move(means);
-      cache.valid = true;
-    }
-    hyper_op = cache.op;
-  }
+  hypergraph::FactoredIncidence hyper_op =
+      BuildDhgnnStructure(signatures, num_clusters_, knn_);
 
   // Temporal encoding (shared GRU per node), then hypergraph convolutions.
   Variable input(x);

@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/thread_cache.h"
 #include "src/hypergraph/hypergraph.h"
 #include "src/nn/layers.h"
 #include "src/nn/module.h"
@@ -203,41 +202,19 @@ class HgcRnn : public GnnModelBase {
 ///
 /// DHGNN is the zoo's data-dependent-structure model: unlike the static
 /// temporal-graph operators (precomputed once at construction), its
-/// kNN + k-means hypergraph slides with the window. With
-/// `structure_reuse` the factored operator is cached per thread behind a
-/// drift check on per-node signature means — the same treatment
-/// tensor::TopKPatternCache gives the learned-Λ pattern: a reuse with
-/// zero drifted nodes is exact (identical signatures rebuild the
-/// identical structure); under a sliding window the structure is stale
-/// on the drifted nodes only, and crossing `structure_drift_threshold`
-/// forces a rebuild.
+/// kNN + k-means hypergraph slides with the window, so every Forward
+/// rebuilds it from that window's node signatures.
 class Dhgnn : public GnnModelBase {
  public:
   Dhgnn(const train::ForecastTask& task, int64_t hidden_dim,
-        int64_t num_clusters, int64_t knn, uint64_t seed,
-        bool structure_reuse = false, float structure_drift_threshold = 0.05f);
+        int64_t num_clusters, int64_t knn, uint64_t seed);
   Variable Forward(const tensor::Tensor& x, bool training) override;
   std::string name() const override { return "DHGNN"; }
-
-  /// \brief Structure-cache counters, mirroring
-  /// tensor::TopKPatternCache::Stats: selects = cold builds, reuses =
-  /// drift check passed, drift_reselects = rebuilds forced by drift,
-  /// drifted_rows = total drifted nodes seen on reuse checks. Caches are
-  /// thread-local; this reads the calling thread's.
-  tensor::TopKPatternCache::Stats StructureCacheStats() const;
-  /// \brief Drops the calling thread's cached structure (tests).
-  void ClearStructureCache() const;
-  bool structure_reuse() const { return structure_reuse_; }
 
  private:
   int64_t hidden_dim_;
   int64_t num_clusters_;
   int64_t knn_;
-  bool structure_reuse_;
-  float structure_drift_threshold_;
-  /// Thread-local structure-cache key; retired with the model, so every
-  /// thread's registry evicts this model's entry on its next lookup.
-  core::CacheOwnerId cache_id_;
   nn::GruCell encoder_;
   nn::Linear hconv1_;
   nn::Linear hconv2_;
@@ -263,10 +240,6 @@ class StgOde : public GnnModelBase {
   nn::Linear field_proj_;
   nn::Linear head_;
 };
-
-/// \brief Number of DHGNN structure-cache entries the *calling thread*
-/// currently holds, after sweeping retired models (leak regression tests).
-int64_t ThreadStructureRegistrySizeForTesting();
 
 }  // namespace dyhsl::baselines
 

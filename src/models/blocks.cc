@@ -1,7 +1,6 @@
 #include "src/models/blocks.h"
 
 #include <cmath>
-#include <unordered_map>
 #include <utility>
 
 #include "src/autograd/inference.h"
@@ -13,30 +12,6 @@ namespace dyhsl::models {
 
 namespace ag = ::dyhsl::autograd;
 namespace T = ::dyhsl::tensor;
-
-namespace {
-
-// Pattern caches are looked up thread-locally by block id (see
-// src/core/thread_cache.h): each warm serving worker keeps its own
-// patterns, and a block's entries are swept once the block dies.
-T::TopKPatternCache& CacheForThread(const core::CacheOwnerId& cache_id,
-                                    float drift_threshold) {
-  auto& caches = core::ThreadCaches<T::TopKPatternCache>();
-  auto it = caches.find(cache_id.value());
-  if (it == caches.end()) {
-    T::TopKPatternCache::Options opts;
-    opts.drift_threshold = drift_threshold;
-    it = caches.emplace(cache_id.value(), T::TopKPatternCache(opts)).first;
-  }
-  return it->second;
-}
-
-}  // namespace
-
-int64_t ThreadPatternRegistrySizeForTesting() {
-  return static_cast<int64_t>(
-      core::ThreadCaches<T::TopKPatternCache>().size());
-}
 
 PriorGraphEncoder::PriorGraphEncoder(
     int64_t num_nodes, int64_t history, int64_t input_dim, int64_t hidden_dim,
@@ -91,26 +66,8 @@ Variable PriorGraphEncoder::Forward(const Variable& x) const {
 }
 
 DhslBlock::DhslBlock(int64_t hidden_dim, int64_t num_hyperedges, Rng* rng,
-                     StructureLearning mode, int64_t sparse_topk,
-                     bool pattern_reuse, float drift_threshold)
-    : hidden_dim_(hidden_dim),
-      num_hyperedges_(num_hyperedges),
-      mode_(mode),
-      sparse_topk_(sparse_topk),
-      pattern_reuse_(pattern_reuse),
-      drift_threshold_(drift_threshold) {
-  DYHSL_CHECK_GE(sparse_topk, 0);
-  DYHSL_CHECK_MSG(sparse_topk <= num_hyperedges,
-                  "sparse_topk " + std::to_string(sparse_topk) +
-                      " exceeds num_hyperedges " +
-                      std::to_string(num_hyperedges));
-  DYHSL_CHECK_MSG(!pattern_reuse || sparse_topk > 0,
-                  "pattern_reuse requires sparse_topk > 0");
-  if (pattern_reuse_) {
-    // Fail construction, not the first Forward, on a bad threshold.
-    DYHSL_CHECK_GE(drift_threshold_, 0.0f);
-    DYHSL_CHECK_LE(drift_threshold_, 1.0f);
-  }
+                     StructureLearning mode)
+    : hidden_dim_(hidden_dim), num_hyperedges_(num_hyperedges), mode_(mode) {
   T::Tensor w = nn::GlorotUniform2D(hidden_dim, num_hyperedges, rng);
   if (mode_ == StructureLearning::kFixedRandom) {
     // "NSL": the incidence direction is frozen; hypergraph convolution
@@ -163,9 +120,6 @@ Variable DhslBlock::Forward(const Variable& h) const {
   float edge_scale =
       1.0f / std::sqrt(static_cast<float>(num_hyperedges_));
   Variable incidence = Incidence(h);  // (B, R, I)
-  if (sparse_topk_ > 0) {
-    return SparseForward(h, incidence, row_scale, edge_scale);
-  }
   // Eq. 7: E = φ(U ΛᵀH) + ΛᵀH.
   Variable edge_feat = ag::MulScalar(
       ag::BatchedMatMul(incidence, h, /*trans_a=*/true, false), row_scale);
@@ -173,58 +127,6 @@ Variable DhslBlock::Forward(const Variable& h) const {
   Variable edges = ag::Add(ag::Relu(mixed), edge_feat);  // (B, I, d)
   // Eq. 8: F = Λ E.
   return ag::MulScalar(ag::BatchedMatMul(incidence, edges), edge_scale);
-}
-
-Variable DhslBlock::SparseForward(const Variable& h, const Variable& incidence,
-                                  float row_scale, float edge_scale) const {
-  // Top-k sparsification of Λ per batch item. Selection reads the forward
-  // values only (structure is piecewise constant, never differentiated);
-  // GatherSparse then routes the value gradient of the kept entries back
-  // into the dense Λ tape — dropped entries receive the exact subgradient
-  // zero of the hard top-k.
-  const T::Tensor& lam = incidence.value();  // (B, R, I)
-  const int64_t batch = lam.size(0);
-  const int64_t rows = lam.size(1);
-  ag::CsrPatternList patterns;
-  patterns.reserve(batch);
-  if (pattern_reuse_) {
-    // Reuse the previous step's pattern while drift stays under threshold;
-    // GatherSparse below refreshes the kept values either way (SDDMM-style
-    // O(nnz) gather), so a reuse skips only the O(R * I) selection.
-    T::TopKPatternCache& cache = CacheForThread(cache_id_, drift_threshold_);
-    for (int64_t b = 0; b < batch; ++b) {
-      patterns.push_back(
-          cache.SelectOrReuse(b, lam.data() + b * rows * num_hyperedges_,
-                              rows, num_hyperedges_, sparse_topk_));
-    }
-  } else {
-    for (int64_t b = 0; b < batch; ++b) {
-      patterns.push_back(
-          T::RowTopKPattern(lam.data() + b * rows * num_hyperedges_, rows,
-                            num_hyperedges_, sparse_topk_));
-    }
-  }
-  Variable values = ag::GatherSparse(incidence, patterns);  // (B, R*k)
-  // Eq. 7: E = φ(U ΛᵀH) + ΛᵀH on the sparsified Λ.
-  Variable edge_feat = ag::MulScalar(
-      ag::BatchedSparseDenseMatMul(patterns, values, h, /*trans_a=*/true),
-      row_scale);
-  Variable mixed = ag::BatchedMatMul(edge_mixer_, edge_feat);
-  Variable edges = ag::Add(ag::Relu(mixed), edge_feat);  // (B, I, d)
-  // Eq. 8: F = Λ E.
-  return ag::MulScalar(
-      ag::BatchedSparseDenseMatMul(patterns, values, edges, false),
-      edge_scale);
-}
-
-T::TopKPatternCache::Stats DhslBlock::PatternCacheStats() const {
-  if (!pattern_reuse_) return {};
-  return CacheForThread(cache_id_, drift_threshold_).stats();
-}
-
-void DhslBlock::ClearPatternCache() const {
-  if (!pattern_reuse_) return;
-  CacheForThread(cache_id_, drift_threshold_).Clear();
 }
 
 IgcBlock::IgcBlock(int64_t hidden_dim, Rng* rng)

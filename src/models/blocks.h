@@ -12,7 +12,6 @@
 #include "src/autograd/ops.h"
 #include "src/autograd/variable.h"
 #include "src/core/rng.h"
-#include "src/core/thread_cache.h"
 #include "src/nn/layers.h"
 #include "src/nn/module.h"
 #include "src/tensor/sparse.h"
@@ -70,25 +69,8 @@ enum class StructureLearning : int {
 /// are otherwise verbatim).
 class DhslBlock : public nn::Module {
  public:
-  /// \brief `sparse_topk` > 0 enables the sparse execution mode: after Λ is
-  /// computed (Eq. 6), only the `sparse_topk` largest-magnitude entries per
-  /// row are kept and the Eq. 7/8 products run as per-batch CSR SpMMs with
-  /// gradients flowing through the kept entries (SDDMM). 0 keeps the
-  /// paper's dense path; `sparse_topk == num_hyperedges` is the dense math
-  /// on the sparse kernels (agreement asserted in tests). Ignored by the
-  /// kFromScratch ablation, which has no incidence factorization.
-  ///
-  /// `pattern_reuse` additionally caches the selected CsrPattern across
-  /// forward passes (MHCE iterations, adjacent time steps): the pattern is
-  /// reused while at most `drift_threshold` of its rows have drifted (see
-  /// tensor::TopKPatternCache), and only the kept *values* are refreshed
-  /// via the O(nnz) gather. Caches are thread-local — concurrent serving
-  /// workers each keep their own warm patterns — so Forward stays const
-  /// and data-race free. Requires sparse_topk > 0.
   DhslBlock(int64_t hidden_dim, int64_t num_hyperedges, Rng* rng,
-            StructureLearning mode = StructureLearning::kLowRank,
-            int64_t sparse_topk = 0, bool pattern_reuse = false,
-            float drift_threshold = 0.05f);
+            StructureLearning mode = StructureLearning::kLowRank);
 
   /// \brief One hypergraph convolution pass over H (B, R, d).
   Variable Forward(const Variable& h) const;
@@ -97,34 +79,15 @@ class DhslBlock : public nn::Module {
   Variable Incidence(const Variable& h) const;
 
   StructureLearning mode() const { return mode_; }
-  bool pattern_reuse() const { return pattern_reuse_; }
 
   /// \brief kFromScratch needs one (R x R) adjacency per sequence length;
   /// lengths must be declared before use (the model registers its scales).
   void RegisterSequenceLength(int64_t rows, Rng* rng);
 
-  /// \brief Select/reuse counters of the *calling thread's* pattern cache
-  /// (zeros when reuse is disabled or this thread never ran Forward).
-  tensor::TopKPatternCache::Stats PatternCacheStats() const;
-
-  /// \brief Drops the calling thread's cached patterns (tests; serving
-  /// sessions that want a cold start).
-  void ClearPatternCache() const;
-
  private:
-  /// The Eq. 7/8 products on the top-k sparsified incidence.
-  Variable SparseForward(const Variable& h, const Variable& incidence,
-                         float row_scale, float edge_scale) const;
-
   int64_t hidden_dim_;
   int64_t num_hyperedges_;
   StructureLearning mode_;
-  int64_t sparse_topk_;
-  bool pattern_reuse_;
-  float drift_threshold_;
-  /// Key into the thread-local pattern-cache registry; retired with the
-  /// block, so registries stay bounded by the number of *live* blocks.
-  core::CacheOwnerId cache_id_;
   Variable incidence_weight_;  // (d, I); parameter for kLowRank,
                                // constant for kFixedRandom
   Variable edge_mixer_;        // U: (I, I)
@@ -149,10 +112,6 @@ class IgcBlock : public nn::Module {
   nn::Linear w2_;
   nn::Linear w3_;
 };
-
-/// \brief Number of pattern-cache entries the *calling thread* currently
-/// holds, after sweeping retired blocks (leak regression tests).
-int64_t ThreadPatternRegistrySizeForTesting();
 
 }  // namespace dyhsl::models
 

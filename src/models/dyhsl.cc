@@ -29,19 +29,11 @@ DyHsl::DyHsl(const train::ForecastTask& task, const DyHslConfig& config)
                config.hidden_dim, config.prior_layers, prior_temporal_op_,
                &rng_),
       dhsl_(config.hidden_dim, config.num_hyperedges, &rng_,
-            config.structure_learning, config.sparse_topk,
-            config.sparse_pattern_reuse, config.sparse_drift_threshold),
+            config.structure_learning),
       igc_(config.hidden_dim, &rng_),
       iter_norm_(config.hidden_dim),
       head_(2 * config.hidden_dim, task.horizon, &rng_) {
   DYHSL_CHECK(!config_.window_sizes.empty());
-  // sparse_topk range itself is validated by DhslBlock; reject the
-  // combination that silently would not sparsify anything.
-  DYHSL_CHECK_MSG(
-      config_.sparse_topk == 0 ||
-          config_.structure_learning != StructureLearning::kFromScratch,
-      "sparse_topk requires an incidence-based structure mode "
-      "(kLowRank or kFixedRandom)");
   for (int64_t eps : config_.window_sizes) {
     // Validate positivity first: `history % eps` with eps == 0 is UB.
     DYHSL_CHECK_MSG(eps > 0, "window sizes must be positive, got " +

@@ -28,29 +28,6 @@ struct DyHslConfig {
   float dropout = 0.1f;
   uint64_t seed = 21;
 
-  /// \brief Sparse execution mode for the learned incidence Λ: keep only
-  /// the `sparse_topk` largest-magnitude entries per Λ row and run the
-  /// DHSL products as per-batch CSR SpMMs (gradients flow through the kept
-  /// entries via SDDMM). 0 (default) is the paper's dense path;
-  /// `num_hyperedges` reproduces the dense math on sparse kernels. Must
-  /// lie in [0, num_hyperedges]; no effect under kFromScratch.
-  int64_t sparse_topk = 0;
-
-  /// \brief Reuse the sparse top-k pattern across MHCE iterations and
-  /// adjacent forward passes instead of re-selecting every step: the
-  /// cached CsrPattern is kept while at most `sparse_drift_threshold` of
-  /// its rows have drifted, and only the kept values are refreshed (O(nnz)
-  /// gather). Reuse with zero drifted rows is exact; under drift the
-  /// pattern is stale on the drifted rows only (outputs agree with fresh
-  /// selection to ~1e-4 relative at the default threshold; asserted in
-  /// tests). Caches are per-thread, so serving workers each stay warm
-  /// independently. Requires sparse_topk > 0.
-  bool sparse_pattern_reuse = false;
-  /// Fraction of drifted rows tolerated before re-selecting, in [0, 1].
-  /// 0 reuses only provably exact patterns; larger values trade staleness
-  /// for fewer selections.
-  float sparse_drift_threshold = 0.05f;
-
   /// \name Ablation switches (Tables V / VI / VII)
   /// @{
   StructureLearning structure_learning = StructureLearning::kLowRank;
@@ -77,7 +54,7 @@ class DyHsl : public nn::Module, public train::ForecastModel {
 
   const DyHslConfig& config() const { return config_; }
 
-  /// \brief The shared DHSL block (pattern-cache stats live here).
+  /// \brief The DHSL block shared by every scale and MHCE iteration.
   const DhslBlock& dhsl() const { return dhsl_; }
 
   /// \brief Learned incidence matrix Λ of the finest scale (ε = 1) for the

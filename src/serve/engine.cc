@@ -107,17 +107,8 @@ ForecastEngine::ForecastEngine(const train::ForecastTask& task,
                                const EngineOptions& options)
     : task_(task), options_(options), model_(std::move(model)) {
   stats_.effective_max_batch = options_.max_batch;
-  // Capability probes, once per engine: warm-state streaming and
-  // observable structure-cache counters.
+  // Capability probe, once per engine: warm-state streaming.
   streaming_ = dynamic_cast<const train::RecurrentStreamModel*>(model_.get());
-  if (const auto* dyhsl = dynamic_cast<const models::DyHsl*>(model_.get());
-      dyhsl != nullptr && dyhsl->config().sparse_pattern_reuse) {
-    dyhsl_view_ = dyhsl;
-  }
-  if (const auto* dhgnn = dynamic_cast<const baselines::Dhgnn*>(model_.get());
-      dhgnn != nullptr && dhgnn->structure_reuse()) {
-    dhgnn_view_ = dhgnn;
-  }
   if (options_.team_size > 0) {
     worker_team_ = static_cast<int>(options_.team_size);
   } else {
@@ -240,31 +231,10 @@ EngineStats ForecastEngine::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   EngineStats snapshot = stats_;
   snapshot.queue_depth = static_cast<int64_t>(queue_.size());
-  for (const auto& [tid, pattern] : pattern_by_thread_) {
-    snapshot.pattern.selects += pattern.selects;
-    snapshot.pattern.reuses += pattern.reuses;
-    snapshot.pattern.drift_reselects += pattern.drift_reselects;
-    snapshot.pattern.drifted_rows += pattern.drifted_rows;
-  }
   snapshot.prepack.panels = inventory.panels;
   snapshot.prepack.bytes = inventory.bytes;
   snapshot.prepack.invalidations = inventory.invalidations;
   return snapshot;
-}
-
-void ForecastEngine::SamplePatternStats() {
-  if (dyhsl_view_ == nullptr && dhgnn_view_ == nullptr) return;
-  // The caches are thread-local: read this thread's counters outside the
-  // lock, publish the (absolute) sample under it. Snapshot() sums the
-  // latest sample of every thread that ever served through this engine.
-  tensor::TopKPatternCache::Stats sample;
-  if (dyhsl_view_ != nullptr) {
-    sample = dyhsl_view_->dhsl().PatternCacheStats();
-  } else {
-    sample = dhgnn_view_->StructureCacheStats();
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  pattern_by_thread_[std::this_thread::get_id()] = sample;
 }
 
 ForecastResponse ForecastEngine::ForecastNow(const tensor::Tensor& window) {
@@ -316,7 +286,6 @@ ForecastResponse ForecastEngine::ForecastNow(const tensor::Tensor& window) {
   workspace.Reset();
   response.batch_size = 1;
   response.compute_micros = MicrosSince(started, Clock::now());
-  SamplePatternStats();
   AccumulatePrepackDelta(pp_before);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -373,7 +342,6 @@ BatchForecastResponse ForecastEngine::SubmitBatch(
   workspace.Reset();
   response.batch_size = b;
   response.compute_micros = MicrosSince(started, Clock::now());
-  SamplePatternStats();
   AccumulatePrepackDelta(pp_before);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -448,7 +416,6 @@ ForecastResponse ForecastEngine::ForecastFromState(
   workspace.Reset();
   response.batch_size = 1;
   response.compute_micros = MicrosSince(started, Clock::now());
-  SamplePatternStats();
   AccumulatePrepackDelta(pp_before);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -514,7 +481,6 @@ BatchForecastResponse ForecastEngine::ForecastFromStateBatch(
   workspace.Reset();
   response.batch_size = b;
   response.compute_micros = MicrosSince(started, Clock::now());
-  SamplePatternStats();
   AccumulatePrepackDelta(pp_before);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -632,7 +598,6 @@ void ForecastEngine::WorkerLoop() {
       ServeBatch(&batch);
     }
     workspace.Reset();
-    SamplePatternStats();
     AccumulatePrepackDelta(pp_before);
   }
 }

@@ -18,13 +18,6 @@
 // the request/response structs. Responses are heap-backed (never
 // arena-backed) so they stay valid for as long as the caller keeps them.
 //
-// Sparse models served with DyHslConfig::sparse_pattern_reuse keep their
-// top-k CSR patterns in *thread-local* caches (see tensor::TopKPatternCache),
-// so each warm worker reuses the patterns of the requests it served before
-// — per-worker/session reuse with zero cross-worker sharing. The cached
-// patterns are heap-backed shared_ptrs, unaffected by the per-worker
-// Workspace arena resets between flushes.
-//
 // Threading: each worker scopes its kernels to an OpenMP team of
 // team_size() threads (core::TeamScope), so num_workers engines never
 // multiply into workers x machine-wide teams; with
@@ -35,6 +28,14 @@
 // An engine serves exactly one (model, sensor range); a fleet of engines
 // behind a ForecastRouter (src/serve/router.h) serves many models and
 // sharded networks.
+//
+// Status codes, and whether a caller may retry:
+//  * kUnavailable: admission control shed the request (retry later) or
+//    the engine is shut down (retry on another engine).
+//  * kInvalidArgument: the window, batch or EngineOptions are malformed;
+//    not retryable until the caller fixes them.
+//  * kIoError / kNotFound from Create: the checkpoint could not be read;
+//    not retryable until the file is fixed.
 
 #ifndef DYHSL_SERVE_ENGINE_H_
 #define DYHSL_SERVE_ENGINE_H_
@@ -47,14 +48,11 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
-#include "src/baselines/gnn_models.h"
 #include "src/core/status.h"
 #include "src/models/dyhsl.h"
 #include "src/tensor/prepack.h"
-#include "src/tensor/sparse.h"
 #include "src/tensor/tensor.h"
 #include "src/train/checkpoint.h"
 #include "src/train/forecast_model.h"
@@ -167,12 +165,6 @@ struct EngineStats {
   int64_t batched_submits = 0;
   int64_t batched_requests = 0;
   int64_t batched_max = 0;
-  /// Structure-reuse efficacy, summed over every thread that served
-  /// through this engine: the DyHSL TopKPatternCache counters when the
-  /// model is a pattern-reuse DyHSL, the DHGNN structure-cache counters
-  /// when it is a structure-reuse DHGNN, all zeros otherwise. Reuse is
-  /// observable in serving snapshots, not only in unit tests.
-  tensor::TopKPatternCache::Stats pattern;
   /// Inference-plan (weight prepack) counters for this engine's weights:
   /// `panels`/`bytes` inventory the packed panels currently held (bytes is
   /// ~the engine's 2-D weight bytes once warm), `hits`/`misses` count
@@ -297,9 +289,6 @@ class ForecastEngine {
   void WorkerLoop();
   /// Runs one packed grad-free forward and fulfills every promise.
   void ServeBatch(std::vector<Pending>* batch);
-  /// Publishes the calling thread's structure-cache counters (thread-
-  /// local caches) into pattern_by_thread_ so Snapshot() can sum them.
-  void SamplePatternStats();
   /// Enrolls every 2-D parameter/constant of the model in the process
   /// PrepackCache (called once at Create, after the checkpoint load) and
   /// remembers the pointers for stats attribution and Release.
@@ -314,10 +303,6 @@ class ForecastEngine {
   std::unique_ptr<train::ForecastModel> model_;
   /// Set when model_ implements the streaming capability (DCRNN-style).
   const train::RecurrentStreamModel* streaming_ = nullptr;
-  /// Set when model_ is a pattern-reuse DyHSL / structure-reuse DHGNN
-  /// (the models with observable cache counters).
-  const models::DyHsl* dyhsl_view_ = nullptr;
-  const baselines::Dhgnn* dhgnn_view_ = nullptr;
   train::ShardMeta shard_meta_;
   /// Resolved OpenMP team size per worker (see team_size()).
   int worker_team_ = 1;
@@ -331,10 +316,6 @@ class ForecastEngine {
   std::deque<Pending> queue_;
   bool stopping_ = false;
   EngineStats stats_;
-  /// Latest cache counters per serving thread (caches are thread-local;
-  /// snapshots sum across threads). Under mu_.
-  std::unordered_map<std::thread::id, tensor::TopKPatternCache::Stats>
-      pattern_by_thread_;
   /// EWMA of queue depth at flush (adaptive_batch mode), under mu_.
   double depth_ewma_ = 1.0;
   std::vector<std::thread> workers_;

@@ -131,7 +131,7 @@ EngineOptions ForecastRouter::PlaceEngineOptions(const EngineOptions& base,
 Status ForecastRouter::AddEntry(const std::string& name, ModelEntry entry) {
   std::lock_guard<std::mutex> lock(mu_);
   if (stopping_) {
-    return Status::InvalidArgument("ForecastRouter is shut down");
+    return Status::Unavailable("ForecastRouter is shut down");
   }
   if (!models_.emplace(name, std::move(entry)).second) {
     return Status::AlreadyExists("model '" + name + "' already registered");
@@ -430,7 +430,7 @@ int64_t ForecastRouter::ShardCountOf(const std::string& name) const {
 Result<StreamRoute> ForecastRouter::RouteFor(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   if (stopping_) {
-    return Status::InvalidArgument("ForecastRouter is shut down");
+    return Status::Unavailable("ForecastRouter is shut down");
   }
   const ModelEntry* entry = nullptr;
   if (!name.empty()) {
@@ -499,10 +499,6 @@ RouterStats ForecastRouter::Stats() const {
       stats.total.batched_requests += e.stats.batched_requests;
       stats.total.batched_max =
           std::max(stats.total.batched_max, e.stats.batched_max);
-      stats.total.pattern.selects += e.stats.pattern.selects;
-      stats.total.pattern.reuses += e.stats.pattern.reuses;
-      stats.total.pattern.drift_reselects += e.stats.pattern.drift_reselects;
-      stats.total.pattern.drifted_rows += e.stats.pattern.drifted_rows;
       // Prepack counters sum cleanly: every engine enrolls its own
       // weights, so no panel or lookup is attributed twice.
       stats.total.prepack.panels += e.stats.prepack.panels;

@@ -15,6 +15,17 @@
 // future with the shard's Status — other in-flight requests, and other
 // shards of the same request's batch, are unaffected.
 //
+// Status codes, and whether a caller may retry (engine codes pass through
+// unchanged; see src/serve/engine.h):
+//  * kUnavailable: a shard shed load (retry later) or the router is shut
+//    down (retry on another router); Submit, AddModel, AddShardedModel and
+//    RouteFor all answer it after Shutdown().
+//  * kNotFound: no model of that name is registered; not retryable until
+//    it is added.
+//  * kAlreadyExists: the model name is taken; not retryable.
+//  * kInvalidArgument: the request, name or options are malformed; not
+//    retryable until the caller fixes them.
+//
 // Stitching happens on a small pool of router threads that wait on the
 // shard futures in submission order; per-request work there is a couple
 // of column copies, so the pool never becomes the bottleneck before the

@@ -175,9 +175,9 @@ class SessionManager {
   SessionManager& operator=(const SessionManager&) = delete;
 
   /// \brief Opens a session. Fails with kAlreadyExists on a live id,
-  /// kNotFound / kInvalidArgument on an unroutable model, and
-  /// kInvalidArgument when warm_state is requested for a model that does
-  /// not stream.
+  /// kNotFound / kInvalidArgument on an unroutable model, kUnavailable
+  /// once the router is shut down, and kInvalidArgument when warm_state
+  /// is requested for a model that does not stream.
   Status Open(const std::string& session_id,
               const SessionOptions& options = SessionOptions());
 

@@ -11,8 +11,8 @@
 namespace dyhsl::tensor {
 namespace {
 
-// Per-thread serving counters, sampled by engine workers (the same
-// publish-absolute-samples pattern as the TopKPatternCache stats).
+// Per-thread serving counters; engines book the growth across each
+// serving call (see PrepackCache::ThreadCounters).
 struct ThreadTally {
   int64_t hits = 0;
   int64_t misses = 0;

@@ -89,8 +89,9 @@ class PrepackCache {
   Stats StatsFor(const std::vector<const float*>& ptrs) const;
 
   /// \brief The calling thread's cumulative hit/miss counters (only those
-  /// two fields are set). Monotonic; sample per worker and sum, exactly
-  /// like the TopKPatternCache stats.
+  /// two fields are set). Monotonic: a caller samples it before and after
+  /// a serving call and books the difference (ForecastEngine does this
+  /// per request, so one thread can serve many engines).
   static Stats ThreadCounters();
 
  private:

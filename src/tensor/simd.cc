@@ -1,4 +1,4 @@
-// Scalar / AVX2 / AVX-512 implementations of the selection primitives and
+// Scalar / AVX2 / AVX-512 implementations of the GEMM tail write-back and
 // the cpuid dispatch that picks between them.
 //
 // The vector paths are compiled with per-function target attributes, so
@@ -6,20 +6,16 @@
 // baseline — including -DDYHSL_MARCH_NATIVE=OFF portable Release builds —
 // and on non-x86 targets everything degrades to the scalar table.
 //
-// Equivalence contract: every level computes the same predicate
-// (|x| compared exactly, no FTZ/DAZ, no reassociation) and the same
-// lowest-index tie rule, so outputs are bit-identical across levels on
-// NaN-free input. tests/sparse_kernels_test.cc asserts this property over
-// odd/prime widths, all-equal ties, and denormals; keep it green when
+// Equivalence contract: every level rounds the same operations in the same
+// order and none enables FTZ/DAZ, so outputs are bit-identical across
+// levels. tests/sparse_kernels_test.cc asserts this property over
+// every tail width, each beta mode and denormal inputs; keep it green when
 // touching any path below.
 
 #include "src/tensor/simd.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <numeric>
 
 #include "src/core/logging.h"
 
@@ -36,51 +32,6 @@ namespace {
 // reproduce bit-for-bit.
 // ---------------------------------------------------------------------------
 
-int64_t CountGeAbsScalar(const float* x, int64_t n, float t) {
-  int64_t count = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    count += std::fabs(x[i]) >= t ? 1 : 0;
-  }
-  return count;
-}
-
-int64_t CompressGeAbsScalar(const float* x, int64_t n, float t,
-                            int32_t* out_idx) {
-  int64_t count = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    if (std::fabs(x[i]) >= t) out_idx[count++] = static_cast<int32_t>(i);
-  }
-  return count;
-}
-
-// Insertion select: the buffer of k magnitudes is held descending and
-// starts at -1 (below every |v|), so the common case is one compare
-// against the running k-th magnitude and only improving candidates pay the
-// shift. Strict > on an ascending column scan gives the lower-column tie
-// rule. out_idx doubles as the index half of the selection buffer.
-void TopKSelectScalar(const float* row, int64_t n, int64_t k, float* scratch,
-                      int64_t* out_idx) {
-  if (k == n) {  // keep-everything fast path, shared by all levels
-    std::iota(out_idx, out_idx + k, int64_t{0});
-    return;
-  }
-  float* mag = scratch;  // k slots of the caller's scratch
-  std::fill(mag, mag + k, -1.0f);
-  for (int64_t c = 0; c < n; ++c) {
-    float a = std::fabs(row[c]);
-    if (a <= mag[k - 1]) continue;
-    int64_t pos = k - 1;
-    while (pos > 0 && mag[pos - 1] < a) {
-      mag[pos] = mag[pos - 1];
-      out_idx[pos] = out_idx[pos - 1];
-      --pos;
-    }
-    mag[pos] = a;
-    out_idx[pos] = c;
-  }
-  std::sort(out_idx, out_idx + k);
-}
-
 void TileRowUpdateScalar(const float* acc, float* c, int64_t n, float beta) {
   if (beta == 0.0f) {
     for (int64_t j = 0; j < n; ++j) c[j] = acc[j];
@@ -91,107 +42,13 @@ void TileRowUpdateScalar(const float* acc, float* c, int64_t n, float beta) {
   }
 }
 
-constexpr Ops kScalarOps = {CountGeAbsScalar, CompressGeAbsScalar,
-                            TopKSelectScalar, TileRowUpdateScalar};
+constexpr Ops kScalarOps = {TileRowUpdateScalar};
 
 #ifdef DYHSL_SIMD_X86
 
 // ---------------------------------------------------------------------------
 // AVX2 (8-lane) paths.
 // ---------------------------------------------------------------------------
-
-// |x| via sign-bit clear: exact for every finite value incl. denormals.
-__attribute__((target("avx2"))) inline __m256 Abs8(__m256 v) {
-  return _mm256_and_ps(v, _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff)));
-}
-
-__attribute__((target("avx2"))) int64_t CountGeAbsAvx2(const float* x,
-                                                       int64_t n, float t) {
-  const __m256 tv = _mm256_set1_ps(t);
-  int64_t count = 0;
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256 cmp = _mm256_cmp_ps(Abs8(_mm256_loadu_ps(x + i)), tv, _CMP_GE_OQ);
-    count += __builtin_popcount(
-        static_cast<unsigned>(_mm256_movemask_ps(cmp)));
-  }
-  for (; i < n; ++i) count += std::fabs(x[i]) >= t ? 1 : 0;
-  return count;
-}
-
-__attribute__((target("avx2"))) int64_t CompressGeAbsAvx2(const float* x,
-                                                          int64_t n, float t,
-                                                          int32_t* out_idx) {
-  const __m256 tv = _mm256_set1_ps(t);
-  int64_t count = 0;
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256 cmp = _mm256_cmp_ps(Abs8(_mm256_loadu_ps(x + i)), tv, _CMP_GE_OQ);
-    unsigned mask = static_cast<unsigned>(_mm256_movemask_ps(cmp));
-    // Bit-serial compress: one tzcnt per survivor, ascending by
-    // construction. Survivors are sparse in the top-k workloads, so this
-    // beats a shuffle-table compress on the common case.
-    while (mask != 0u) {
-      out_idx[count++] = static_cast<int32_t>(i) + __builtin_ctz(mask);
-      mask &= mask - 1u;
-    }
-  }
-  for (; i < n; ++i) {
-    if (std::fabs(x[i]) >= t) out_idx[count++] = static_cast<int32_t>(i);
-  }
-  return count;
-}
-
-// Horizontal max of 8 lanes.
-__attribute__((target("avx2"))) inline float HMax8(__m256 v) {
-  __m128 m = _mm_max_ps(_mm256_castps256_ps128(v),
-                        _mm256_extractf128_ps(v, 1));
-  m = _mm_max_ps(m, _mm_movehl_ps(m, m));
-  m = _mm_max_ss(m, _mm_shuffle_ps(m, m, 1));
-  return _mm_cvtss_f32(m);
-}
-
-// Tournament select: k rounds of (vector max -> lowest index attaining it
-// -> knock out). No data-dependent insertion shifts; the only variable
-// work is the first-match scan, resolved by movemask + ctz. Magnitudes
-// live in scratch, padded with -1 (below every |v| >= 0) so tails never
-// need masking; knocked-out slots also become -1, which can never win
-// while valid candidates remain (k <= n).
-__attribute__((target("avx2"))) void TopKSelectAvx2(const float* row,
-                                                    int64_t n, int64_t k,
-                                                    float* scratch,
-                                                    int64_t* out_idx) {
-  if (k == n) {
-    std::iota(out_idx, out_idx + k, int64_t{0});
-    return;
-  }
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(scratch + i, Abs8(_mm256_loadu_ps(row + i)));
-  }
-  for (; i < n; ++i) scratch[i] = std::fabs(row[i]);
-  const int64_t padded = (n + 7) / 8 * 8;
-  for (; i < padded; ++i) scratch[i] = -1.0f;
-
-  for (int64_t t = 0; t < k; ++t) {
-    __m256 best = _mm256_loadu_ps(scratch);
-    for (int64_t j = 8; j < padded; j += 8) {
-      best = _mm256_max_ps(best, _mm256_loadu_ps(scratch + j));
-    }
-    const __m256 bv = _mm256_set1_ps(HMax8(best));
-    for (int64_t j = 0; j < padded; j += 8) {
-      unsigned mask = static_cast<unsigned>(_mm256_movemask_ps(
-          _mm256_cmp_ps(_mm256_loadu_ps(scratch + j), bv, _CMP_EQ_OQ)));
-      if (mask != 0u) {
-        const int64_t idx = j + __builtin_ctz(mask);
-        out_idx[t] = idx;
-        scratch[idx] = -1.0f;
-        break;
-      }
-    }
-  }
-  std::sort(out_idx, out_idx + k);
-}
 
 __attribute__((target("avx2"))) void TileRowUpdateAvx2(const float* acc,
                                                        float* c, int64_t n,
@@ -219,97 +76,11 @@ __attribute__((target("avx2"))) void TileRowUpdateAvx2(const float* acc,
   }
 }
 
-constexpr Ops kAvx2Ops = {CountGeAbsAvx2, CompressGeAbsAvx2, TopKSelectAvx2,
-                          TileRowUpdateAvx2};
+constexpr Ops kAvx2Ops = {TileRowUpdateAvx2};
 
 // ---------------------------------------------------------------------------
-// AVX-512F (16-lane, native masks and compress-store) paths.
+// AVX-512F (16-lane, native masks) paths.
 // ---------------------------------------------------------------------------
-
-__attribute__((target("avx512f"))) inline __m512 Abs16(__m512 v) {
-  return _mm512_abs_ps(v);
-}
-
-__attribute__((target("avx512f"))) int64_t CountGeAbsAvx512(const float* x,
-                                                            int64_t n,
-                                                            float t) {
-  const __m512 tv = _mm512_set1_ps(t);
-  int64_t count = 0;
-  int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    count += __builtin_popcount(_mm512_cmp_ps_mask(
-        Abs16(_mm512_loadu_ps(x + i)), tv, _CMP_GE_OQ));
-  }
-  if (i < n) {
-    const __mmask16 tail = static_cast<__mmask16>((1u << (n - i)) - 1u);
-    count += __builtin_popcount(_mm512_mask_cmp_ps_mask(
-        tail, Abs16(_mm512_maskz_loadu_ps(tail, x + i)), tv, _CMP_GE_OQ));
-  }
-  return count;
-}
-
-__attribute__((target("avx512f"))) int64_t CompressGeAbsAvx512(
-    const float* x, int64_t n, float t, int32_t* out_idx) {
-  const __m512 tv = _mm512_set1_ps(t);
-  const __m512i step = _mm512_set1_epi32(16);
-  __m512i iota = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
-                                   13, 14, 15);
-  int64_t count = 0;
-  int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __mmask16 m = _mm512_cmp_ps_mask(Abs16(_mm512_loadu_ps(x + i)), tv,
-                                           _CMP_GE_OQ);
-    // The hardware compress keeps lane (= index) order, so out_idx stays
-    // ascending.
-    _mm512_mask_compressstoreu_epi32(out_idx + count, m, iota);
-    count += __builtin_popcount(m);
-    iota = _mm512_add_epi32(iota, step);
-  }
-  if (i < n) {
-    const __mmask16 tail = static_cast<__mmask16>((1u << (n - i)) - 1u);
-    const __mmask16 m = _mm512_mask_cmp_ps_mask(
-        tail, Abs16(_mm512_maskz_loadu_ps(tail, x + i)), tv, _CMP_GE_OQ);
-    _mm512_mask_compressstoreu_epi32(out_idx + count, m, iota);
-    count += __builtin_popcount(m);
-  }
-  return count;
-}
-
-__attribute__((target("avx512f"))) void TopKSelectAvx512(const float* row,
-                                                         int64_t n, int64_t k,
-                                                         float* scratch,
-                                                         int64_t* out_idx) {
-  if (k == n) {
-    std::iota(out_idx, out_idx + k, int64_t{0});
-    return;
-  }
-  int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_ps(scratch + i, Abs16(_mm512_loadu_ps(row + i)));
-  }
-  for (; i < n; ++i) scratch[i] = std::fabs(row[i]);
-  const int64_t padded = (n + 15) / 16 * 16;
-  for (; i < padded; ++i) scratch[i] = -1.0f;
-
-  for (int64_t t = 0; t < k; ++t) {
-    __m512 best = _mm512_loadu_ps(scratch);
-    for (int64_t j = 16; j < padded; j += 16) {
-      best = _mm512_max_ps(best, _mm512_loadu_ps(scratch + j));
-    }
-    const __m512 bv = _mm512_set1_ps(_mm512_reduce_max_ps(best));
-    for (int64_t j = 0; j < padded; j += 16) {
-      const __mmask16 mask =
-          _mm512_cmp_ps_mask(_mm512_loadu_ps(scratch + j), bv, _CMP_EQ_OQ);
-      if (mask != 0) {
-        const int64_t idx = j + __builtin_ctz(mask);
-        out_idx[t] = idx;
-        scratch[idx] = -1.0f;
-        break;
-      }
-    }
-  }
-  std::sort(out_idx, out_idx + k);
-}
 
 __attribute__((target("avx512f"))) void TileRowUpdateAvx512(const float* acc,
                                                             float* c,
@@ -333,8 +104,7 @@ __attribute__((target("avx512f"))) void TileRowUpdateAvx512(const float* acc,
   _mm512_mask_storeu_ps(c, mask, r);
 }
 
-constexpr Ops kAvx512Ops = {CountGeAbsAvx512, CompressGeAbsAvx512,
-                            TopKSelectAvx512, TileRowUpdateAvx512};
+constexpr Ops kAvx512Ops = {TileRowUpdateAvx512};
 
 #endif  // DYHSL_SIMD_X86
 

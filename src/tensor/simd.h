@@ -1,18 +1,10 @@
-// Runtime-dispatched SIMD utility layer for the selection/compaction
-// micro-kernels of the sparse execution path.
+// Runtime-dispatched SIMD utility layer for the GEMM column-tail write-back.
 //
-// The DHSL sparse mode pays a per-step top-k selection over the learned
-// incidence Λ (RowTopKPattern); profiled at ~6 ns/element, the branchy
-// scalar insertion select — not the sparse products — was what kept the
-// sparse step slower than dense. The primitives here vectorize that wall:
-//
-//  * count_ge_abs     — horizontal threshold count, #{i : |x[i]| >= t}
-//  * compress_ge_abs  — masked compress-store of the indices that pass the
-//                       same predicate (ascending order)
-//  * topk_select      — selection of the k largest-|v| columns of a row
-//                       without data-dependent insertion shifts
-//  * tile_row_update  — masked partial-row write-back, shared with the
-//                       GEMM micro-kernel's column-tail tiles
+// The blocked GEMM micro-kernel (src/tensor/gemm.cc) accumulates full-width
+// tiles in registers; when a tile hangs over the right edge of C, only its
+// first n < kNr columns may be written back. `tile_row_update` performs that
+// partial-row write-back, c[0, n) = beta * c + acc, with a lane mask instead
+// of a peeled scalar loop.
 //
 // Dispatch model: the best instruction set (scalar / AVX2 / AVX-512) is
 // detected once at startup via cpuid and resolved into a function table;
@@ -22,12 +14,10 @@
 // forces a level at or below what the CPU supports (requests above support
 // are clamped with a warning; unknown values are ignored with a warning).
 //
-// Determinism: every primitive is pure integer/compare/gather work — no
-// reassociated float accumulation — so all levels produce *identical*
-// results on NaN-free input, including denormals (the kernels never enable
-// FTZ/DAZ; this translation unit must not be compiled with -ffast-math).
-// Selection ties break toward the lower column index at every level,
-// matching the documented RowTopK contract.
+// Determinism: every level performs the same multiply and add per element
+// in the same order, so all levels produce *identical* results, including
+// on denormals (the kernels never enable FTZ/DAZ; this translation unit
+// must not be compiled with -ffast-math).
 
 #ifndef DYHSL_TENSOR_SIMD_H_
 #define DYHSL_TENSOR_SIMD_H_
@@ -44,33 +34,13 @@ enum class Level : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 /// \brief Human-readable level name ("scalar", "avx2", "avx512").
 const char* LevelName(Level level);
 
-/// \brief Widest vector width (floats) any level may touch. topk_select
-/// scratch buffers must be padded to a multiple of this.
+/// \brief Widest vector width (floats) any level may touch; the bound on
+/// a tile_row_update width.
 constexpr int64_t kMaxLanes = 16;
 
-/// \brief Scratch floats required by topk_select for an n-column row.
-constexpr int64_t TopKScratchFloats(int64_t n) {
-  return (n + kMaxLanes - 1) / kMaxLanes * kMaxLanes;
-}
-
-/// \brief The per-level function table. All function pointers are non-null
-/// at every level.
+/// \brief The per-level function table. Its function pointer is non-null at
+/// every level.
 struct Ops {
-  /// #{i in [0, n) : |x[i]| >= t}. NaN entries never count.
-  int64_t (*count_ge_abs)(const float* x, int64_t n, float t);
-
-  /// Writes the indices i with |x[i]| >= t to out_idx in ascending order
-  /// (capacity n) and returns how many passed.
-  int64_t (*compress_ge_abs)(const float* x, int64_t n, float t,
-                             int32_t* out_idx);
-
-  /// Selects the k largest-magnitude entries of row[0, n), ties toward the
-  /// lower index, and writes their indices to out_idx (capacity k) in
-  /// ascending index order. Requires 1 <= k <= n. scratch must hold
-  /// TopKScratchFloats(n) floats; its contents are clobbered.
-  void (*topk_select)(const float* row, int64_t n, int64_t k, float* scratch,
-                      int64_t* out_idx);
-
   /// c[0, n) = beta * c + acc for the partial-width tiles of the GEMM
   /// write-back (beta 0 overwrites, 1 accumulates). n <= kMaxLanes.
   void (*tile_row_update)(const float* acc, float* c, int64_t n, float beta);

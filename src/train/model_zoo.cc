@@ -96,9 +96,7 @@ std::unique_ptr<ForecastModel> MakeNeuralModel(const std::string& key,
   }
   if (key == "DHGNN") {
     return std::make_unique<baselines::Dhgnn>(task, d, /*clusters=*/8,
-                                              /*knn=*/4, seed,
-                                              config.dhgnn_structure_reuse,
-                                              config.dhgnn_drift_threshold);
+                                              /*knn=*/4, seed);
   }
   if (key == "STGODE") {
     return std::make_unique<baselines::StgOde>(task, d, /*rk4_steps=*/3,

@@ -17,14 +17,6 @@ namespace dyhsl::train {
 struct ZooConfig {
   int64_t hidden_dim = 32;
   uint64_t seed = 77;
-  /// DHGNN only: cache the per-window kNN + k-means hypergraph behind a
-  /// drift check instead of rebuilding it every forward (the streaming
-  /// structure-refresh path; see baselines::Dhgnn). Off reproduces the
-  /// published per-window construction exactly.
-  bool dhgnn_structure_reuse = false;
-  /// Fraction of drifted nodes tolerated before the DHGNN structure is
-  /// rebuilt, in [0, 1].
-  float dhgnn_drift_threshold = 0.05f;
 };
 
 /// \brief Table III ordering of the classical baselines.

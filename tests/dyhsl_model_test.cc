@@ -180,153 +180,7 @@ TEST_F(DyHslModelTest, SingleScaleConfig) {
   EXPECT_EQ(model.Forward(x, false).size(1), task_.horizon);
 }
 
-// Largest |a - b| relative to the magnitude of `b` (floored at 1).
-float MaxRelDiff(const T::Tensor& a, const T::Tensor& b) {
-  float scale = 1.0f;
-  for (int64_t i = 0; i < b.numel(); ++i) {
-    scale = std::max(scale, std::fabs(b.data()[i]));
-  }
-  return dyhsl::testing::MaxAbsDiff(a, b) / scale;
-}
-
-TEST_F(DyHslModelTest, SparseTopKFullWidthAgreesWithDensePath) {
-  // sparse_topk == num_hyperedges keeps every Λ entry: the CSR execution
-  // must reproduce the dense path to float accumulation-order tolerance.
-  // This is the sparse-vs-dense forward agreement bar of the sparse-first
-  // refactor (<= 1e-4 relative).
-  DyHslConfig sparse_cfg = config_;
-  sparse_cfg.sparse_topk = config_.num_hyperedges;
-  DyHsl dense_model(task_, config_);
-  DyHsl sparse_model(task_, sparse_cfg);
-  tensor::Tensor x = MakeBatch(3);
-  T::Tensor dense_out = dense_model.Forward(x, false).value();
-  T::Tensor sparse_out = sparse_model.Forward(x, false).value();
-  EXPECT_LE(MaxRelDiff(sparse_out, dense_out), 1e-4f);
-}
-
-TEST_F(DyHslModelTest, SparseTopKGradientsReachAllParameters) {
-  DyHslConfig cfg = config_;
-  cfg.sparse_topk = 2;  // genuinely sparse: keep 2 of 8 hyperedges per row
-  DyHsl model(task_, cfg);
-  tensor::Tensor x = MakeBatch(2);
-  ag::Variable pred = model.Forward(x, /*training=*/true);
-  ag::MeanAll(pred).Backward();
-  for (const auto& param : model.Parameters()) {
-    EXPECT_TRUE(param.has_grad());
-  }
-}
-
-TEST_F(DyHslModelTest, SparseTopKForwardIsFiniteAndTracksDense) {
-  // k < I is an approximation: it cannot match dense exactly, but at
-  // small k it must stay finite and in the same ballpark (the kept
-  // entries dominate Λ by construction).
-  DyHslConfig cfg = config_;
-  cfg.sparse_topk = 2;
-  DyHsl dense_model(task_, config_);
-  DyHsl sparse_model(task_, cfg);
-  tensor::Tensor x = MakeBatch(2);
-  T::Tensor dense_out = dense_model.Forward(x, false).value();
-  T::Tensor sparse_out = sparse_model.Forward(x, false).value();
-  for (int64_t i = 0; i < sparse_out.numel(); ++i) {
-    EXPECT_TRUE(std::isfinite(sparse_out.data()[i]));
-  }
-  EXPECT_EQ(sparse_out.shape(), dense_out.shape());
-}
-
-TEST_F(DyHslModelTest, SparseTopKGradFreeBitIdenticalToTaped) {
-  DyHslConfig cfg = config_;
-  cfg.sparse_topk = 3;
-  DyHsl model(task_, cfg);
-  tensor::Tensor x = MakeBatch(2);
-  T::Tensor taped = model.Forward(x, false).value();
-  ag::InferenceModeGuard no_grad;
-  T::Tensor grad_free = model.Forward(x, false).value();
-  EXPECT_TENSOR_EQ(grad_free, taped);
-}
-
-TEST_F(DyHslModelTest, PatternReuseAgreesWithSelectEveryStep) {
-  // The tentpole acceptance bar: at the default drift threshold, the
-  // cached-pattern model must agree with fresh selection to <= 1e-4
-  // relative on repeated forwards over the same and near-identical inputs.
-  DyHslConfig fresh_cfg = config_;
-  fresh_cfg.sparse_topk = 2;
-  DyHslConfig reuse_cfg = fresh_cfg;
-  reuse_cfg.sparse_pattern_reuse = true;
-  DyHsl fresh_model(task_, fresh_cfg);
-  DyHsl reuse_model(task_, reuse_cfg);
-  tensor::Tensor x = MakeBatch(2);
-  for (int step = 0; step < 3; ++step) {
-    // Same parameters (same seed) -> same Λ; repeated steps exercise the
-    // reuse path after the first.
-    T::Tensor want = fresh_model.Forward(x, false).value();
-    T::Tensor got = reuse_model.Forward(x, false).value();
-    EXPECT_LE(MaxRelDiff(got, want), 1e-4f) << "step " << step;
-  }
-}
-
-TEST_F(DyHslModelTest, PatternReuseCacheStatsShowReuses) {
-  DyHslConfig cfg = config_;
-  cfg.sparse_topk = 2;
-  cfg.sparse_pattern_reuse = true;
-  DyHsl model(task_, cfg);
-  tensor::Tensor x = MakeBatch(2);
-  model.Forward(x, false);
-  auto cold = model.dhsl().PatternCacheStats();
-  EXPECT_GT(cold.selects, 0);
-  model.Forward(x, false);
-  auto warm = model.dhsl().PatternCacheStats();
-  // Identical input and parameters: every selection after the first
-  // forward's cold misses is a zero-drift reuse.
-  EXPECT_GT(warm.reuses, cold.reuses);
-  EXPECT_EQ(warm.selects, cold.selects);
-  EXPECT_EQ(warm.drift_reselects, 0);
-  model.dhsl().ClearPatternCache();
-  model.Forward(x, false);
-  EXPECT_GT(model.dhsl().PatternCacheStats().selects, warm.selects);
-}
-
-TEST_F(DyHslModelTest, PatternReuseGradientsStayFiniteAndComplete) {
-  DyHslConfig cfg = config_;
-  cfg.sparse_topk = 2;
-  cfg.sparse_pattern_reuse = true;
-  DyHsl model(task_, cfg);
-  tensor::Tensor x = MakeBatch(2);
-  model.Forward(x, false);  // warm the cache so training hits reuse
-  ag::Variable pred = model.Forward(x, /*training=*/true);
-  ag::MeanAll(pred).Backward();
-  for (const auto& param : model.Parameters()) {
-    EXPECT_TRUE(param.has_grad());
-  }
-}
-
 using DyHslModelDeathTest = DyHslModelTest;
-
-TEST_F(DyHslModelDeathTest, RejectsPatternReuseWithoutSparseTopK) {
-  DyHslConfig cfg = config_;
-  cfg.sparse_pattern_reuse = true;  // but sparse_topk stays 0
-  EXPECT_DEATH(DyHsl(task_, cfg), "pattern_reuse requires sparse_topk");
-}
-
-TEST_F(DyHslModelDeathTest, RejectsOutOfRangeDriftThreshold) {
-  DyHslConfig cfg = config_;
-  cfg.sparse_topk = 2;
-  cfg.sparse_pattern_reuse = true;
-  cfg.sparse_drift_threshold = -0.5f;
-  EXPECT_DEATH(DyHsl(task_, cfg), "drift_threshold");
-}
-
-TEST_F(DyHslModelDeathTest, RejectsSparseTopKAboveHyperedgeCount) {
-  DyHslConfig cfg = config_;
-  cfg.sparse_topk = cfg.num_hyperedges + 1;
-  EXPECT_DEATH(DyHsl(task_, cfg), "exceeds num_hyperedges");
-}
-
-TEST_F(DyHslModelDeathTest, RejectsSparseTopKWithFromScratch) {
-  DyHslConfig cfg = config_;
-  cfg.sparse_topk = 2;
-  cfg.structure_learning = StructureLearning::kFromScratch;
-  EXPECT_DEATH(DyHsl(task_, cfg), "incidence-based structure mode");
-}
 
 TEST_F(DyHslModelDeathTest, RejectsNonDividingWindowSize) {
   DyHslConfig cfg = config_;

@@ -2,8 +2,7 @@
 // (direct-A, direct-AT, the small-size no-plan path), prepacked operands
 // (tensor::PackedPanels / BatchedGemmPrepackedInto), the process
 // PrepackCache with its enrollment/lookup/invalidation lifecycle, the
-// serving engine's plan bring-up and stats, and the bounded thread-local
-// cache registries (DhslBlock patterns, DHGNN structures).
+// serving engine's plan bring-up and stats.
 //
 // The contract under test everywhere is *bit* identity: every in-place or
 // prepacked path must reproduce the packed-A reference kernel exactly,
@@ -19,10 +18,8 @@
 #include <gtest/gtest.h>
 
 #include "src/autograd/inference.h"
-#include "src/baselines/gnn_models.h"
 #include "src/core/parallel.h"
 #include "src/core/rng.h"
-#include "src/models/blocks.h"
 #include "src/serve/engine.h"
 #include "src/tensor/gemm.h"
 #include "src/tensor/ops.h"
@@ -470,54 +467,3 @@ TEST(PrepackServingTest, EngineReleasesPlanOnDestruction) {
 
 }  // namespace
 }  // namespace dyhsl::serve
-
-// ------------------------------------- bounded cache registries (leaks) --
-
-namespace dyhsl::models {
-namespace {
-
-TEST(PatternRegistryTest, RegistryShrinksWhenBlocksDie) {
-  Rng rng(3);
-  const int64_t base = ThreadPatternRegistrySizeForTesting();
-  {
-    DhslBlock block(8, 4, &rng, StructureLearning::kLowRank,
-                    /*sparse_topk=*/2, /*pattern_reuse=*/true);
-    block.PatternCacheStats();  // touches this thread's cache entry
-    EXPECT_EQ(ThreadPatternRegistrySizeForTesting(), base + 1);
-  }
-  EXPECT_EQ(ThreadPatternRegistrySizeForTesting(), base);
-  // Sequential churn never accumulates: the registry stays bounded by
-  // the number of live blocks, not the number ever created.
-  for (int i = 0; i < 16; ++i) {
-    DhslBlock block(8, 4, &rng, StructureLearning::kLowRank, 2, true);
-    block.PatternCacheStats();
-    EXPECT_LE(ThreadPatternRegistrySizeForTesting(), base + 1);
-  }
-  EXPECT_EQ(ThreadPatternRegistrySizeForTesting(), base);
-}
-
-}  // namespace
-}  // namespace dyhsl::models
-
-namespace dyhsl::baselines {
-namespace {
-
-TEST(StructureRegistryTest, RegistryShrinksWhenModelsDie) {
-  dyhsl::train::ForecastTask task = dyhsl::train::RingForecastTask(8, 12);
-  const int64_t base = ThreadStructureRegistrySizeForTesting();
-  {
-    Dhgnn model(task, 8, 2, 2, /*seed=*/7, /*structure_reuse=*/true);
-    model.StructureCacheStats();  // touches this thread's cache entry
-    EXPECT_EQ(ThreadStructureRegistrySizeForTesting(), base + 1);
-  }
-  EXPECT_EQ(ThreadStructureRegistrySizeForTesting(), base);
-  for (int i = 0; i < 16; ++i) {
-    Dhgnn model(task, 8, 2, 2, 7, true);
-    model.StructureCacheStats();
-    EXPECT_LE(ThreadStructureRegistrySizeForTesting(), base + 1);
-  }
-  EXPECT_EQ(ThreadStructureRegistrySizeForTesting(), base);
-}
-
-}  // namespace
-}  // namespace dyhsl::baselines

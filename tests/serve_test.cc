@@ -19,6 +19,7 @@
 #include "src/core/parallel.h"
 #include "src/serve/engine.h"
 #include "src/serve/router.h"
+#include "src/serve/session.h"
 #include "src/train/checkpoint.h"
 #include "src/train/model_zoo.h"
 #include "src/train/trainer.h"
@@ -266,6 +267,15 @@ TEST(ForecastEngineTest, SubmitAfterShutdownFails) {
       router->Submit(RouterRequest{"dyhsl", window.Clone()}).get();
   EXPECT_FALSE(routed.status.ok());
   EXPECT_EQ(routed.status.code(), StatusCode::kUnavailable);
+  // Registration, route lookup and session open answer the same code.
+  EXPECT_EQ(router->AddModel("late", task, DyHslFactory(TinyConfig())).code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(router->RouteFor("dyhsl").status().code(),
+            StatusCode::kUnavailable);
+  SessionManager sessions(router.get());
+  SessionOptions open;
+  open.model = "dyhsl";
+  EXPECT_EQ(sessions.Open("s0", open).code(), StatusCode::kUnavailable);
 }
 
 TEST(ForecastEngineTest, CreateValidatesMaxQueue) {
@@ -310,57 +320,6 @@ TEST(ForecastEngineTest, MaxQueueShedsLoadWithUnavailable) {
   EXPECT_GT(rejected, 0);
   EXPECT_EQ(served + rejected, 8);
   EXPECT_EQ(engine->Snapshot().rejected, rejected);
-}
-
-TEST(ForecastEngineTest, ServesSparseTopKModelGradFree) {
-  // The engine must serve a sparse-structure DyHSL (top-k Λ mode) with
-  // responses matching the direct grad-free forward.
-  train::ForecastTask task = RingForecastTask(10, 12);
-  models::DyHslConfig config = TinyConfig();
-  config.sparse_topk = 2;
-  auto engine =
-      std::move(ForecastEngine::Create(task, config)).ValueOrDie();
-  T::Tensor window = RandomWindow(task, 4);
-  ForecastResponse response =
-      engine->Submit(ForecastRequest{window.Clone()}).get();
-  ASSERT_TRUE(response.status.ok());
-  autograd::InferenceModeGuard no_grad;
-  T::Tensor direct =
-      engine->mutable_model()
-          ->Forward(window.Reshape({1, task.history, task.num_nodes,
-                                    task.input_dim}),
-                    false)
-          .value()
-          .Reshape({task.horizon, task.num_nodes});
-  EXPECT_TRUE(dyhsl::testing::TensorEq(response.forecast, direct));
-}
-
-TEST(ForecastEngineTest, ServesPatternReuseModelMatchingFreshSelection) {
-  // Pattern reuse must be transparent to serving: a reuse-enabled engine's
-  // responses match a select-every-step engine's bit for bit on identical
-  // windows (identical seeds -> identical parameters; zero-drift reuses
-  // are exact), including on repeat submissions that hit the worker's
-  // warm thread-local cache.
-  train::ForecastTask task = RingForecastTask(10, 12);
-  models::DyHslConfig fresh_cfg = TinyConfig();
-  fresh_cfg.sparse_topk = 2;
-  models::DyHslConfig reuse_cfg = fresh_cfg;
-  reuse_cfg.sparse_pattern_reuse = true;
-  auto fresh_engine =
-      std::move(ForecastEngine::Create(task, fresh_cfg)).ValueOrDie();
-  auto reuse_engine =
-      std::move(ForecastEngine::Create(task, reuse_cfg)).ValueOrDie();
-  T::Tensor window = RandomWindow(task, 4);
-  for (int repeat = 0; repeat < 3; ++repeat) {
-    ForecastResponse want =
-        fresh_engine->Submit(ForecastRequest{window.Clone()}).get();
-    ForecastResponse got =
-        reuse_engine->Submit(ForecastRequest{window.Clone()}).get();
-    ASSERT_TRUE(want.status.ok());
-    ASSERT_TRUE(got.status.ok());
-    EXPECT_TRUE(dyhsl::testing::TensorEq(got.forecast, want.forecast))
-        << "repeat " << repeat;
-  }
 }
 
 TEST(ForecastEngineTest, AdaptiveBatchServesShallowQueueImmediately) {

@@ -1,15 +1,15 @@
-// Kernel-equivalence and autograd suite for the sparse execution path
-// (src/tensor/sparse.h, src/autograd/sparse.h).
+// Kernel-equivalence and autograd suite for the sparse kernels
+// (src/tensor/sparse.h, src/autograd/sparse.h) and the SIMD dispatch layer
+// (src/tensor/simd.h).
 //
-// Mirrors tensor_kernels_test: every kernel is checked against an
-// independent naive reference across odd/prime shapes, both beta modes and
-// batch layouts, plus OpenMP thread-count bit-determinism; every taped op
-// is finite-difference gradchecked (dense side via the transpose SpMM,
-// sparse-values side via SDDMM).
+// Mirrors tensor_kernels_test: SpMM is checked against an independent
+// naive reference across odd/prime shapes, both beta modes and batch
+// layouts, plus OpenMP thread-count bit-determinism; the taped SpMM is
+// finite-difference gradchecked through the transpose product. Every
+// compiled SIMD level is checked bit-for-bit against the scalar table.
 
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -50,9 +50,8 @@ CsrMatrix RandomCsr(int64_t rows, int64_t cols, double density, Rng* rng) {
   return CsrMatrix::FromTriplets(rows, cols, std::move(trips));
 }
 
-// Independent dense reference for op(A) X over 2-D or 3-D X.
-Tensor RefSpMM(const Tensor& a_dense, const Tensor& x, bool trans_a) {
-  Tensor a = trans_a ? Transpose2D(a_dense) : a_dense;
+// Independent dense reference for A X over 2-D or 3-D X.
+Tensor RefSpMM(const Tensor& a, const Tensor& x) {
   if (x.dim() == 2) return MatMul(a, x);
   Tensor out({x.size(0), a.size(0), x.size(2)});
   for (int64_t b = 0; b < x.size(0); ++b) {
@@ -74,7 +73,7 @@ TEST_F(SparseKernelsTest, SpMMIntoMatchesReferenceAcrossShapesAndBeta) {
       for (int64_t f : {1, 4, 9}) {
         CsrMatrix a = RandomCsr(rows, cols, 0.4, &rng_);
         Tensor x = Tensor::Randn({cols, f}, &rng_);
-        Tensor ref = RefSpMM(a.ToDense(), x, false);
+        Tensor ref = RefSpMM(a.ToDense(), x);
         EXPECT_TENSOR_NEAR(SpMM(a, x), ref, 1e-4f);
         // beta = 1 accumulates onto existing contents.
         Tensor acc = Tensor::Randn({rows, f}, &rng_);
@@ -93,134 +92,7 @@ TEST_F(SparseKernelsTest, SpMMIntoMatchesReferenceAcrossShapesAndBeta) {
 TEST_F(SparseKernelsTest, SpMMBatchedMatchesPerItemReference) {
   CsrMatrix a = RandomCsr(11, 7, 0.35, &rng_);
   Tensor x = Tensor::Randn({3, 7, 5}, &rng_);
-  EXPECT_TENSOR_NEAR(SpMM(a, x), RefSpMM(a.ToDense(), x, false), 1e-4f);
-}
-
-TEST_F(SparseKernelsTest, SpMMPatternMatchesCsrAndTransposeReference) {
-  for (int64_t rows : {2, 5, 13, 29}) {
-    CsrMatrix a = RandomCsr(rows, 9, 0.4, &rng_);
-    auto p = CsrPattern::FromCsr(a);
-    Tensor values = Tensor::FromVector({a.nnz()}, a.values());
-    Tensor x = Tensor::Randn({9, 6}, &rng_);
-    Tensor xt = Tensor::Randn({rows, 6}, &rng_);
-    EXPECT_TENSOR_NEAR(SpMMPattern(*p, values, x, false),
-                       RefSpMM(a.ToDense(), x, false), 1e-4f);
-    EXPECT_TENSOR_NEAR(SpMMPattern(*p, values, xt, true),
-                       RefSpMM(a.ToDense(), xt, true), 1e-4f);
-  }
-}
-
-TEST_F(SparseKernelsTest, PatternTransposeMatchesTransposedCsr) {
-  CsrMatrix a = RandomCsr(13, 8, 0.3, &rng_);
-  auto p = CsrPattern::FromCsr(a);
-  // The pattern's (t_row_ptr, t_col_idx, t_perm) must describe exactly
-  // A^T: rebuilding values through t_perm reproduces Transposed().
-  CsrMatrix at = a.Transposed();
-  ASSERT_EQ(p->t_row_ptr, at.row_ptr());
-  ASSERT_EQ(p->t_col_idx, at.col_idx());
-  for (int64_t k = 0; k < a.nnz(); ++k) {
-    EXPECT_EQ(a.values()[p->t_perm[k]], at.values()[k]);
-  }
-}
-
-TEST_F(SparseKernelsTest, SddmmMatchesDenseReference) {
-  CsrMatrix m = RandomCsr(7, 11, 0.4, &rng_);
-  auto p = CsrPattern::FromCsr(m);
-  Tensor a = Tensor::Randn({7, 5}, &rng_);
-  Tensor b = Tensor::Randn({11, 5}, &rng_);
-  Tensor out = Sddmm(*p, a, b);
-  // Reference: (A B^T) sampled at the pattern.
-  Tensor full = MatMul(a, Transpose2D(b));
-  int64_t k = 0;
-  for (int64_t r = 0; r < 7; ++r) {
-    for (int64_t j = p->row_ptr[r]; j < p->row_ptr[r + 1]; ++j, ++k) {
-      EXPECT_NEAR(out.data()[k], full.At({r, p->col_idx[j]}), 1e-4f);
-    }
-  }
-}
-
-TEST_F(SparseKernelsTest, SddmmBatchedSumsOverBatch) {
-  CsrMatrix m = RandomCsr(6, 9, 0.4, &rng_);
-  auto p = CsrPattern::FromCsr(m);
-  Tensor a = Tensor::Randn({3, 6, 4}, &rng_);
-  Tensor b = Tensor::Randn({3, 9, 4}, &rng_);
-  Tensor got = Sddmm(*p, a, b);
-  Tensor expected = Tensor::Zeros({p->nnz()});
-  for (int64_t bi = 0; bi < 3; ++bi) {
-    Tensor ab = Slice(a, 0, bi, 1).Reshape({6, 4});
-    Tensor bb = Slice(b, 0, bi, 1).Reshape({9, 4});
-    Tensor part = Sddmm(*p, ab, bb);
-    AddInPlace(&expected, part);
-  }
-  EXPECT_TENSOR_NEAR(got, expected, 1e-4f);
-}
-
-// ------------------------------------------------------ sparsification ----
-
-TEST_F(SparseKernelsTest, RowTopKKeepsLargestMagnitudeEntries) {
-  Tensor m = Tensor::FromVector(
-      {2, 4}, {0.1f, -3.0f, 2.0f, 0.5f, 1.0f, 1.0f, -1.0f, 0.0f});
-  CsrMatrix top2 = RowTopK(m, 2);
-  Tensor d = top2.ToDense();
-  // Row 0: |-3| and |2| survive.
-  EXPECT_TENSOR_NEAR(
-      d, Tensor::FromVector(
-             {2, 4}, {0.0f, -3.0f, 2.0f, 0.0f, 1.0f, 1.0f, 0.0f, 0.0f}),
-      0.0f);
-}
-
-TEST_F(SparseKernelsTest, RowTopKTieBreaksTowardLowerColumn) {
-  // All-equal row: top-2 must keep columns 0 and 1, deterministically.
-  Tensor m = Tensor::Full({1, 5}, 0.7f);
-  CsrMatrix top = RowTopK(m, 2);
-  ASSERT_EQ(top.nnz(), 2);
-  EXPECT_EQ(top.col_idx()[0], 0);
-  EXPECT_EQ(top.col_idx()[1], 1);
-}
-
-TEST_F(SparseKernelsTest, RowTopKRenormalizePreservesRowStochastic) {
-  Tensor m = SoftmaxLastAxis(Tensor::Randn({9, 13}, &rng_));
-  CsrMatrix top = RowTopK(m, 4, /*renormalize=*/true);
-  EXPECT_TRUE(dyhsl::testing::RowStochastic(top.ToDense(), 1e-5f));
-}
-
-TEST_F(SparseKernelsTest, RowTopKPatternMatchesReferenceConstruction) {
-  // The one-pass hot path must produce the identical structure and values
-  // as the RowTopK -> FromCsr reference route, including on ties.
-  for (int64_t k : {1, 3, 7}) {
-    Tensor m = Tensor::Randn({13, 7}, &rng_);
-    m.data()[3] = m.data()[5];  // forced magnitude tie inside row 0
-    auto ref = CsrPattern::FromCsr(RowTopK(m, k));
-    Tensor values({13 * std::min<int64_t>(k, 7)});
-    auto fast = RowTopKPattern(m.data(), 13, 7, k, values.data());
-    EXPECT_EQ(fast->row_ptr, ref->row_ptr) << "k=" << k;
-    EXPECT_EQ(fast->col_idx, ref->col_idx) << "k=" << k;
-    EXPECT_EQ(fast->t_row_ptr, ref->t_row_ptr) << "k=" << k;
-    EXPECT_EQ(fast->t_col_idx, ref->t_col_idx) << "k=" << k;
-    // Values in pattern order equal the matrix entries at the coordinates.
-    for (int64_t r = 0; r < 13; ++r) {
-      for (int64_t j = fast->row_ptr[r]; j < fast->row_ptr[r + 1]; ++j) {
-        EXPECT_EQ(values.data()[j], m.At({r, fast->col_idx[j]}));
-      }
-    }
-  }
-}
-
-TEST_F(SparseKernelsTest, RowTopKClampsKToColumnCount) {
-  Tensor m = Tensor::Randn({3, 4}, &rng_);
-  CsrMatrix all = RowTopK(m, 99);
-  EXPECT_TENSOR_NEAR(all.ToDense(), m, 0.0f);
-}
-
-TEST_F(SparseKernelsTest, RowThresholdDropsSmallEntriesAndAllowsEmptyRows) {
-  Tensor m = Tensor::FromVector({2, 3}, {0.9f, -0.05f, 0.2f,
-                                         0.01f, -0.02f, 0.0f});
-  CsrMatrix kept = RowThreshold(m, 0.1f);
-  EXPECT_EQ(kept.nnz(), 2);  // row 1 is entirely below threshold
-  EXPECT_TENSOR_NEAR(
-      kept.ToDense(),
-      Tensor::FromVector({2, 3}, {0.9f, 0.0f, 0.2f, 0.0f, 0.0f, 0.0f}),
-      0.0f);
+  EXPECT_TENSOR_NEAR(SpMM(a, x), RefSpMM(a.ToDense(), x), 1e-4f);
 }
 
 // ------------------------------------------------------- determinism ----
@@ -229,21 +101,13 @@ TEST_F(SparseKernelsTest, RowThresholdDropsSmallEntriesAndAllowsEmptyRows) {
 TEST_F(SparseKernelsTest, SpMMBitDeterministicAcrossThreadCounts) {
   CsrMatrix a = RandomCsr(67, 67, 0.2, &rng_);
   Tensor x = Tensor::Randn({4, 67, 33}, &rng_);
-  auto p = CsrPattern::FromCsr(a);
-  Tensor values = Tensor::FromVector({a.nnz()}, a.values());
   int saved = omp_get_max_threads();
   omp_set_num_threads(1);
   Tensor y1 = SpMM(a, x);
-  Tensor t1 = SpMMPattern(*p, values, x.Reshape({4, 67, 33}), true);
-  Tensor s1 = Sddmm(*p, x, x);
   omp_set_num_threads(4);
   Tensor y4 = SpMM(a, x);
-  Tensor t4 = SpMMPattern(*p, values, x.Reshape({4, 67, 33}), true);
-  Tensor s4 = Sddmm(*p, x, x);
   omp_set_num_threads(saved);
   EXPECT_TENSOR_EQ(y1, y4);
-  EXPECT_TENSOR_EQ(t1, t4);
-  EXPECT_TENSOR_EQ(s1, s4);
 }
 #endif
 
@@ -262,8 +126,6 @@ TEST_F(SparseKernelsTest, SpMMOutputLandsOnActiveWorkspace) {
 
 // ---------------------------------------------------------- autograd ----
 
-float ToleranceForGradcheck() { return 5e-2f; }
-
 ag::Variable ToScalar(const ag::Variable& v) { return ag::SumAll(v); }
 
 TEST_F(SparseKernelsTest, SpMMConstantGradcheckBothDirections) {
@@ -279,101 +141,6 @@ TEST_F(SparseKernelsTest, SpMMConstantGradcheckBothDirections) {
         {x});
     EXPECT_TRUE(report.ok) << "trans=" << trans
                            << " max_rel=" << report.max_rel_error;
-  }
-}
-
-TEST_F(SparseKernelsTest, SparseDenseMatMulGradcheckValuesAndDense) {
-  CsrMatrix a = RandomCsr(6, 7, 0.5, &rng_);
-  auto p = CsrPattern::FromCsr(a);
-  for (bool trans : {false, true}) {
-    ag::Variable values(Tensor::Randn({p->nnz()}, &rng_), true);
-    ag::Variable x(
-        Tensor::Randn({trans ? p->rows : p->cols, 4}, &rng_), true);
-    auto report = ag::GradCheck(
-        [&](const std::vector<ag::Variable>& in) {
-          return ToScalar(ag::SparseDenseMatMul(p, in[0], in[1], trans));
-        },
-        {values, x}, 1e-2f, ToleranceForGradcheck());
-    EXPECT_TRUE(report.ok) << "trans=" << trans
-                           << " max_rel=" << report.max_rel_error;
-  }
-}
-
-TEST_F(SparseKernelsTest, SparseDenseMatMulBatchedXGradcheck) {
-  CsrMatrix a = RandomCsr(5, 6, 0.5, &rng_);
-  auto p = CsrPattern::FromCsr(a);
-  ag::Variable values(Tensor::Randn({p->nnz()}, &rng_), true);
-  ag::Variable x(Tensor::Randn({2, 6, 3}, &rng_), true);
-  auto report = ag::GradCheck(
-      [&](const std::vector<ag::Variable>& in) {
-        return ToScalar(ag::SparseDenseMatMul(p, in[0], in[1]));
-      },
-      {values, x});
-  EXPECT_TRUE(report.ok) << report.max_rel_error;
-}
-
-TEST_F(SparseKernelsTest, BatchedSparseDenseMatMulGradcheck) {
-  const int64_t batch = 2, rows = 6, cols = 5;
-  ag::CsrPatternList patterns;
-  for (int64_t b = 0; b < batch; ++b) {
-    patterns.push_back(
-        CsrPattern::FromCsr(RandomCsr(rows, cols, 0.5, &rng_)));
-  }
-  const int64_t nnz = patterns[0]->nnz();
-  // Patterns may differ in nnz across batch items; regenerate the second
-  // until they match the first (the op requires a rectangular layout).
-  while (patterns[1]->nnz() != nnz) {
-    patterns[1] = CsrPattern::FromCsr(RandomCsr(rows, cols, 0.5, &rng_));
-  }
-  for (bool trans : {false, true}) {
-    ag::Variable values(Tensor::Randn({batch, nnz}, &rng_), true);
-    ag::Variable x(
-        Tensor::Randn({batch, trans ? rows : cols, 3}, &rng_), true);
-    auto report = ag::GradCheck(
-        [&](const std::vector<ag::Variable>& in) {
-          return ToScalar(
-              ag::BatchedSparseDenseMatMul(patterns, in[0], in[1], trans));
-        },
-        {values, x});
-    EXPECT_TRUE(report.ok) << "trans=" << trans
-                           << " max_rel=" << report.max_rel_error;
-  }
-}
-
-TEST_F(SparseKernelsTest, GatherSparseGradcheckAndTopKComposition) {
-  // The full DhslBlock-style chain: dense Λ -> top-k patterns -> gathered
-  // values -> sparse product. The gradient must reach the dense Λ leaf
-  // only through the kept coordinates.
-  ag::Variable lambda(Tensor::Randn({2, 5, 4}, &rng_), true);
-  ag::CsrPatternList patterns;
-  for (int64_t b = 0; b < 2; ++b) {
-    patterns.push_back(CsrPattern::FromCsr(
-        RowTopKSlice(lambda.value().data() + b * 20, 5, 4, 2)));
-  }
-  ag::Variable x(Tensor::Randn({2, 4, 3}, &rng_), true);
-  auto report = ag::GradCheck(
-      [&](const std::vector<ag::Variable>& in) {
-        ag::Variable vals = ag::GatherSparse(in[0], patterns);
-        return ToScalar(ag::BatchedSparseDenseMatMul(patterns, vals, in[1]));
-      },
-      {lambda, x});
-  EXPECT_TRUE(report.ok) << report.max_rel_error;
-  // Dropped coordinates receive exactly zero gradient.
-  ag::Variable vals = ag::GatherSparse(lambda, patterns);
-  ag::Variable y = ToScalar(ag::BatchedSparseDenseMatMul(patterns, vals, x));
-  y.Backward();
-  const Tensor& grad = lambda.grad();
-  for (int64_t b = 0; b < 2; ++b) {
-    const auto& p = *patterns[b];
-    for (int64_t r = 0; r < 5; ++r) {
-      std::vector<bool> kept(4, false);
-      for (int64_t k = p.row_ptr[r]; k < p.row_ptr[r + 1]; ++k) {
-        kept[p.col_idx[k]] = true;
-      }
-      for (int64_t c = 0; c < 4; ++c) {
-        if (!kept[c]) EXPECT_EQ(grad.At({b, r, c}), 0.0f);
-      }
-    }
   }
 }
 
@@ -397,21 +164,6 @@ TEST_F(SparseKernelsTest, SpMMVsDenseAgreementAtModelShapes) {
 
 // ---------------------------------------------------- SIMD dispatch ----
 
-// Independent reference for the top-k contract: k largest |v|, ties toward
-// the lower column, output in ascending column order.
-std::vector<int64_t> RefTopKIndices(const float* row, int64_t n, int64_t k) {
-  std::vector<int64_t> idx(n);
-  for (int64_t i = 0; i < n; ++i) idx[i] = i;
-  std::sort(idx.begin(), idx.end(), [&](int64_t a, int64_t b) {
-    float ma = std::fabs(row[a]), mb = std::fabs(row[b]);
-    if (ma != mb) return ma > mb;
-    return a < b;
-  });
-  idx.resize(k);
-  std::sort(idx.begin(), idx.end());
-  return idx;
-}
-
 // The vector levels compiled in and supported by this machine (scalar is
 // the reference they are compared against).
 std::vector<simd::Level> SupportedVectorLevels() {
@@ -425,119 +177,39 @@ std::vector<simd::Level> SupportedVectorLevels() {
   return levels;
 }
 
-constexpr int64_t kPropertyWidths[] = {1, 2,  3,  5,  7,  8,  9,
-                                       15, 16, 17, 31, 33, 64, 127};
-
-TEST_F(SparseKernelsTest, SimdCountAndCompressBitIdenticalToScalar) {
-  const simd::Ops& scalar = simd::OpsFor(simd::Level::kScalar);
-  for (simd::Level level : SupportedVectorLevels()) {
-    const simd::Ops& ops = simd::OpsFor(level);
-    for (int64_t n : kPropertyWidths) {
-      Tensor x = Tensor::Randn({n}, &rng_);
-      // Plant exact-threshold ties so >= vs > disagreements surface.
-      if (n >= 3) x.data()[n / 2] = 0.5f;
-      if (n >= 5) x.data()[n - 1] = -0.5f;
-      for (float t : {0.0f, 0.25f, 0.5f, 2.0f}) {
-        ASSERT_EQ(ops.count_ge_abs(x.data(), n, t),
-                  scalar.count_ge_abs(x.data(), n, t))
-            << simd::LevelName(level) << " n=" << n << " t=" << t;
-        std::vector<int32_t> got(n, -7), want(n, -7);
-        int64_t ng = ops.compress_ge_abs(x.data(), n, t, got.data());
-        int64_t nw = scalar.compress_ge_abs(x.data(), n, t, want.data());
-        ASSERT_EQ(ng, nw) << simd::LevelName(level) << " n=" << n;
-        for (int64_t i = 0; i < ng; ++i) ASSERT_EQ(got[i], want[i]);
-      }
-    }
-  }
-}
-
-TEST_F(SparseKernelsTest, SimdTopKSelectMatchesReferenceAcrossWidthsAndK) {
-  const simd::Ops& scalar = simd::OpsFor(simd::Level::kScalar);
-  std::vector<const simd::Ops*> all = {&scalar};
-  for (simd::Level level : SupportedVectorLevels()) {
-    all.push_back(&simd::OpsFor(level));
-  }
-  for (int64_t n : kPropertyWidths) {
-    Tensor x = Tensor::Randn({n}, &rng_);
-    // Magnitude ties across sign and position (|x[1]| == |x[n-1]| etc.).
-    if (n >= 4) {
-      x.data()[1] = 0.9f;
-      x.data()[n - 1] = -0.9f;
-      x.data()[n / 2] = 0.9f;
-    }
-    std::vector<float> scratch(simd::TopKScratchFloats(n));
-    for (int64_t k : std::vector<int64_t>{1, n / 2, n}) {
-      if (k < 1) continue;
-      std::vector<int64_t> want = RefTopKIndices(x.data(), n, k);
-      for (const simd::Ops* ops : all) {
-        std::vector<int64_t> got(k, -1);
-        ops->topk_select(x.data(), n, k, scratch.data(), got.data());
-        ASSERT_EQ(got, want) << "n=" << n << " k=" << k;
-      }
-    }
-  }
-}
-
-TEST_F(SparseKernelsTest, SimdTopKSelectAllEqualRowTiesTowardLowestColumns) {
-  const simd::Ops& scalar = simd::OpsFor(simd::Level::kScalar);
-  for (int64_t n : {3, 16, 33}) {
-    Tensor x = Tensor::Full({n}, 0.7f);
-    std::vector<float> scratch(simd::TopKScratchFloats(n));
-    for (int64_t k : {int64_t{1}, n / 2, n}) {
-      if (k < 1) continue;
-      std::vector<int64_t> want(k);
-      for (int64_t i = 0; i < k; ++i) want[i] = i;
-      std::vector<int64_t> got(k);
-      scalar.topk_select(x.data(), n, k, scratch.data(), got.data());
-      EXPECT_EQ(got, want);
-      for (simd::Level level : SupportedVectorLevels()) {
-        simd::OpsFor(level).topk_select(x.data(), n, k, scratch.data(),
-                                        got.data());
-        EXPECT_EQ(got, want) << simd::LevelName(level) << " n=" << n;
-      }
-    }
-  }
-}
-
-TEST_F(SparseKernelsTest, SimdPrimitivesHandleDenormalsIdentically) {
-  // The kernels never enable FTZ/DAZ, so denormal magnitudes must order
-  // and count identically at every level.
-  const simd::Ops& scalar = simd::OpsFor(simd::Level::kScalar);
-  const int64_t n = 37;
-  Tensor x({n});
-  const float denorm = std::ldexp(1.0f, -140);  // far below FLT_MIN
-  for (int64_t i = 0; i < n; ++i) {
-    x.data()[i] = static_cast<float>((i * 13) % n - n / 2) * denorm;
-  }
-  std::vector<float> scratch(simd::TopKScratchFloats(n));
-  std::vector<int64_t> want = RefTopKIndices(x.data(), n, 5);
-  const float t = 3.0f * denorm;
-  for (simd::Level level : SupportedVectorLevels()) {
-    const simd::Ops& ops = simd::OpsFor(level);
-    EXPECT_EQ(ops.count_ge_abs(x.data(), n, t),
-              scalar.count_ge_abs(x.data(), n, t));
-    std::vector<int64_t> got(5);
-    ops.topk_select(x.data(), n, 5, scratch.data(), got.data());
-    EXPECT_EQ(got, want) << simd::LevelName(level);
-  }
-}
-
 TEST_F(SparseKernelsTest, SimdTileRowUpdateBitIdenticalAcrossLevels) {
   const simd::Ops& scalar = simd::OpsFor(simd::Level::kScalar);
-  for (int64_t n = 1; n <= simd::kMaxLanes; ++n) {
-    Tensor acc = Tensor::Randn({simd::kMaxLanes}, &rng_);
-    Tensor base = Tensor::Randn({simd::kMaxLanes}, &rng_);
-    for (float beta : {0.0f, 1.0f, -0.375f}) {
-      Tensor want = base.Clone();
-      scalar.tile_row_update(acc.data(), want.data(), n, beta);
-      for (simd::Level level : SupportedVectorLevels()) {
-        Tensor got = base.Clone();
-        simd::OpsFor(level).tile_row_update(acc.data(), got.data(), n, beta);
-        EXPECT_TENSOR_EQ(got, want)
-            << simd::LevelName(level) << " n=" << n << " beta=" << beta;
-        // Lanes past n must be untouched (masked stores).
-        for (int64_t j = n; j < simd::kMaxLanes; ++j) {
-          EXPECT_EQ(got.data()[j], base.data()[j]);
+  // The second scale draws every operand far below FLT_MIN: simd.h
+  // promises no FTZ/DAZ, so denormal sums and products must round the
+  // same way at every level instead of flushing to zero.
+  const float denorm = std::ldexp(1.0f, -140);
+  for (float scale : {1.0f, denorm}) {
+    for (int64_t n = 1; n <= simd::kMaxLanes; ++n) {
+      Tensor acc = Tensor::Randn({simd::kMaxLanes}, &rng_, scale);
+      Tensor base = Tensor::Randn({simd::kMaxLanes}, &rng_, scale);
+      if (scale != 1.0f) {
+        // Keeps the case honest: the operands really are subnormal.
+        int64_t subnormal = 0;
+        for (int64_t j = 0; j < n; ++j) {
+          subnormal += std::fpclassify(acc.data()[j]) == FP_SUBNORMAL;
+          subnormal += std::fpclassify(base.data()[j]) == FP_SUBNORMAL;
+        }
+        ASSERT_GT(subnormal, 0) << "n=" << n;
+      }
+      for (float beta : {0.0f, 1.0f, -0.375f}) {
+        Tensor want = base.Clone();
+        scalar.tile_row_update(acc.data(), want.data(), n, beta);
+        for (simd::Level level : SupportedVectorLevels()) {
+          Tensor got = base.Clone();
+          simd::OpsFor(level).tile_row_update(acc.data(), got.data(), n,
+                                              beta);
+          EXPECT_TENSOR_EQ(got, want) << simd::LevelName(level) << " n=" << n
+                                      << " beta=" << beta
+                                      << " scale=" << scale;
+          // Lanes past n must be untouched (masked stores).
+          for (int64_t j = n; j < simd::kMaxLanes; ++j) {
+            EXPECT_EQ(got.data()[j], base.data()[j]);
+          }
         }
       }
     }
@@ -548,153 +220,6 @@ TEST_F(SparseKernelsTest, SimdActiveLevelIsAtMostDetected) {
   EXPECT_LE(static_cast<int>(simd::ActiveLevel()),
             static_cast<int>(simd::DetectedLevel()));
   EXPECT_NE(simd::LevelName(simd::ActiveLevel()), nullptr);
-}
-
-// ---------------------------------------------------- pattern cache ----
-
-TEST_F(SparseKernelsTest, CountDriftedRowsZeroOnUnchangedData) {
-  Tensor m = Tensor::Randn({11, 9}, &rng_);
-  auto p = RowTopKPattern(m.data(), 11, 9, 3);
-  EXPECT_EQ(CountDriftedRows(*p, m.data()), 0);
-}
-
-TEST_F(SparseKernelsTest, CountDriftedRowsDetectsMarginFlip) {
-  Tensor m = Tensor::Randn({8, 6}, &rng_);
-  auto p = RowTopKPattern(m.data(), 8, 6, 2);
-  // Promote a dropped entry of row 3 above the weakest kept one.
-  const float* row = m.data() + 3 * 6;
-  std::vector<bool> kept(6, false);
-  for (int64_t j = p->row_ptr[3]; j < p->row_ptr[4]; ++j) {
-    kept[p->col_idx[j]] = true;
-  }
-  float max_mag = 0.0f;
-  for (int64_t c = 0; c < 6; ++c) {
-    max_mag = std::max(max_mag, std::fabs(row[c]));
-  }
-  for (int64_t c = 0; c < 6; ++c) {
-    if (!kept[c]) {
-      m.data()[3 * 6 + c] = 2.0f * max_mag + 1.0f;
-      break;
-    }
-  }
-  EXPECT_EQ(CountDriftedRows(*p, m.data()), 1);
-}
-
-TEST_F(SparseKernelsTest, PatternCacheExactReuseReturnsSamePattern) {
-  TopKPatternCache cache;
-  Tensor m = Tensor::Randn({10, 8}, &rng_);
-  auto first = cache.SelectOrReuse(0, m.data(), 10, 8, 3);
-  auto second = cache.SelectOrReuse(0, m.data(), 10, 8, 3);
-  EXPECT_EQ(first.get(), second.get());  // same cached object
-  EXPECT_EQ(cache.stats().selects, 1);
-  EXPECT_EQ(cache.stats().reuses, 1);
-  EXPECT_EQ(cache.stats().drifted_rows, 0);
-}
-
-TEST_F(SparseKernelsTest, PatternCacheReselectsPastDriftThreshold) {
-  TopKPatternCache::Options opts;
-  opts.drift_threshold = 0.05f;  // 10 rows -> at most 0 drifted rows pass
-  TopKPatternCache cache(opts);
-  Tensor m = Tensor::Randn({10, 8}, &rng_);
-  auto first = cache.SelectOrReuse(0, m.data(), 10, 8, 3);
-  // Rewrite two rows entirely: well past the threshold.
-  for (int64_t i = 0; i < 16; ++i) m.data()[i] = 100.0f + i;
-  auto second = cache.SelectOrReuse(0, m.data(), 10, 8, 3);
-  EXPECT_NE(first.get(), second.get());
-  EXPECT_EQ(cache.stats().selects, 1);  // only the cold one
-  EXPECT_EQ(cache.stats().drift_reselects, 1);
-  EXPECT_EQ(cache.stats().reuses, 0);
-  // The re-selected pattern equals a fresh selection.
-  auto fresh = RowTopKPattern(m.data(), 10, 8, 3);
-  EXPECT_EQ(second->col_idx, fresh->col_idx);
-}
-
-TEST_F(SparseKernelsTest, PatternCacheToleratesDriftUnderThreshold) {
-  TopKPatternCache::Options opts;
-  opts.drift_threshold = 0.5f;  // 10 rows -> up to 5 drifted rows reuse
-  TopKPatternCache cache(opts);
-  Tensor m = Tensor::Randn({10, 8}, &rng_);
-  auto first = cache.SelectOrReuse(0, m.data(), 10, 8, 3);
-  for (int64_t i = 0; i < 8; ++i) m.data()[i] = 50.0f + i;  // one row
-  auto second = cache.SelectOrReuse(0, m.data(), 10, 8, 3);
-  EXPECT_EQ(first.get(), second.get());  // stale but within tolerance
-  EXPECT_EQ(cache.stats().reuses, 1);
-  EXPECT_EQ(cache.stats().drifted_rows, 1);
-}
-
-TEST_F(SparseKernelsTest, PatternCacheKeysOnSlotAndShape) {
-  TopKPatternCache cache;
-  Tensor a = Tensor::Randn({6, 5}, &rng_);
-  Tensor b = Tensor::Randn({6, 5}, &rng_);
-  auto pa = cache.SelectOrReuse(0, a.data(), 6, 5, 2);
-  auto pb = cache.SelectOrReuse(1, b.data(), 6, 5, 2);
-  EXPECT_EQ(cache.stats().selects, 2);  // slots are independent streams
-  EXPECT_EQ(cache.SelectOrReuse(0, a.data(), 6, 5, 2).get(), pa.get());
-  EXPECT_EQ(cache.SelectOrReuse(1, b.data(), 6, 5, 2).get(), pb.get());
-  // A different k on the same slot is a different stream, not a reuse.
-  cache.SelectOrReuse(0, a.data(), 6, 5, 3);
-  EXPECT_EQ(cache.stats().selects, 3);
-  cache.Clear();
-  cache.SelectOrReuse(0, a.data(), 6, 5, 2);
-  EXPECT_EQ(cache.stats().selects, 4);  // cold again after Clear
-}
-
-TEST_F(SparseKernelsTest, PatternCacheRejectsBadThreshold) {
-  TopKPatternCache::Options opts;
-  opts.drift_threshold = 1.5f;
-  EXPECT_DEATH(TopKPatternCache cache(opts), "drift_threshold");
-}
-
-TEST_F(SparseKernelsTest, CachedPatternGradientsMatchFreshWhenNoDrift) {
-  // A zero-drift reuse must be invisible to autograd: same forward, same
-  // gradients, bit for bit.
-  ag::Variable lambda(Tensor::Randn({2, 6, 5}, &rng_), true);
-  TopKPatternCache cache;
-  ag::CsrPatternList fresh, cached;
-  for (int64_t b = 0; b < 2; ++b) {
-    const float* slab = lambda.value().data() + b * 30;
-    fresh.push_back(RowTopKPattern(slab, 6, 5, 2));
-    cache.SelectOrReuse(b, slab, 6, 5, 2);          // warm the cache
-    cached.push_back(cache.SelectOrReuse(b, slab, 6, 5, 2));  // reuse
-  }
-  EXPECT_EQ(cache.stats().reuses, 2);
-  ag::Variable x(Tensor::Randn({2, 5, 3}, &rng_), false);
-  auto run = [&](const ag::CsrPatternList& patterns) {
-    lambda.ZeroGrad();
-    ag::Variable vals = ag::GatherSparse(lambda, patterns);
-    ag::Variable y =
-        ToScalar(ag::BatchedSparseDenseMatMul(patterns, vals, x));
-    y.Backward();
-    return std::make_pair(y.value().Clone(), lambda.grad().Clone());
-  };
-  auto [y_fresh, g_fresh] = run(fresh);
-  auto [y_cached, g_cached] = run(cached);
-  EXPECT_TENSOR_EQ(y_cached, y_fresh);
-  EXPECT_TENSOR_EQ(g_cached, g_fresh);
-}
-
-// ------------------------------------------------------ row threshold ----
-
-TEST_F(SparseKernelsTest, RowThresholdRejectsNegativeThreshold) {
-  Tensor m = Tensor::Randn({2, 3}, &rng_);
-  EXPECT_DEATH(RowThreshold(m, -0.5f), "threshold");
-}
-
-TEST_F(SparseKernelsTest, RowThresholdRenormalizeLeavesEmptyRowsFinite) {
-  // Row 1 loses every entry; renormalize must skip it (no 0/0) and leave
-  // the output NaN-free. Row 2's kept sum is negative, which the guard
-  // also refuses to scale by.
-  Tensor m = Tensor::FromVector({3, 3}, {0.6f, 0.3f, 0.05f,     // kept: 2
-                                         0.01f, -0.02f, 0.03f,  // kept: 0
-                                         -0.9f, 0.2f, 0.01f});  // sum < 0
-  CsrMatrix kept = RowThreshold(m, 0.1f, /*renormalize=*/true);
-  Tensor d = kept.ToDense();
-  for (int64_t i = 0; i < d.numel(); ++i) {
-    EXPECT_TRUE(std::isfinite(d.data()[i])) << "index " << i;
-  }
-  // Row 0 renormalizes to its original sum; row 1 stays empty.
-  EXPECT_NEAR(d.At({0, 0}) + d.At({0, 1}), 0.95f, 1e-6f);
-  for (int64_t c = 0; c < 3; ++c) EXPECT_EQ(d.At({1, c}), 0.0f);
 }
 
 }  // namespace

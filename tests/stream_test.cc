@@ -2,8 +2,8 @@
 // zero-copy views, TickStream replay, SessionManager lifecycle (strict
 // tick sequencing, eviction, TTL, rolling stats), exactness of session
 // forecasts against full-window submission for every zoo model, warm
-// recurrent-state carry and resync on DCRNN, DHGNN structure reuse, and
-// the router's pooled gather scratch.
+// recurrent-state carry and resync on DCRNN, DHGNN's per-window structure
+// served through a session, and the router's pooled gather scratch.
 
 #include <algorithm>
 #include <atomic>
@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "src/autograd/inference.h"
+#include "src/core/parallel.h"
 #include "src/data/dataset.h"
 #include "src/data/stream.h"
 #include "src/graph/shard.h"
@@ -563,79 +564,45 @@ TEST(StreamSessionTest, ConcurrentAppendAndForecastStaySequenced) {
 
 // ------------------------------------------- Structure reuse and stats --
 
-TEST(StreamSessionTest, DhgnnStructureReuseIsExactOnIdenticalWindows) {
+// DHGNN rebuilds its hypergraph from every window, so its session
+// forecast through router and engine must equal a grad-free Forward of the
+// same window on the engine's own model, bit for bit.
+TEST(StreamSessionTest, DhgnnSessionForecastBitIdenticalToDirectForward) {
   const data::TrafficDataset& ds = SharedDataset();
   train::ForecastTask task = train::ForecastTask::FromDataset(ds);
-  train::ZooConfig reuse_cfg = TinyZoo();
-  reuse_cfg.dhgnn_structure_reuse = true;
-  auto fresh = train::MakeNeuralModel("DHGNN", task, TinyZoo());
-  auto cached = train::MakeNeuralModel("DHGNN", task, reuse_cfg);
-  auto* cached_dhgnn = dynamic_cast<baselines::Dhgnn*>(cached.get());
-  ASSERT_NE(cached_dhgnn, nullptr);
-  cached_dhgnn->ClearStructureCache();
-
-  autograd::InferenceModeGuard no_grad;
-  T::Tensor x = ds.MakeInput(5).Reshape({1, task.history, task.num_nodes, 3});
-  T::Tensor reference = fresh->Forward(x, false).value();
-  T::Tensor first = cached->Forward(x, false).value();
-  T::Tensor second = cached->Forward(x, false).value();
-  // Identical signatures pass the drift check with zero drifted nodes,
-  // and the reused structure is the one an identical rebuild would give.
-  EXPECT_TRUE(TensorEq(first, reference));
-  EXPECT_TRUE(TensorEq(second, reference));
-  T::TopKPatternCache::Stats stats = cached_dhgnn->StructureCacheStats();
-  EXPECT_EQ(stats.selects, 1);
-  EXPECT_EQ(stats.reuses, 1);
-  EXPECT_EQ(stats.drift_reselects, 0);
-}
-
-TEST(StreamSessionTest, DhgnnDriftForcesRebuildMatchingFreshModel) {
-  const data::TrafficDataset& ds = SharedDataset();
-  train::ForecastTask task = train::ForecastTask::FromDataset(ds);
-  train::ZooConfig reuse_cfg = TinyZoo();
-  reuse_cfg.dhgnn_structure_reuse = true;
-  reuse_cfg.dhgnn_drift_threshold = 0.0f;  // any drifted node rebuilds
-  auto fresh = train::MakeNeuralModel("DHGNN", task, TinyZoo());
-  auto cached = train::MakeNeuralModel("DHGNN", task, reuse_cfg);
-  auto* cached_dhgnn = dynamic_cast<baselines::Dhgnn*>(cached.get());
-  ASSERT_NE(cached_dhgnn, nullptr);
-  cached_dhgnn->ClearStructureCache();
-
-  autograd::InferenceModeGuard no_grad;
-  T::Tensor x1 = ds.MakeInput(5).Reshape({1, task.history, task.num_nodes, 3});
-  // A far-away window: the per-node signature means move, so with a zero
-  // threshold the cache must rebuild and match the fresh model exactly.
-  T::Tensor x2 =
-      ds.MakeInput(300).Reshape({1, task.history, task.num_nodes, 3});
-  (void)cached->Forward(x1, false);
-  T::Tensor rebuilt = cached->Forward(x2, false).value();
-  T::Tensor reference = fresh->Forward(x2, false).value();
-  EXPECT_TRUE(TensorEq(rebuilt, reference));
-  T::TopKPatternCache::Stats stats = cached_dhgnn->StructureCacheStats();
-  EXPECT_EQ(stats.selects, 1);
-  EXPECT_EQ(stats.drift_reselects, 1);
-}
-
-TEST(StreamSessionTest, StructureCacheStatsSurfaceThroughEngineAndRouter) {
-  const data::TrafficDataset& ds = SharedDataset();
-  train::ForecastTask task = train::ForecastTask::FromDataset(ds);
-  train::ZooConfig reuse_cfg = TinyZoo();
-  reuse_cfg.dhgnn_structure_reuse = true;
   auto router = std::move(ForecastRouter::Create()).ValueOrDie();
   ASSERT_TRUE(
-      router->AddModel("dhgnn", task, ZooFactory("DHGNN", reuse_cfg)).ok());
+      router->AddModel("dhgnn", task, ZooFactory("DHGNN", TinyZoo())).ok());
   SessionManager manager(router.get());
   ASSERT_TRUE(manager.Open("s", SessionOptions()).ok());
-  StreamTicks(&manager, "s", 0, task.history + 2);
-  ASSERT_TRUE(manager.Forecast("s").status.ok());
-  ASSERT_TRUE(manager.Forecast("s").status.ok());
+  const int64_t ticks = task.history + 2;
+  StreamTicks(&manager, "s", 0, ticks);
+  ForecastResponse first = manager.Forecast("s");
+  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+  ForecastResponse second = manager.Forecast("s");
+  ASSERT_TRUE(second.status.ok()) << second.status.ToString();
+  EXPECT_TRUE(TensorEq(second.forecast, first.forecast));
+
+  auto route = router->RouteFor("dhgnn");
+  ASSERT_TRUE(route.ok()) << route.status().ToString();
+  ForecastEngine* engine = route.ValueOrDie().engines[0];
+  T::Tensor window = ds.MakeInput(ticks - task.history);
+  T::Tensor direct;
+  {
+    // The engine's team size: GEMM is bit-deterministic per team.
+    core::TeamScope team(engine->team_size());
+    autograd::InferenceModeGuard no_grad;
+    direct = engine->mutable_model()
+                 ->Forward(window.Reshape({1, task.history, task.num_nodes,
+                                           task.input_dim}),
+                           /*training=*/false)
+                 .value();
+  }
+  EXPECT_TRUE(TensorEq(first.forecast,
+                       direct.Reshape({task.horizon, task.num_nodes})));
 
   RouterStats stats = router->Stats();
   EXPECT_GE(stats.total.streamed, 2);
-  EXPECT_GE(stats.total.pattern.selects, 1);
-  EXPECT_GE(stats.total.pattern.selects + stats.total.pattern.reuses +
-                stats.total.pattern.drift_reselects,
-            2);
   ASSERT_EQ(stats.engines.size(), 1u);
   EXPECT_EQ(stats.engines[0].stats.streamed, stats.total.streamed);
 }
