@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks for the tensor/sparse kernels that
 // dominate DyHSL training time: dense matmul, batched matmul, SpMM over
-// temporal graphs, elementwise chains, and hypergraph-style products.
+// temporal graphs, elementwise chains, hypergraph-style products, and the
+// tanh/sigmoid/exp array kernels.
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +10,7 @@
 #include "src/tensor/ops.h"
 #include "src/tensor/sparse.h"
 #include "src/tensor/tensor.h"
+#include "src/tensor/vecmath.h"
 
 namespace dyhsl {
 namespace {
@@ -130,6 +132,39 @@ void BM_ElementwiseChain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * 3);
 }
 BENCHMARK(BM_ElementwiseChain)->Arg(1 << 14)->Arg(1 << 18);
+
+// The transcendental array kernels at DyHSL's per-forward tanh count
+// (B = 1, paper config: 2 layers x 28N rows x d = 64, N = 170), on the
+// calling thread's OpenMP team.
+constexpr int64_t kTranscendentalCount = 609280;
+
+template <void (*Fn)(const float*, float*, int64_t)>
+void BM_Transcendental(benchmark::State& state) {
+  Rng rng(11);
+  T::Tensor x = T::Tensor::Randn({kTranscendentalCount}, &rng);
+  T::Tensor y({kTranscendentalCount});
+  for (auto _ : state) {
+    Fn(x.data(), y.data(), kTranscendentalCount);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kTranscendentalCount);
+}
+
+void BM_Tanh(benchmark::State& state) {
+  BM_Transcendental<T::TanhArray>(state);
+}
+BENCHMARK(BM_Tanh);
+
+void BM_Sigmoid(benchmark::State& state) {
+  BM_Transcendental<T::SigmoidArray>(state);
+}
+BENCHMARK(BM_Sigmoid);
+
+void BM_Exp(benchmark::State& state) {
+  BM_Transcendental<T::ExpArray>(state);
+}
+BENCHMARK(BM_Exp);
 
 void BM_MaxPoolTime(benchmark::State& state) {
   Rng rng(6);

@@ -233,19 +233,11 @@ Variable Affine(const Variable& x, const Variable& w, const Variable& b) {
   T::Tensor xv = x.value(), wv = w.value();
   int64_t m = xv.size(0), n = wv.size(1);
   T::Tensor y({m, n});
-  // C-init with the bias rows, then accumulate the products on top
-  // (beta = 1). One output pass instead of MatMul followed by a
-  // broadcast Add. Bit-identical to that chain for k <= one GEMM K
-  // panel (x + y == y + x in IEEE float); for larger k the bias joins
-  // the sum first and results differ from the chain only in rounding —
-  // taped and grad-free calls share this kernel either way, so
-  // cross-mode bit-identity always holds (AffineTest covers both).
-  const float* pb = b.value().data();
-  float* py = y.data();
-  for (int64_t i = 0; i < m; ++i) {
-    std::memcpy(py + i * n, pb, static_cast<size_t>(n) * sizeof(float));
-  }
-  T::MatMulInto(xv, wv, false, false, /*beta=*/1.0f, &y);
+  // The bias joins in the GEMM write-back, after the last K panel: one
+  // output pass, bit-identical to MatMul followed by a broadcast Add.
+  T::GemmEpilogue ep;
+  ep.bias = b.value().data();
+  T::MatMulInto(xv, wv, false, false, /*beta=*/0.0f, &y, &ep);
   return MakeOpResult(std::move(y), {x, w, b}, [xv, wv](Node* node) {
     const T::Tensor& g = node->grad;
     AccumulateMatMul(node, 0, g, wv, false, true);
@@ -584,7 +576,8 @@ Variable Relu(Variable&& a) {
 
 Variable Sigmoid(Variable&& a) {
   if (CanMutateInPlace(a)) {
-    T::SigmoidInPlace(a.mutable_value()->data(), a.numel());
+    float* p = a.mutable_value()->data();
+    T::SigmoidArray(p, p, a.numel());
     return std::move(a);
   }
   return Sigmoid(static_cast<const Variable&>(a));
@@ -592,7 +585,8 @@ Variable Sigmoid(Variable&& a) {
 
 Variable Tanh(Variable&& a) {
   if (CanMutateInPlace(a)) {
-    T::TanhInPlace(a.mutable_value()->data(), a.numel());
+    float* p = a.mutable_value()->data();
+    T::TanhArray(p, p, a.numel());
     return std::move(a);
   }
   return Tanh(static_cast<const Variable&>(a));

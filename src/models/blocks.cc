@@ -6,7 +6,7 @@
 #include "src/autograd/inference.h"
 #include "src/core/check.h"
 #include "src/nn/init.h"
-#include "src/tensor/vecmath.h"
+#include "src/tensor/ops.h"
 
 namespace dyhsl::models {
 
@@ -57,9 +57,17 @@ Variable PriorGraphEncoder::Forward(const Variable& x) const {
   h = ag::Reshape(h, {batch, history_ * num_nodes_, hidden_dim_});
   for (const auto& proj : conv_) {
     // Eq. 5: h_l = φ(Ā h_{l-1} W); residual keeps deep stacks (Lp = 6 in
-    // the paper) from oversmoothing. conv is moved first so inference
-    // mode can accumulate the residual in place (x + y == y + x).
-    Variable conv = ag::Relu(proj->Forward(ag::SpMM(temporal_op_, h)));
+    // the paper) from oversmoothing.
+    Variable agg = ag::SpMM(temporal_op_, h);
+    if (ag::InferenceModeEnabled()) {
+      // The whole layer is one GEMM write-back: relu(ĀhW + b) + h.
+      T::GemmEpilogue ep;
+      ep.relu = true;
+      if (residual_) ep.residual = h.value().data();
+      h = Variable(proj->ForwardFused(agg.value(), ep));
+      continue;
+    }
+    Variable conv = ag::Relu(proj->Forward(agg));
     h = residual_ ? ag::Add(std::move(conv), h) : conv;
   }
   return h;
@@ -103,18 +111,22 @@ Variable DhslBlock::Incidence(const Variable& h) const {
   return ag::BatchedMatMul(h, incidence_weight_);  // (B, R, I)
 }
 
+const Variable& DhslBlock::ScratchAdjacency(int64_t rows) const {
+  for (const auto& [r, adj] : scratch_adj_) {
+    if (r == rows) return adj;
+  }
+  DYHSL_CHECK_MSG(false, "kFromScratch: sequence length not registered");
+  return scratch_adj_.front().second;  // unreachable
+}
+
 Variable DhslBlock::Forward(const Variable& h) const {
   DYHSL_CHECK_EQ(h.dim(), 3);
+  if (ag::InferenceModeEnabled()) return Variable(FusedForward(h.value()));
   int64_t rows = h.size(1);
   if (mode_ == StructureLearning::kFromScratch) {
-    for (const auto& [r, adj] : scratch_adj_) {
-      if (r == rows) {
-        // F = A_learn H, with A shared across the batch (shared-LHS
-        // batched matmul; no transpose round-trips).
-        return ag::BatchedMatMul(adj, h);
-      }
-    }
-    DYHSL_CHECK_MSG(false, "kFromScratch: sequence length not registered");
+    // F = A_learn H, with A shared across the batch (shared-LHS
+    // batched matmul; no transpose round-trips).
+    return ag::BatchedMatMul(ScratchAdjacency(rows), h);
   }
   float row_scale = 1.0f / std::sqrt(static_cast<float>(rows));
   float edge_scale =
@@ -127,6 +139,49 @@ Variable DhslBlock::Forward(const Variable& h) const {
   Variable edges = ag::Add(ag::Relu(mixed), edge_feat);  // (B, I, d)
   // Eq. 8: F = Λ E.
   return ag::MulScalar(ag::BatchedMatMul(incidence, edges), edge_scale);
+}
+
+T::Tensor DhslBlock::ForwardMixed(const T::Tensor& h,
+                                  const T::Tensor& other) const {
+  DYHSL_CHECK_EQ(h.dim(), 3);
+  DYHSL_CHECK(other.shape() == h.shape());
+  return FusedForward(h, &other);
+}
+
+T::Tensor DhslBlock::FusedForward(const T::Tensor& h,
+                                  const T::Tensor* other) const {
+  // Forward's op chain with every elementwise step moved into the write-back
+  // of the GEMM before it; each epilogue rounds exactly like those ops.
+  const int64_t batch = h.size(0), rows = h.size(1);
+  T::GemmEpilogue out_ep;  // the final product's write-back
+  if (other != nullptr) {
+    out_ep.residual = other->data();
+    out_ep.post = 0.5f;
+  }
+  T::Tensor out({batch, rows, hidden_dim_});
+  if (mode_ == StructureLearning::kFromScratch) {
+    T::BatchedMatMulInto(ScratchAdjacency(rows).value(), h, false, false,
+                         /*beta=*/0.0f, &out, &out_ep);
+    return out;
+  }
+  const T::Tensor incidence =
+      T::BatchedMatMul(h, incidence_weight_.value());  // Eq. 6
+  // Eq. 7: ΛᵀH / √R, then E = φ(U ·) + ·.
+  T::GemmEpilogue feat_ep;
+  feat_ep.scale = 1.0f / std::sqrt(static_cast<float>(rows));
+  T::Tensor edge_feat({batch, num_hyperedges_, hidden_dim_});
+  T::BatchedMatMulInto(incidence, h, /*trans_a=*/true, false, 0.0f,
+                       &edge_feat, &feat_ep);
+  T::GemmEpilogue edge_ep;
+  edge_ep.relu = true;
+  edge_ep.residual = edge_feat.data();
+  T::Tensor edges({batch, num_hyperedges_, hidden_dim_});
+  T::BatchedMatMulInto(edge_mixer_.value(), edge_feat, false, false, 0.0f,
+                       &edges, &edge_ep);
+  // Eq. 8: F = Λ E / √I, and with `other` Eq. 13's ½(F + other).
+  out_ep.scale = 1.0f / std::sqrt(static_cast<float>(num_hyperedges_));
+  T::BatchedMatMulInto(incidence, edges, false, false, 0.0f, &out, &out_ep);
+  return out;
 }
 
 IgcBlock::IgcBlock(int64_t hidden_dim, Rng* rng)
@@ -143,13 +198,15 @@ Variable IgcBlock::Forward(const autograd::SparseConstant& adj,
   // Both sums in Eq. 11 share the same neighborhood aggregation Ā h.
   Variable m = ag::SpMM(adj, h);
   if (ag::InferenceModeEnabled()) {
-    // One fused pass for tanh(W1 m ⊙ W2 m) + φ(W3 m): elementwise
-    // identical to the taped chain below, without its intermediates.
-    Variable a = w1_.Forward(m), b = w2_.Forward(m), c = w3_.Forward(m);
-    T::Tensor out(a.value().shape());
-    T::TanhProductPlusReluArray(a.value().data(), b.value().data(),
-                                c.value().data(), out.data(), out.numel());
-    return Variable(std::move(out));
+    // tanh(M W1 ⊙ M W2) + φ(M W3 + b3) lands in W3's GEMM write-back:
+    // bit-identical to the taped chain below, without its intermediates.
+    const T::Tensor& mv = m.value();
+    const T::Tensor a = w1_.ForwardFused(mv, {});
+    const T::Tensor b = w2_.ForwardFused(mv, {});
+    T::GemmEpilogue gate;
+    gate.gate_a = a.data();
+    gate.gate_b = b.data();
+    return Variable(w3_.ForwardFused(mv, gate));
   }
   // Written as one expression of temporaries so grad-free callers that
   // land here still hit the in-place overloads.

@@ -75,6 +75,12 @@ class DhslBlock : public nn::Module {
   /// \brief One hypergraph convolution pass over H (B, R, d).
   Variable Forward(const Variable& h) const;
 
+  /// \brief Grad-free Eq. 13 mix ½(Forward(h) + other) for `other` of h's
+  /// shape, with the sum and the halving fused into the last GEMM's
+  /// write-back. Bit-identical to the op chain.
+  tensor::Tensor ForwardMixed(const tensor::Tensor& h,
+                              const tensor::Tensor& other) const;
+
   /// \brief The incidence matrix Λ (B, R, I) for analysis (paper Fig. 7).
   Variable Incidence(const Variable& h) const;
 
@@ -85,6 +91,12 @@ class DhslBlock : public nn::Module {
   void RegisterSequenceLength(int64_t rows, Rng* rng);
 
  private:
+  /// kFromScratch's adjacency for a registered sequence length.
+  const Variable& ScratchAdjacency(int64_t rows) const;
+  /// Grad-free Forward (other == nullptr) or ForwardMixed.
+  tensor::Tensor FusedForward(const tensor::Tensor& h,
+                              const tensor::Tensor* other = nullptr) const;
+
   int64_t hidden_dim_;
   int64_t num_hyperedges_;
   StructureLearning mode_;

@@ -74,8 +74,13 @@ ag::Variable DyHsl::RunScale(const ag::Variable& h_full, int64_t eps,
     // Eq. 13: Δ_l = 1/2 (BLOCK_H(Δ_{l-1}) + BLOCK_I(Δ_{l-1})).
     ag::Variable mixed;
     if (config_.use_igc) {
-      mixed = ag::MulScalar(
-          ag::Add(dhsl_.Forward(delta), igc_.Forward(adj, delta)), 0.5f);
+      // IGC first, so the grad-free path can mix it into DHSL's last GEMM.
+      ag::Variable igc = igc_.Forward(adj, delta);
+      if (ag::InferenceModeEnabled()) {
+        mixed = ag::Variable(dhsl_.ForwardMixed(delta.value(), igc.value()));
+      } else {
+        mixed = ag::MulScalar(ag::Add(dhsl_.Forward(delta), igc), 0.5f);
+      }
     } else {
       mixed = dhsl_.Forward(delta);  // Table VI "w/o IGC" ablation
     }

@@ -1,7 +1,6 @@
 #include "src/nn/layers.h"
 
 #include <cmath>
-#include <cstring>
 #include <utility>
 
 #include "src/autograd/inference.h"
@@ -33,6 +32,18 @@ Variable Linear::Forward(const Variable& x) const {
                                : ag::MatMul(x2, weight_);
   if (x.dim() != 2) y = ag::Reshape(y, std::move(out_shape));
   return y;
+}
+
+tensor::Tensor Linear::ForwardFused(const tensor::Tensor& x,
+                                   tensor::GemmEpilogue epilogue) const {
+  DYHSL_CHECK_EQ(x.size(-1), in_features_);
+  tensor::Shape out_shape = x.shape();
+  out_shape.back() = out_features_;
+  tensor::Tensor y({x.numel() / in_features_, out_features_});
+  if (bias_.defined()) epilogue.bias = bias_.value().data();
+  tensor::MatMulInto(x.Reshape({-1, in_features_}), weight_.value(), false,
+                     false, /*beta=*/0.0f, &y, &epilogue);
+  return y.Reshape(std::move(out_shape));
 }
 
 Embedding::Embedding(int64_t count, int64_t dim, Rng* rng) {
@@ -167,29 +178,19 @@ Variable DiffusionConv::Forward(const autograd::SparseConstant& fw,
                                 const Variable& x) const {
   if (ag::InferenceModeEnabled()) {
     // Grad-free fast path: accumulate every diffusion term into ONE
-    // output buffer (bias init + beta = 1 GEMMs) instead of
-    // materializing 2 * steps + 1 projection outputs and folding them
-    // with as many Adds. At serving batch sizes the taped chain is
-    // memory-bound on those extra output passes. Bit-identical to the
-    // chain: each projection's K fits a single GEMM panel, so the
-    // beta = 1 store is the same elementwise add the chain performs
-    // (the Affine argument, src/autograd/ops.cc).
+    // output buffer (the k = 0 projection with its bias, then beta = 1
+    // GEMMs) instead of materializing 2 * steps + 1 projection outputs
+    // and folding them with as many Adds. At serving batch sizes the taped
+    // chain is memory-bound on those extra output passes. Bit-identical to
+    // the chain: each projection's K fits a single GEMM panel, so the
+    // beta = 1 store is the same elementwise add the chain performs.
     const tensor::Tensor& xv = x.value();
     const int64_t in_dim = xv.size(-1);
     const int64_t out_dim = fw_proj_[0]->out_features();
     tensor::Shape out_shape = xv.shape();
     out_shape.back() = out_dim;
-    tensor::Tensor x2 = xv.dim() == 2 ? xv : xv.Reshape({-1, in_dim});
-    const int64_t m = x2.size(0);
-    tensor::Tensor y({m, out_dim});
-    const float* pb = fw_proj_[0]->bias().value().data();
-    float* py = y.data();
-    for (int64_t i = 0; i < m; ++i) {
-      std::memcpy(py + i * out_dim, pb,
-                  static_cast<size_t>(out_dim) * sizeof(float));
-    }
-    tensor::MatMulInto(x2, fw_proj_[0]->weight().value(), false, false,
-                       /*beta=*/1.0f, &y);
+    tensor::Tensor y =
+        fw_proj_[0]->ForwardFused(xv, {}).Reshape({-1, out_dim});
     tensor::Tensor xf = xv;
     tensor::Tensor xb = xv;
     for (int64_t k = 1; k <= steps_; ++k) {

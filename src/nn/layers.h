@@ -10,6 +10,7 @@
 #include "src/autograd/variable.h"
 #include "src/core/rng.h"
 #include "src/nn/module.h"
+#include "src/tensor/gemm.h"
 #include "src/tensor/sparse.h"
 
 namespace dyhsl::nn {
@@ -23,6 +24,13 @@ class Linear : public Module {
          bool bias = true);
 
   Variable Forward(const Variable& x) const;
+
+  /// \brief Grad-free x W + b with further elementwise steps fused into
+  /// the GEMM write-back. This layer's bias fills `epilogue.bias`; the
+  /// other steps' operands are laid out like the (rows, out) result.
+  /// Bit-identical to Forward followed by the same steps as tensor ops.
+  tensor::Tensor ForwardFused(const tensor::Tensor& x,
+                              tensor::GemmEpilogue epilogue) const;
 
   int64_t in_features() const { return in_features_; }
   int64_t out_features() const { return out_features_; }

@@ -1,6 +1,7 @@
 #include "src/tensor/gemm.h"
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -13,14 +14,22 @@
 #include <omp.h>
 #endif
 
+#ifdef __AVX512F__
+#include <immintrin.h>
+#endif
+
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "gemm.cc needs the GCC/Clang vector extensions for its register tile"
+#endif
+
 namespace dyhsl::tensor {
 namespace {
 
 // Register tile: kMr rows x kNr columns accumulated per micro-kernel call.
 // 6 x 16 keeps the accumulator tile (96 floats) plus one packed B row in
-// registers on AVX2 (12 ymm accumulators) and degrades gracefully to
-// scalar code; kMc is a multiple of kMr so packed row-groups align with
-// row-block boundaries.
+// registers on AVX-512 (12 zmm accumulators, two per row) and splits into
+// ymm/xmm pairs on narrower ISAs; kMc is a multiple of kMr so packed
+// row-groups align with row-block boundaries.
 constexpr int64_t kMr = 6;
 constexpr int64_t kNr = 16;
 constexpr int64_t kMc = 120;  // rows per L2-resident packed A block
@@ -133,23 +142,157 @@ void PackB(const float* b, int64_t ldb, bool trans, int64_t p0, int64_t kb,
   }
 }
 
-// acc (kMr x kNr) = Apack panel * Bpack panel over kb steps. Both panels
-// are contiguous, so every inner loop is unit-stride. The GCC/Clang vector
-// extension variant pins the 6 accumulator rows in SIMD registers — the
-// compiler picks the widest ISA available (one zmm, two ymm or four xmm
-// per row) and the arithmetic stays elementwise, so results are identical
-// across ISAs.
-#if defined(__GNUC__) || defined(__clang__)
-
+// One kNr-wide row of the register tile. The compiler picks the widest ISA
+// available (one zmm, two ymm or four xmm) and the arithmetic stays
+// elementwise, so results are identical across ISAs.
 typedef float Vec __attribute__((vector_size(sizeof(float) * kNr)));
-// Unaligned, aliasing-safe view for loads from packed panels (std::vector
-// storage only guarantees float alignment).
+// Unaligned, aliasing-safe view for loads from packed panels and C rows
+// (std::vector storage only guarantees float alignment).
 typedef float VecU
     __attribute__((vector_size(sizeof(float) * kNr), aligned(alignof(float)),
                    may_alias));
 
+// Every function below that passes a Vec by value is always inlined, so no
+// call actually crosses the vector-argument ABI that -Wpsabi warns about
+// on targets without AVX-512.
+#define DYHSL_GEMM_INLINE inline __attribute__((always_inline))
+#pragma GCC diagnostic ignored "-Wpsabi"
+
+// Row loads and stores of nr <= kNr floats. Full rows are one vector
+// access; a column tail (nr < kNr) moves only its nr live lanes and reads
+// the dead ones as zeros, which the write-back then discards. AVX-512
+// builds use masked moves: the memcpy fallback takes the row's address,
+// which makes the compiler keep the whole tile in memory — the accumulator
+// spills this write-back path exists to avoid.
+DYHSL_GEMM_INLINE Vec LoadRow(const float* p, int64_t nr) {
+  if (nr == kNr) return *reinterpret_cast<const VecU*>(p);
+#ifdef __AVX512F__
+  return reinterpret_cast<Vec>(
+      _mm512_maskz_loadu_ps(static_cast<__mmask16>((1u << nr) - 1u), p));
+#else
+  Vec v = {0.0f};
+  std::memcpy(&v, p, static_cast<size_t>(nr) * sizeof(float));
+  return v;
+#endif
+}
+
+DYHSL_GEMM_INLINE void StoreRow(float* p, Vec v, int64_t nr) {
+  if (nr == kNr) {
+    *reinterpret_cast<VecU*>(p) = v;
+    return;
+  }
+#ifdef __AVX512F__
+  _mm512_mask_storeu_ps(p, static_cast<__mmask16>((1u << nr) - 1u),
+                        reinterpret_cast<__m512>(v));
+#else
+  std::memcpy(p, &v, static_cast<size_t>(nr) * sizeof(float));
+#endif
+}
+
+// max(v, 0) with the `x > 0 ? x : 0` semantics of tensor::Relu.
+DYHSL_GEMM_INLINE Vec Relu(Vec v) {
+  const Vec zero = {0.0f};
+  return v > zero ? v : zero;
+}
+
+// The epilogue's steps up to the gate, in chain order (see GemmEpilogue).
+// `o` is the element offset of this row from the call's C base — the same
+// offset into the operands laid out like C — and `col` the row's first
+// column.
+DYHSL_GEMM_INLINE Vec ApplyEpilogue(const GemmEpilogue& ep, Vec v, int64_t o,
+                                    int64_t col, int64_t nr) {
+  if (ep.bias != nullptr) v = v + LoadRow(ep.bias + col, nr);
+  if (ep.scale != 1.0f) v = DYHSL_ROUNDED(v * ep.scale);
+  if (ep.relu) v = Relu(v);
+  if (ep.residual != nullptr) v = v + LoadRow(ep.residual + o, nr);
+  if (ep.post != 1.0f) v = DYHSL_ROUNDED(v * ep.post);
+  return v;
+}
+
+// The gate step, c = tanh(a ⊙ b) + max(c, 0), over an mr x nr tile that
+// already holds the earlier steps' result. It runs after the tile's rows
+// are stored, out of line, so the micro-kernels make no call while their
+// accumulators are live. tanh is the dispatched kernel tensor::Tanh uses;
+// its result depends only on each element's value, so the gate matches
+// the unfused Mul/Tanh/Relu/Add chain bit for bit.
+__attribute__((noinline)) void ApplyGate(const GemmEpilogue& ep, float* c,
+                                         int64_t ldc, int64_t off,
+                                         int64_t mr, int64_t nr) {
+  // One tanh call per tile; dead tail lanes compute tanh(0) and are
+  // discarded.
+  alignas(64) float t[kMr * kNr] = {};
+  for (int64_t r = 0; r < mr; ++r) {
+    const int64_t o = off + r * ldc;
+    *reinterpret_cast<Vec*>(t + r * kNr) =
+        LoadRow(ep.gate_a + o, nr) * LoadRow(ep.gate_b + o, nr);
+  }
+  simd::Active().tanh(t, t, mr * kNr);
+  for (int64_t r = 0; r < mr; ++r) {
+    float* crow = c + r * ldc;
+    StoreRow(crow,
+             *reinterpret_cast<const Vec*>(t + r * kNr) +
+                 Relu(LoadRow(crow, nr)),
+             nr);
+  }
+}
+
+// Where one kMr x kNr register tile lands in C: its valid mr x nr corner
+// is written once, straight from registers, as beta * C + acc followed by
+// the epilogue when one is set (the last K panel of the call).
+struct TileSink {
+  float* c;  // the tile's top-left element
+  int64_t ldc;
+  int64_t mr, nr;
+  float beta;
+  const GemmEpilogue* ep;
+  int64_t off;  // c's element offset from the call's C base
+  int64_t col;  // the tile's first column
+
+  DYHSL_GEMM_INLINE void Row(int64_t r, Vec acc) const {
+    float* crow = c + r * ldc;
+    Vec v = acc;
+    if (beta == 1.0f) {
+      v = LoadRow(crow, nr) + acc;
+    } else if (beta != 0.0f) {
+      v = beta * LoadRow(crow, nr) + acc;
+    }
+    if (ep != nullptr) v = ApplyEpilogue(*ep, v, off + r * ldc, col, nr);
+    StoreRow(crow, v, nr);
+  }
+
+  DYHSL_GEMM_INLINE void Tile(Vec v0, Vec v1, Vec v2, Vec v3, Vec v4,
+                              Vec v5) const {
+    static_assert(kMr == 6, "tile rows are unrolled by hand");
+    Row(0, v0);
+    if (mr > 1) Row(1, v1);
+    if (mr > 2) Row(2, v2);
+    if (mr > 3) Row(3, v3);
+    if (mr > 4) Row(4, v4);
+    if (mr > 5) Row(5, v5);
+    if (ep != nullptr && ep->gate_a != nullptr) {
+      ApplyGate(*ep, c, ldc, off, mr, nr);
+    }
+  }
+};
+
+// One row block [i0, i0 + mb) of one batch item's C, for a K panel.
+struct BlockSink {
+  float* c;  // row i0, column 0
+  int64_t ldc;
+  float beta;
+  const GemmEpilogue* ep;  // non-null on the last K panel only
+  int64_t off;             // c's element offset from the call's C base
+
+  TileSink Tile(int64_t g, int64_t j0, int64_t mr, int64_t nr) const {
+    const int64_t shift = g * kMr * ldc + j0;
+    return {c + shift, ldc, mr, nr, beta, ep, off + shift, j0};
+  }
+};
+
+// Apack panel * Bpack panel over kb steps into one tile. Both panels are
+// contiguous, so every inner loop is unit-stride.
 void MicroKernel(int64_t kb, const float* __restrict__ ap,
-                 const float* __restrict__ bp, float* __restrict__ acc) {
+                 const float* __restrict__ bp, const TileSink& out) {
   static_assert(kMr == 6, "accumulator rows are unrolled by hand");
   // Two accumulators per row (even/odd K steps): 12 independent FMA
   // chains hide the FMA latency that 6 alone cannot (latency 4-5 x
@@ -190,24 +333,18 @@ void MicroKernel(int64_t kb, const float* __restrict__ ap,
     c4 += aq[4] * b0;
     c5 += aq[5] * b0;
   }
-  VecU* out = reinterpret_cast<VecU*>(acc);
-  out[0] = c0 + d0;
-  out[1] = c1 + d1;
-  out[2] = c2 + d2;
-  out[3] = c3 + d3;
-  out[4] = c4 + d4;
-  out[5] = c5 + d5;
+  out.Tile(c0 + d0, c1 + d1, c2 + d2, c3 + d3, c4 + d4, c5 + d5);
 }
 
 // Two adjacent B panels per pass: every A broadcast feeds two FMAs, and
 // the per-call fixed cost (accumulator init, write-back) is amortized
-// over twice the work. acc0/acc1 receive the kMr x kNr tiles of panels
-// j and j+1. Each output element still accumulates sequentially over p,
-// so results are deterministic for a fixed shape.
+// over twice the work. out0/out1 receive the tiles of panels j and j+1.
+// Each output element still accumulates sequentially over p, so results
+// are deterministic for a fixed shape.
 void MicroKernel2(int64_t kb, const float* __restrict__ ap,
                   const float* __restrict__ bp0,
-                  const float* __restrict__ bp1, float* __restrict__ acc0,
-                  float* __restrict__ acc1) {
+                  const float* __restrict__ bp1, const TileSink& out0,
+                  const TileSink& out1) {
   static_assert(kMr == 6, "accumulator rows are unrolled by hand");
   Vec c0 = {0.0f}, c1 = {0.0f}, c2 = {0.0f};
   Vec c3 = {0.0f}, c4 = {0.0f}, c5 = {0.0f};
@@ -232,20 +369,8 @@ void MicroKernel2(int64_t kb, const float* __restrict__ ap,
     c5 += a5 * b0;
     d5 += a5 * b1;
   }
-  VecU* out0 = reinterpret_cast<VecU*>(acc0);
-  out0[0] = c0;
-  out0[1] = c1;
-  out0[2] = c2;
-  out0[3] = c3;
-  out0[4] = c4;
-  out0[5] = c5;
-  VecU* out1 = reinterpret_cast<VecU*>(acc1);
-  out1[0] = d0;
-  out1[1] = d1;
-  out1[2] = d2;
-  out1[3] = d3;
-  out1[4] = d4;
-  out1[5] = d5;
+  out0.Tile(c0, c1, c2, c3, c4, c5);
+  out1.Tile(d0, d1, d2, d3, d4, d5);
 }
 
 // Direct-A variants: op(A) is consumed through per-row pointers (already
@@ -255,8 +380,7 @@ void MicroKernel2(int64_t kb, const float* __restrict__ ap,
 // schedule per element, so results are bit-identical to the packed path.
 // Only valid for !trans_a, where op(A) rows are unit-stride in memory.
 void MicroKernelDirectA(int64_t kb, const float* const* ar,
-                        const float* __restrict__ bp,
-                        float* __restrict__ acc) {
+                        const float* __restrict__ bp, const TileSink& out) {
   static_assert(kMr == 6, "accumulator rows are unrolled by hand");
   Vec c0 = {0.0f}, c1 = {0.0f}, c2 = {0.0f};
   Vec c3 = {0.0f}, c4 = {0.0f}, c5 = {0.0f};
@@ -294,21 +418,15 @@ void MicroKernelDirectA(int64_t kb, const float* const* ar,
     c4 += a4[p] * b0;
     c5 += a5[p] * b0;
   }
-  VecU* out = reinterpret_cast<VecU*>(acc);
-  out[0] = c0 + d0;
-  out[1] = c1 + d1;
-  out[2] = c2 + d2;
-  out[3] = c3 + d3;
-  out[4] = c4 + d4;
-  out[5] = c5 + d5;
+  out.Tile(c0 + d0, c1 + d1, c2 + d2, c3 + d3, c4 + d4, c5 + d5);
 }
 
 // Direct-A twin of MicroKernel2: two B panels per pass, sequential
 // accumulation over p — the same per-element order as the packed kernel.
 void MicroKernelDirectA2(int64_t kb, const float* const* ar,
                          const float* __restrict__ bp0,
-                         const float* __restrict__ bp1,
-                         float* __restrict__ acc0, float* __restrict__ acc1) {
+                         const float* __restrict__ bp1, const TileSink& out0,
+                         const TileSink& out1) {
   static_assert(kMr == 6, "accumulator rows are unrolled by hand");
   Vec c0 = {0.0f}, c1 = {0.0f}, c2 = {0.0f};
   Vec c3 = {0.0f}, c4 = {0.0f}, c5 = {0.0f};
@@ -338,20 +456,8 @@ void MicroKernelDirectA2(int64_t kb, const float* const* ar,
     c5 += a5 * b0;
     d5 += a5 * b1;
   }
-  VecU* out0 = reinterpret_cast<VecU*>(acc0);
-  out0[0] = c0;
-  out0[1] = c1;
-  out0[2] = c2;
-  out0[3] = c3;
-  out0[4] = c4;
-  out0[5] = c5;
-  VecU* out1 = reinterpret_cast<VecU*>(acc1);
-  out1[0] = d0;
-  out1[1] = d1;
-  out1[2] = d2;
-  out1[3] = d3;
-  out1[4] = d4;
-  out1[5] = d5;
+  out0.Tile(c0, c1, c2, c3, c4, c5);
+  out1.Tile(d0, d1, d2, d3, d4, d5);
 }
 
 // Strided twins for trans_a: op(A)[i0+r][p0+p] = a[(p0+p)*lda + i0+r], so
@@ -362,7 +468,7 @@ void MicroKernelDirectA2(int64_t kb, const float* const* ar,
 // accumulation schedule and results match the packed path bit for bit.
 void MicroKernelDirectAT(int64_t kb, const float* __restrict__ a0,
                          int64_t astr, const float* __restrict__ bp,
-                         float* __restrict__ acc) {
+                         const TileSink& out) {
   static_assert(kMr == 6, "accumulator rows are unrolled by hand");
   Vec c0 = {0.0f}, c1 = {0.0f}, c2 = {0.0f};
   Vec c3 = {0.0f}, c4 = {0.0f}, c5 = {0.0f};
@@ -397,20 +503,13 @@ void MicroKernelDirectAT(int64_t kb, const float* __restrict__ a0,
     c4 += aq[4] * b0;
     c5 += aq[5] * b0;
   }
-  VecU* out = reinterpret_cast<VecU*>(acc);
-  out[0] = c0 + d0;
-  out[1] = c1 + d1;
-  out[2] = c2 + d2;
-  out[3] = c3 + d3;
-  out[4] = c4 + d4;
-  out[5] = c5 + d5;
+  out.Tile(c0 + d0, c1 + d1, c2 + d2, c3 + d3, c4 + d4, c5 + d5);
 }
 
 void MicroKernelDirectAT2(int64_t kb, const float* __restrict__ a0,
                           int64_t astr, const float* __restrict__ bp0,
-                          const float* __restrict__ bp1,
-                          float* __restrict__ acc0,
-                          float* __restrict__ acc1) {
+                          const float* __restrict__ bp1, const TileSink& out0,
+                          const TileSink& out1) {
   static_assert(kMr == 6, "accumulator rows are unrolled by hand");
   Vec c0 = {0.0f}, c1 = {0.0f}, c2 = {0.0f};
   Vec c3 = {0.0f}, c4 = {0.0f}, c5 = {0.0f};
@@ -435,125 +534,8 @@ void MicroKernelDirectAT2(int64_t kb, const float* __restrict__ a0,
     c5 += a5v * b0;
     d5 += a5v * b1;
   }
-  VecU* out0 = reinterpret_cast<VecU*>(acc0);
-  out0[0] = c0;
-  out0[1] = c1;
-  out0[2] = c2;
-  out0[3] = c3;
-  out0[4] = c4;
-  out0[5] = c5;
-  VecU* out1 = reinterpret_cast<VecU*>(acc1);
-  out1[0] = d0;
-  out1[1] = d1;
-  out1[2] = d2;
-  out1[3] = d3;
-  out1[4] = d4;
-  out1[5] = d5;
-}
-
-#else  // portable scalar fallback
-
-void MicroKernel(int64_t kb, const float* __restrict__ ap,
-                 const float* __restrict__ bp, float* __restrict__ acc) {
-  for (int64_t i = 0; i < kMr * kNr; ++i) acc[i] = 0.0f;
-  for (int64_t p = 0; p < kb; ++p) {
-    const float* aq = ap + p * kMr;
-    const float* bq = bp + p * kNr;
-    for (int64_t i = 0; i < kMr; ++i) {
-      const float av = aq[i];
-      float* arow = acc + i * kNr;
-      for (int64_t j = 0; j < kNr; ++j) arow[j] += av * bq[j];
-    }
-  }
-}
-
-void MicroKernel2(int64_t kb, const float* __restrict__ ap,
-                  const float* __restrict__ bp0,
-                  const float* __restrict__ bp1, float* __restrict__ acc0,
-                  float* __restrict__ acc1) {
-  MicroKernel(kb, ap, bp0, acc0);
-  MicroKernel(kb, ap, bp1, acc1);
-}
-
-// Scalar direct-A twins: same sequential accumulation order as the scalar
-// MicroKernel/MicroKernel2 above, reading op(A) through row pointers.
-void MicroKernelDirectA(int64_t kb, const float* const* ar,
-                        const float* __restrict__ bp,
-                        float* __restrict__ acc) {
-  for (int64_t i = 0; i < kMr * kNr; ++i) acc[i] = 0.0f;
-  for (int64_t p = 0; p < kb; ++p) {
-    const float* bq = bp + p * kNr;
-    for (int64_t i = 0; i < kMr; ++i) {
-      const float av = ar[i][p];
-      float* arow = acc + i * kNr;
-      for (int64_t j = 0; j < kNr; ++j) arow[j] += av * bq[j];
-    }
-  }
-}
-
-void MicroKernelDirectA2(int64_t kb, const float* const* ar,
-                         const float* __restrict__ bp0,
-                         const float* __restrict__ bp1,
-                         float* __restrict__ acc0, float* __restrict__ acc1) {
-  MicroKernelDirectA(kb, ar, bp0, acc0);
-  MicroKernelDirectA(kb, ar, bp1, acc1);
-}
-
-// Scalar strided twins for trans_a: MicroKernel with `aq` advancing by
-// `astr` (the caller's lda) instead of kMr per K step.
-void MicroKernelDirectAT(int64_t kb, const float* __restrict__ a0,
-                         int64_t astr, const float* __restrict__ bp,
-                         float* __restrict__ acc) {
-  for (int64_t i = 0; i < kMr * kNr; ++i) acc[i] = 0.0f;
-  for (int64_t p = 0; p < kb; ++p) {
-    const float* aq = a0 + p * astr;
-    const float* bq = bp + p * kNr;
-    for (int64_t i = 0; i < kMr; ++i) {
-      const float av = aq[i];
-      float* arow = acc + i * kNr;
-      for (int64_t j = 0; j < kNr; ++j) arow[j] += av * bq[j];
-    }
-  }
-}
-
-void MicroKernelDirectAT2(int64_t kb, const float* __restrict__ a0,
-                          int64_t astr, const float* __restrict__ bp0,
-                          const float* __restrict__ bp1,
-                          float* __restrict__ acc0,
-                          float* __restrict__ acc1) {
-  MicroKernelDirectAT(kb, a0, astr, bp0, acc0);
-  MicroKernelDirectAT(kb, a0, astr, bp1, acc1);
-}
-
-#endif
-
-// Writes the valid (mr x nr) corner of the accumulator tile into C. Full-
-// width tiles keep the inlined unit-stride loops (the compiler already
-// vectorizes the fixed nr == kNr trip count); the column-tail tiles go
-// through the runtime SIMD dispatch (src/tensor/simd.h), whose masked
-// stores replace the scalar peel the autovectorizer emits for a variable
-// nr. The arithmetic per element is identical either way (beta * c + acc
-// in the same order), so results stay bit-identical across paths.
-void WriteTile(const float* acc, float* c, int64_t ldc, int64_t mr,
-               int64_t nr, float beta) {
-  if (nr < kNr) {
-    const simd::Ops& ops = simd::Active();
-    for (int64_t i = 0; i < mr; ++i) {
-      ops.tile_row_update(acc + i * kNr, c + i * ldc, nr, beta);
-    }
-    return;
-  }
-  for (int64_t i = 0; i < mr; ++i) {
-    float* crow = c + i * ldc;
-    const float* arow = acc + i * kNr;
-    if (beta == 0.0f) {
-      for (int64_t j = 0; j < nr; ++j) crow[j] = arow[j];
-    } else if (beta == 1.0f) {
-      for (int64_t j = 0; j < nr; ++j) crow[j] += arow[j];
-    } else {
-      for (int64_t j = 0; j < nr; ++j) crow[j] = beta * crow[j] + arow[j];
-    }
-  }
+  out0.Tile(c0, c1, c2, c3, c4, c5);
+  out1.Tile(d0, d1, d2, d3, d4, d5);
 }
 
 // C block rows [i0, i0+mb): all panels of one packed A block against the
@@ -561,7 +543,7 @@ void WriteTile(const float* acc, float* c, int64_t ldc, int64_t mr,
 // (MicroKernel2 shares every A broadcast across two panels); a lone
 // trailing panel falls back to the single-panel kernel.
 void ComputeBlock(const float* a_pack, const float* b_pack, int64_t mb,
-                  int64_t n, int64_t kb, float* c, int64_t ldc, float beta) {
+                  int64_t n, int64_t kb, const BlockSink& out) {
   int64_t panels = CeilDiv(n, kNr);
   int64_t groups = CeilDiv(mb, kMr);
   for (int64_t jp = 0; jp < panels; jp += 2) {
@@ -573,17 +555,12 @@ void ComputeBlock(const float* a_pack, const float* b_pack, int64_t mb,
     for (int64_t g = 0; g < groups; ++g) {
       const float* ap = a_pack + g * kb * kMr;
       int64_t mr = std::min<int64_t>(kMr, mb - g * kMr);
-      float* crow = c + g * kMr * ldc + j0;
+      const TileSink t0 = out.Tile(g, j0, mr, nr0);
       if (pair) {
-        float acc0[kMr * kNr];  // fully written by MicroKernel2
-        float acc1[kMr * kNr];
-        MicroKernel2(kb, ap, bp0, bp0 + kb * kNr, acc0, acc1);
-        WriteTile(acc0, crow, ldc, mr, nr0, beta);
-        WriteTile(acc1, crow + kNr, ldc, mr, nr1, beta);
+        MicroKernel2(kb, ap, bp0, bp0 + kb * kNr, t0,
+                     out.Tile(g, j0 + kNr, mr, nr1));
       } else {
-        float acc[kMr * kNr];  // fully written by MicroKernel
-        MicroKernel(kb, ap, bp0, acc);
-        WriteTile(acc, crow, ldc, mr, nr0, beta);
+        MicroKernel(kb, ap, bp0, t0);
       }
     }
   }
@@ -596,7 +573,7 @@ void ComputeBlock(const float* a_pack, const float* b_pack, int64_t mb,
 // exactly, so every output element sees an identical accumulation order.
 void ComputeBlockDirectA(const float* a, int64_t lda, int64_t i0, int64_t p0,
                          const float* b_pack, int64_t mb, int64_t n,
-                         int64_t kb, float* c, int64_t ldc, float beta) {
+                         int64_t kb, const BlockSink& out) {
   int64_t panels = CeilDiv(n, kNr);
   int64_t groups = CeilDiv(mb, kMr);
   for (int64_t jp = 0; jp < panels; jp += 2) {
@@ -612,17 +589,12 @@ void ComputeBlockDirectA(const float* a, int64_t lda, int64_t i0, int64_t p0,
         arows[r] = a + (i0 + g * kMr + r) * lda + p0;
       }
       for (int64_t r = mr; r < kMr; ++r) arows[r] = kZeroRow;
-      float* crow = c + g * kMr * ldc + j0;
+      const TileSink t0 = out.Tile(g, j0, mr, nr0);
       if (pair) {
-        float acc0[kMr * kNr];  // fully written by MicroKernelDirectA2
-        float acc1[kMr * kNr];
-        MicroKernelDirectA2(kb, arows, bp0, bp0 + kb * kNr, acc0, acc1);
-        WriteTile(acc0, crow, ldc, mr, nr0, beta);
-        WriteTile(acc1, crow + kNr, ldc, mr, nr1, beta);
+        MicroKernelDirectA2(kb, arows, bp0, bp0 + kb * kNr, t0,
+                            out.Tile(g, j0 + kNr, mr, nr1));
       } else {
-        float acc[kMr * kNr];  // fully written by MicroKernelDirectA
-        MicroKernelDirectA(kb, arows, bp0, acc);
-        WriteTile(acc, crow, ldc, mr, nr0, beta);
+        MicroKernelDirectA(kb, arows, bp0, t0);
       }
     }
   }
@@ -638,7 +610,7 @@ void ComputeBlockDirectA(const float* a, int64_t lda, int64_t i0, int64_t p0,
 // bit-identical to the packed path.
 void ComputeBlockDirectAT(const float* a, int64_t lda, int64_t i0, int64_t p0,
                           const float* b_pack, int64_t mb, int64_t n,
-                          int64_t kb, float* c, int64_t ldc, float beta) {
+                          int64_t kb, const BlockSink& out) {
   int64_t panels = CeilDiv(n, kNr);
   int64_t groups = CeilDiv(mb, kMr);
   const int64_t tail_rows = mb - (groups - 1) * kMr;
@@ -658,40 +630,38 @@ void ComputeBlockDirectAT(const float* a, int64_t lda, int64_t i0, int64_t p0,
       const bool tail = mr < kMr;
       // op(A)[i0+g*kMr+r][p0+p] = a[(p0+p)*lda + i0+g*kMr+r].
       const float* a0 = a + p0 * lda + i0 + g * kMr;
-      float* crow = c + g * kMr * ldc + j0;
+      const TileSink t0 = out.Tile(g, j0, mr, nr0);
       if (pair) {
-        float acc0[kMr * kNr];  // fully written by the paired kernels
-        float acc1[kMr * kNr];
+        const TileSink t1 = out.Tile(g, j0 + kNr, mr, nr1);
         if (tail) {
-          MicroKernel2(kb, tail_pack, bp0, bp0 + kb * kNr, acc0, acc1);
+          MicroKernel2(kb, tail_pack, bp0, bp0 + kb * kNr, t0, t1);
         } else {
-          MicroKernelDirectAT2(kb, a0, lda, bp0, bp0 + kb * kNr, acc0, acc1);
+          MicroKernelDirectAT2(kb, a0, lda, bp0, bp0 + kb * kNr, t0, t1);
         }
-        WriteTile(acc0, crow, ldc, mr, nr0, beta);
-        WriteTile(acc1, crow + kNr, ldc, mr, nr1, beta);
+      } else if (tail) {
+        MicroKernel(kb, tail_pack, bp0, t0);
       } else {
-        float acc[kMr * kNr];  // fully written by the single-panel kernels
-        if (tail) {
-          MicroKernel(kb, tail_pack, bp0, acc);
-        } else {
-          MicroKernelDirectAT(kb, a0, lda, bp0, acc);
-        }
-        WriteTile(acc, crow, ldc, mr, nr0, beta);
+        MicroKernelDirectAT(kb, a0, lda, bp0, t0);
       }
     }
   }
 }
 
-// beta-only update for the degenerate k == 0 case (op(A) op(B) is empty).
-void ScaleOutput(int64_t batch, int64_t m, int64_t n, float beta, float* c,
-                 int64_t c_stride, int64_t ldc) {
+// The degenerate k == 0 case (op(A) op(B) is empty): every tile is written
+// from a zero accumulator, so C = beta * C and then the epilogue.
+void WriteEmptyProduct(int64_t batch, int64_t m, int64_t n, float beta,
+                       float* c, int64_t c_stride, int64_t ldc,
+                       const GemmEpilogue* ep) {
+  if (beta == 1.0f && ep == nullptr) return;  // C stays as it is
+  const Vec zero = {0.0f};
   for (int64_t bi = 0; bi < batch; ++bi) {
-    for (int64_t i = 0; i < m; ++i) {
-      float* row = c + bi * c_stride + i * ldc;
-      if (beta == 0.0f) {
-        std::fill(row, row + n, 0.0f);
-      } else if (beta != 1.0f) {
-        for (int64_t j = 0; j < n; ++j) row[j] *= beta;
+    const BlockSink block{c + bi * c_stride, ldc, beta, ep, bi * c_stride};
+    for (int64_t g = 0; g < CeilDiv(m, kMr); ++g) {
+      for (int64_t j0 = 0; j0 < n; j0 += kNr) {
+        block
+            .Tile(g, j0, std::min<int64_t>(kMr, m - g * kMr),
+                  std::min<int64_t>(kNr, n - j0))
+            .Tile(zero, zero, zero, zero, zero, zero);
       }
     }
   }
@@ -752,10 +722,16 @@ void BatchedGemmPrepackedInto(int64_t batch, bool trans_a, bool trans_b,
                               const PackedPanels* pre_a, const float* b,
                               int64_t b_stride, int64_t ldb,
                               const PackedPanels* pre_b, float beta, float* c,
-                              int64_t c_stride, int64_t ldc) {
+                              int64_t c_stride, int64_t ldc,
+                              const GemmEpilogue* epilogue) {
   if (batch <= 0 || m <= 0 || n <= 0) return;
+  if (epilogue != nullptr) {
+    DYHSL_CHECK((epilogue->gate_a == nullptr) ==
+                (epilogue->gate_b == nullptr));
+    if (epilogue->empty()) epilogue = nullptr;
+  }
   if (k <= 0) {
-    ScaleOutput(batch, m, n, beta, c, c_stride, ldc);
+    WriteEmptyProduct(batch, m, n, beta, c, c_stride, ldc, epilogue);
     return;
   }
   if (pre_b != nullptr) {
@@ -828,7 +804,9 @@ void BatchedGemmPrepackedInto(int64_t batch, bool trans_a, bool trans_b,
   for (int64_t p0 = 0; p0 < k; p0 += kKc) {
     const int64_t kb = std::min<int64_t>(kKc, k - p0);
     // The first K panel applies the caller's beta; later panels accumulate.
+    // The epilogue runs once, on the last panel, so it sees the full sum.
     const float eff_beta = p0 == 0 ? beta : 1.0f;
+    const GemmEpilogue* eff_ep = p0 + kKc >= k ? epilogue : nullptr;
     // Shared packed panels for this K panel: prepacked bytes when the
     // caller supplied them (identical to what PackB/PackA would write),
     // packed on the fly for a shared B otherwise.
@@ -863,18 +841,18 @@ void BatchedGemmPrepackedInto(int64_t batch, bool trans_a, bool trans_b,
         PackB(b + bi * b_stride, ldb, trans_b, p0, kb, n, task_b);
         b_pack = task_b;
       }
-      float* cdst = c + bi * c_stride + i0 * ldc;
+      const int64_t off = bi * c_stride + i0 * ldc;
+      const BlockSink out{c + off, ldc, eff_beta, eff_ep, off};
       if (sa != nullptr) {
         // kMc is a multiple of kMr, so row-block ic starts at packed group
         // i0 / kMr of the whole-M prepacked panel.
-        ComputeBlock(sa + (i0 / kMr) * kb * kMr, b_pack, mb, n, kb, cdst, ldc,
-                     eff_beta);
+        ComputeBlock(sa + (i0 / kMr) * kb * kMr, b_pack, mb, n, kb, out);
       } else if (trans_a) {
         ComputeBlockDirectAT(a + bi * a_stride, lda, i0, p0, b_pack, mb, n,
-                             kb, cdst, ldc, eff_beta);
+                             kb, out);
       } else {
         ComputeBlockDirectA(a + bi * a_stride, lda, i0, p0, b_pack, mb, n,
-                            kb, cdst, ldc, eff_beta);
+                            kb, out);
       }
     };
     // Deterministic per thread count: tasks partition the output, and each
@@ -895,7 +873,8 @@ void BatchedGemmInto(int64_t batch, bool trans_a, bool trans_b, int64_t m,
                      int64_t ldc) {
   BatchedGemmPrepackedInto(batch, trans_a, trans_b, m, n, k, a, a_stride,
                            lda, /*pre_a=*/nullptr, b, b_stride, ldb,
-                           /*pre_b=*/nullptr, beta, c, c_stride, ldc);
+                           /*pre_b=*/nullptr, beta, c, c_stride, ldc,
+                           /*epilogue=*/nullptr);
 }
 
 void GemmInto(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,

@@ -12,8 +12,20 @@
 //    written by exactly one task, and its floating-point accumulation
 //    order (p ascending within a panel, panels ascending) never depends on
 //    the thread count.
+//  * One write-back path: each micro-kernel writes its tile's valid
+//    corner straight from the accumulator registers, once per K panel —
+//    there is no staging tile in memory. Column tails (n not a multiple of
+//    kNr) load and store only their live lanes around the same vector
+//    arithmetic, so a tail element rounds exactly like a full-tile one.
 //  * beta semantics follow BLAS: C = beta * C + op(A) op(B), and beta == 0
 //    never reads C, so the output may be uninitialized arena memory.
+//  * Epilogue: an optional GemmEpilogue applies elementwise steps to each
+//    element on the way out of the registers, on the last K panel only
+//    (so it always sees the complete sum), at every team size. Each step
+//    rounds on its own, in the documented chain order, so a fused call is
+//    bit-identical to the GEMM followed by the equivalent tensor ops
+//    (Add of a row vector, MulScalar, Relu, Add, MulScalar, and
+//    Tanh(Mul(a, b)) + Relu(·)). A plain call is the empty epilogue.
 //  * The A operand is never packed at call time: no-trans A is consumed
 //    directly through strided row pointers and trans A through strided
 //    row lanes (activations dominate packing time), unless the caller
@@ -34,6 +46,28 @@
 #include <memory>
 
 namespace dyhsl::tensor {
+
+/// \brief Elementwise steps fused into the GEMM write-back. After
+/// v = beta * c + acc, the set steps run in this order:
+///   v += bias[col]; v *= scale; v = max(v, 0); v += residual;
+///   v *= post; v = tanh(gate_a * gate_b) + max(v, 0).
+/// `residual`, `gate_a` and `gate_b` are laid out like C (same ldc and
+/// batch stride) and must not alias it. Defaults leave a step out.
+struct GemmEpilogue {
+  const float* bias = nullptr;  // n floats, one per output column
+  float scale = 1.0f;
+  bool relu = false;
+  const float* residual = nullptr;
+  float post = 1.0f;
+  /// The IGC gate (paper Eq. 11–12): both set or both null.
+  const float* gate_a = nullptr;
+  const float* gate_b = nullptr;
+
+  bool empty() const {
+    return bias == nullptr && scale == 1.0f && !relu &&
+           residual == nullptr && post == 1.0f && gate_a == nullptr;
+  }
+};
 
 /// \brief A long-lived packed copy of one GEMM operand, laid out exactly
 /// as the blocked kernel's per-K-panel packing (PackA/PackB in gemm.cc)
@@ -110,13 +144,15 @@ void BatchedGemmInto(int64_t batch, bool trans_a, bool trans_b, int64_t m,
 /// same trans flag and op() dimensions, packed from the same bytes) and
 /// replaces its on-the-fly packing; results are bit-identical to the
 /// unpacked call. The raw pointer for a prepacked operand may be null.
+/// A non-null `epilogue` is applied as C is written (see GemmEpilogue).
 void BatchedGemmPrepackedInto(int64_t batch, bool trans_a, bool trans_b,
                               int64_t m, int64_t n, int64_t k, const float* a,
                               int64_t a_stride, int64_t lda,
                               const PackedPanels* pre_a, const float* b,
                               int64_t b_stride, int64_t ldb,
                               const PackedPanels* pre_b, float beta, float* c,
-                              int64_t c_stride, int64_t ldc);
+                              int64_t c_stride, int64_t ldc,
+                              const GemmEpilogue* epilogue = nullptr);
 
 }  // namespace dyhsl::tensor
 

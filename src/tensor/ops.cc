@@ -5,7 +5,6 @@
 #include <cstring>
 #include <limits>
 
-#include "src/tensor/gemm.h"
 #include "src/tensor/prepack.h"
 #include "src/tensor/vecmath.h"
 
@@ -316,8 +315,8 @@ Tensor Relu(const Tensor& a) {
 Tensor LeakyRelu(const Tensor& a, float slope) {
   return UnaryOp(a, [slope](float x) { return x > 0.0f ? x : slope * x; });
 }
-// Sigmoid/Tanh/Exp route through vecmath.cc, whose loops vectorize the
-// libm calls (Release builds; see that file's comment).
+// Sigmoid/Tanh/Exp route through vecmath.cc and the dispatched SIMD
+// kernels, whose results do not depend on element position.
 Tensor Sigmoid(const Tensor& a) {
   Tensor out(a.shape());
   SigmoidArray(a.data(), out.data(), a.numel());
@@ -440,7 +439,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
 }
 
 void MatMulInto(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b,
-                float beta, Tensor* out) {
+                float beta, Tensor* out, const GemmEpilogue* epilogue) {
   MatMulDims d = ResolveMatMulDims(a, b, trans_a, trans_b, /*batched=*/false);
   DYHSL_CHECK_MSG(out->shape() == Shape({d.m, d.n}),
                   "MatMulInto output shape " + ShapeToString(out->shape()) +
@@ -449,7 +448,7 @@ void MatMulInto(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b,
   BatchedGemmPrepackedInto(1, trans_a, trans_b, d.m, d.n, d.k, a.data(),
                            /*a_stride=*/0, d.lda, pre.a.get(), b.data(),
                            /*b_stride=*/0, d.ldb, pre.b.get(), beta,
-                           out->data(), /*c_stride=*/0, d.n);
+                           out->data(), /*c_stride=*/0, d.n, epilogue);
 }
 
 Tensor BatchedMatMul(const Tensor& a, const Tensor& b, bool trans_a,
@@ -465,7 +464,8 @@ Tensor BatchedMatMul(const Tensor& a, const Tensor& b, bool trans_a,
 }
 
 void BatchedMatMulInto(const Tensor& a, const Tensor& b, bool trans_a,
-                       bool trans_b, float beta, Tensor* out) {
+                       bool trans_b, float beta, Tensor* out,
+                       const GemmEpilogue* epilogue) {
   MatMulDims d = ResolveMatMulDims(a, b, trans_a, trans_b, /*batched=*/true);
   DYHSL_CHECK_MSG(out->shape() == Shape({d.batch, d.m, d.n}),
                   "BatchedMatMulInto output shape " +
@@ -475,7 +475,7 @@ void BatchedMatMulInto(const Tensor& a, const Tensor& b, bool trans_a,
   BatchedGemmPrepackedInto(d.batch, trans_a, trans_b, d.m, d.n, d.k,
                            a.data(), d.a_stride, d.lda, pre.a.get(),
                            b.data(), d.b_stride, d.ldb, pre.b.get(), beta,
-                           out->data(), d.m * d.n, d.n);
+                           out->data(), d.m * d.n, d.n, epilogue);
 }
 
 void BatchedMatMulReduceInto(const Tensor& a, const Tensor& b, bool trans_a,

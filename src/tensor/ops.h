@@ -9,6 +9,7 @@
 
 #include <vector>
 
+#include "src/tensor/gemm.h"
 #include "src/tensor/tensor.h"
 
 namespace dyhsl::tensor {
@@ -97,8 +98,12 @@ Tensor MatMul(const Tensor& a, const Tensor& b, bool trans_a = false,
 /// \brief out = beta * out + op(A) op(B). beta == 0 never reads `out` (it
 /// may be uninitialized); beta == 1 accumulates — the autograd backward
 /// uses this to add matmul gradients straight into existing grad buffers.
+/// A non-null `epilogue` fuses elementwise steps into the write of `out`
+/// (see GemmEpilogue in src/tensor/gemm.h; its operands are laid out like
+/// `out`), bit-identical to running those steps as separate ops.
 void MatMulInto(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b,
-                float beta, Tensor* out);
+                float beta, Tensor* out,
+                const GemmEpilogue* epilogue = nullptr);
 
 /// \brief Batched product over the leading dim. `a` is (B, M, K) or 2-D
 /// (M, K) shared across the batch; `b` is (B, K, N) or 2-D (K, N) shared.
@@ -107,9 +112,11 @@ void MatMulInto(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b,
 Tensor BatchedMatMul(const Tensor& a, const Tensor& b, bool trans_a = false,
                      bool trans_b = false);
 
-/// \brief Batched MatMulInto with the same shared-operand rules.
+/// \brief Batched MatMulInto with the same shared-operand rules and the
+/// same optional epilogue.
 void BatchedMatMulInto(const Tensor& a, const Tensor& b, bool trans_a,
-                       bool trans_b, float beta, Tensor* out);
+                       bool trans_b, float beta, Tensor* out,
+                       const GemmEpilogue* epilogue = nullptr);
 
 /// \brief out (2-D) = beta * out + sum over the batch of op(A_b) op(B_b),
 /// for 3-D `a` and `b`. This is the gradient of a batch-shared operand.

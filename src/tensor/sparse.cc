@@ -6,15 +6,63 @@
 
 #include "src/core/check.h"
 #include "src/core/parallel.h"
+#include "src/tensor/simd.h"
 
 namespace dyhsl::tensor {
 
 namespace {
 
+// One 16-float strip of an output row, held in a register while the row's
+// nonzeros accumulate into it.
+typedef float Strip __attribute__((vector_size(16 * sizeof(float))));
+typedef float StripU __attribute__((vector_size(16 * sizeof(float)),
+                                    aligned(alignof(float)), may_alias));
+constexpr int64_t kStrip = 16;
+
+// Columns [0, kStrips * kStrip) of one output row: the strips stay in
+// registers across all of the row's nonzeros and are stored once. Per
+// element the operations are the row-at-a-time ones, in the same order:
+// out = beta * out (or v_first * x when beta == 0), then out += v * x for
+// each later nonzero in CSR order. DYHSL_ROUNDED keeps the first product
+// and the beta scaling rounded on their own, as in a separate pass.
+template <int64_t kStrips>
+inline void SpMMStrips(const int64_t* col_idx, const float* vals, int64_t k0,
+                       int64_t k1, const float* xb, int64_t f, float beta,
+                       float* orow) {
+  Strip acc[kStrips] = {};
+  int64_t k = k0;
+  if (beta == 0.0f) {
+    const float v = vals[k0];
+    const float* xrow = xb + col_idx[k0] * f;
+    for (int64_t s = 0; s < kStrips; ++s) {
+      acc[s] = DYHSL_ROUNDED(
+          v * *reinterpret_cast<const StripU*>(xrow + s * kStrip));
+    }
+    k = k0 + 1;
+  } else {
+    for (int64_t s = 0; s < kStrips; ++s) {
+      acc[s] = *reinterpret_cast<const StripU*>(orow + s * kStrip);
+      if (beta != 1.0f) acc[s] = DYHSL_ROUNDED(acc[s] * beta);
+    }
+  }
+  for (; k < k1; ++k) {
+    const float v = vals[k];
+    const float* xrow = xb + col_idx[k] * f;
+    for (int64_t s = 0; s < kStrips; ++s) {
+      acc[s] += v * *reinterpret_cast<const StripU*>(xrow + s * kStrip);
+    }
+  }
+  for (int64_t s = 0; s < kStrips; ++s) {
+    *reinterpret_cast<StripU*>(orow + s * kStrip) = acc[s];
+  }
+}
+
 // Shared CSR × dense core: out(b, r, :) = beta * out + sum_k v_k x(b, c_k, :)
 // for the structure given by row_ptr/col_idx. Parallelism is over
 // (batch, row) only — each output row is accumulated sequentially in CSR
-// order, so results are bit-identical for every OpenMP thread count.
+// order, so results are bit-identical for every OpenMP thread count. A row
+// is processed 64 columns at a time (four register strips), then by single
+// strips, then column by column for the last f % 16.
 void SpMMCore(int64_t batch, int64_t rows, const int64_t* row_ptr,
               const int64_t* col_idx, const float* vals, const float* px,
               int64_t x_rows, int64_t f, float beta, float* po) {
@@ -32,24 +80,28 @@ void SpMMCore(int64_t batch, int64_t rows, const int64_t* row_ptr,
     for (int64_t r = 0; r < rows; ++r) {
       float* orow = po + b * o_step + r * f;
       const int64_t k0 = row_ptr[r], k1 = row_ptr[r + 1];
-      int64_t k = k0;
-      if (beta == 0.0f) {
+      if (beta == 0.0f && k0 == k1) {
         // The first nonzero initializes the row (out may be uninitialized).
-        if (k0 == k1) {
-          for (int64_t c = 0; c < f; ++c) orow[c] = 0.0f;
-          continue;
-        }
-        const float v = vals[k0];
-        const float* xrow = px + b * x_step + col_idx[k0] * f;
-        for (int64_t c = 0; c < f; ++c) orow[c] = v * xrow[c];
-        k = k0 + 1;
-      } else if (beta != 1.0f) {
-        for (int64_t c = 0; c < f; ++c) orow[c] *= beta;
+        for (int64_t c = 0; c < f; ++c) orow[c] = 0.0f;
+        continue;
       }
-      for (; k < k1; ++k) {
-        const float v = vals[k];
-        const float* xrow = px + b * x_step + col_idx[k] * f;
-        for (int64_t c = 0; c < f; ++c) orow[c] += v * xrow[c];
+      const float* xb = px + b * x_step;
+      int64_t c = 0;
+      for (; c + 4 * kStrip <= f; c += 4 * kStrip) {
+        SpMMStrips<4>(col_idx, vals, k0, k1, xb + c, f, beta, orow + c);
+      }
+      for (; c + kStrip <= f; c += kStrip) {
+        SpMMStrips<1>(col_idx, vals, k0, k1, xb + c, f, beta, orow + c);
+      }
+      for (; c < f; ++c) {
+        const bool init = beta == 0.0f;
+        float o = init ? DYHSL_ROUNDED(vals[k0] * xb[col_idx[k0] * f + c])
+                       : orow[c];
+        if (!init && beta != 1.0f) o = DYHSL_ROUNDED(o * beta);
+        for (int64_t k = init ? k0 + 1 : k0; k < k1; ++k) {
+          o += vals[k] * xb[col_idx[k] * f + c];
+        }
+        orow[c] = o;
       }
     }
   }

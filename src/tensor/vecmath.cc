@@ -1,61 +1,44 @@
 #include "src/tensor/vecmath.h"
 
-#include <cmath>
+#include <algorithm>
+
+#include "src/tensor/simd.h"
 
 namespace dyhsl::tensor {
 namespace {
 
 // Same threshold as the elementwise kernels in ops.cc.
 constexpr int64_t kParallelCutoff = 1 << 15;
+// Elements per parallel task: a multiple of every vector width.
+constexpr int64_t kBlock = 4096;
+
+using ArrayFn = void (*)(const float*, float*, int64_t);
+
+void Map(ArrayFn fn, const float* in, float* out, int64_t n) {
+  if (n <= kParallelCutoff) {
+    fn(in, out, n);
+    return;
+  }
+  const int64_t blocks = (n + kBlock - 1) / kBlock;
+#pragma omp parallel for schedule(static)
+  for (int64_t b = 0; b < blocks; ++b) {
+    const int64_t lo = b * kBlock;
+    fn(in + lo, out + lo, std::min(kBlock, n - lo));
+  }
+}
 
 }  // namespace
 
-// Plain restrict-qualified loops: the vectorizer turns the libm calls
-// into libmvec SIMD variants when this file is built with -ffast-math
-// (see CMakeLists.txt; Release only). Every loop carries the identical
-// OpenMP pragma (static schedule), so for a given element count the
-// thread partition — and therefore the vector-lane/tail split per
-// element — is the same across all of these kernels, which keeps the
-// out-of-place, in-place and fused forms bit-identical to each other.
-
-void TanhArray(const float* __restrict__ in, float* __restrict__ out,
-               int64_t n) {
-#pragma omp parallel for if (n > kParallelCutoff)
-  for (int64_t i = 0; i < n; ++i) out[i] = std::tanh(in[i]);
+void TanhArray(const float* in, float* out, int64_t n) {
+  Map(simd::Active().tanh, in, out, n);
 }
 
-void SigmoidArray(const float* __restrict__ in, float* __restrict__ out,
-                  int64_t n) {
-#pragma omp parallel for if (n > kParallelCutoff)
-  for (int64_t i = 0; i < n; ++i) out[i] = 1.0f / (1.0f + std::exp(-in[i]));
+void SigmoidArray(const float* in, float* out, int64_t n) {
+  Map(simd::Active().sigmoid, in, out, n);
 }
 
-void ExpArray(const float* __restrict__ in, float* __restrict__ out,
-              int64_t n) {
-#pragma omp parallel for if (n > kParallelCutoff)
-  for (int64_t i = 0; i < n; ++i) out[i] = std::exp(in[i]);
-}
-
-void TanhInPlace(float* p, int64_t n) {
-#pragma omp parallel for if (n > kParallelCutoff)
-  for (int64_t i = 0; i < n; ++i) p[i] = std::tanh(p[i]);
-}
-
-void SigmoidInPlace(float* p, int64_t n) {
-#pragma omp parallel for if (n > kParallelCutoff)
-  for (int64_t i = 0; i < n; ++i) p[i] = 1.0f / (1.0f + std::exp(-p[i]));
-}
-
-void TanhProductPlusReluArray(const float* __restrict__ a,
-                              const float* __restrict__ b,
-                              const float* __restrict__ c,
-                              float* __restrict__ out, int64_t n) {
-#pragma omp parallel for if (n > kParallelCutoff)
-  for (int64_t i = 0; i < n; ++i) {
-    float t = std::tanh(a[i] * b[i]);
-    float r = c[i] > 0.0f ? c[i] : 0.0f;
-    out[i] = t + r;
-  }
+void ExpArray(const float* in, float* out, int64_t n) {
+  Map(simd::Active().exp, in, out, n);
 }
 
 }  // namespace dyhsl::tensor

@@ -1,22 +1,14 @@
-// Elementwise transcendental kernels, isolated in their own translation
-// unit so the build can compile exactly these loops with -ffast-math.
+// Elementwise transcendental kernels over float arrays: the tensor-level
+// entry points for tanh, sigmoid and exp.
 //
-// Under -ffast-math + -O3, GCC/Clang vectorize the libm calls through
-// libmvec (_ZGVeN16v_tanhf and friends), which is ~25x faster than the
-// scalar calls and accurate to a few ulp. Nothing here reassociates
-// reductions, so the fast-math flags cannot change any accumulated
-// value — each output element depends on exactly one input element.
-// Without the flags (Debug builds, non-x86 targets) the loops degrade to
-// the scalar libm calls and stay correct.
-//
-// Bit-identity scope: the taped/grad-free kernels (e.g. TanhArray vs
-// TanhInPlace vs the fused combine) are bit-identical when the compiler
-// picks the same vector factor and tail strategy for each loop — every
-// loop here is written with the same shape and the same OpenMP pragma
-// to make that the overwhelmingly likely outcome, and the equality is
-// *enforced*, not assumed: the GradFreeForwardBitIdenticalToTaped tests
-// in tests/{autograd,baselines,dyhsl_model}_test.cc fail the build's
-// test matrix if a toolchain ever splits them.
+// Each call splits the array into fixed-size blocks (OpenMP-parallel above
+// a size cutoff) and runs the runtime-dispatched kernel of src/tensor/simd.h
+// on each block. That kernel rounds every element the same way wherever it
+// sits — vector body or masked tail, any offset, any ISA level — so an
+// element's result depends only on its value: not on the array length, the
+// thread partition or whether the call is out-of-place, in-place or the
+// GEMM epilogue's tanh gate. Batched and unbatched forwards therefore agree
+// bit for bit.
 
 #ifndef DYHSL_TENSOR_VECMATH_H_
 #define DYHSL_TENSOR_VECMATH_H_
@@ -25,27 +17,14 @@
 
 namespace dyhsl::tensor {
 
-/// \brief out[i] = tanh(in[i]).
+/// \brief out[i] = tanh(in[i]). `out` may equal `in`.
 void TanhArray(const float* in, float* out, int64_t n);
 
-/// \brief out[i] = 1 / (1 + exp(-in[i])).
+/// \brief out[i] = 1 / (1 + exp(-in[i])). `out` may equal `in`.
 void SigmoidArray(const float* in, float* out, int64_t n);
 
-/// \brief out[i] = exp(in[i]).
+/// \brief out[i] = exp(in[i]). `out` may equal `in`.
 void ExpArray(const float* in, float* out, int64_t n);
-
-/// \brief p[i] = tanh(p[i]) (aliasing-safe in-place form).
-void TanhInPlace(float* p, int64_t n);
-
-/// \brief p[i] = 1 / (1 + exp(-p[i])).
-void SigmoidInPlace(float* p, int64_t n);
-
-/// \brief out[i] = tanh(a[i] * b[i]) + max(c[i], 0) — the IGC combine
-/// (Eq. 11 + 12) in one pass. Elementwise-identical to the
-/// Mul/Tanh/Relu/Add chain (the component expressions are verbatim the
-/// same), just without the intermediate tensors.
-void TanhProductPlusReluArray(const float* a, const float* b, const float* c,
-                              float* out, int64_t n);
 
 }  // namespace dyhsl::tensor
 

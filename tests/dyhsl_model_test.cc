@@ -1,6 +1,7 @@
 // Tests for the DyHSL model: block semantics, shapes, gradient flow,
 // ablation switches, and end-to-end training on a tiny dataset.
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -92,12 +93,34 @@ TEST_F(DyHslModelTest, DeterministicForwardInEval) {
 }
 
 TEST_F(DyHslModelTest, GradFreeForwardBitIdenticalToTaped) {
-  DyHsl model(task_, config_);
+  // The grad-free path fuses every block's elementwise steps into GEMM
+  // write-backs; the taped path runs them op by op. Checked for the paper
+  // method and every Table V/VI ablation.
+  DyHslConfig nsl = config_;
+  nsl.structure_learning = StructureLearning::kFixedRandom;
+  DyHslConfig fs = config_;
+  fs.structure_learning = StructureLearning::kFromScratch;
+  DyHslConfig no_igc = config_;
+  no_igc.use_igc = false;
   T::Tensor x = MakeBatch(3);
-  T::Tensor taped = model.Forward(x, /*training=*/false).value();
-  ag::InferenceModeGuard no_grad;
-  T::Tensor grad_free = model.Forward(x, /*training=*/false).value();
-  EXPECT_TENSOR_EQ(grad_free, taped);
+  Rng rng(3);
+  for (const DyHslConfig& config : {config_, nsl, fs, no_igc}) {
+    DyHsl model(task_, config);
+    // Biases and norm gains start at 0 and 1; give them values a fused
+    // bias step could get wrong.
+    for (ag::Variable& p : model.Parameters()) {
+      if (p.dim() != 1) continue;
+      T::Tensor noise = T::Tensor::Randn(p.shape(), &rng, 0.5f);
+      std::copy(noise.data(), noise.data() + noise.numel(),
+                p.mutable_value()->data());
+    }
+    T::Tensor taped = model.Forward(x, /*training=*/false).value();
+    ag::InferenceModeGuard no_grad;
+    T::Tensor grad_free = model.Forward(x, /*training=*/false).value();
+    EXPECT_TENSOR_EQ(grad_free, taped)
+        << "structure " << static_cast<int>(config.structure_learning)
+        << " use_igc " << config.use_igc;
+  }
 }
 
 TEST_F(DyHslModelTest, IncidenceShapeMatchesEq6) {

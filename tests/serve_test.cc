@@ -17,9 +17,11 @@
 
 #include "src/autograd/inference.h"
 #include "src/core/parallel.h"
+#include "src/data/dataset.h"
 #include "src/serve/engine.h"
 #include "src/serve/router.h"
 #include "src/serve/session.h"
+#include "src/tensor/ops.h"
 #include "src/train/checkpoint.h"
 #include "src/train/model_zoo.h"
 #include "src/train/trainer.h"
@@ -30,6 +32,7 @@ namespace {
 
 namespace T = ::dyhsl::tensor;
 
+using ::dyhsl::testing::TensorEq;
 using train::RingForecastTask;
 
 models::DyHslConfig TinyConfig(uint64_t seed = 21) {
@@ -149,6 +152,57 @@ TEST(ForecastEngineTest, ResponsesIdenticalAcrossBatchCompositions) {
     ASSERT_TRUE(a.status.ok());
     ASSERT_TRUE(b.status.ok());
     EXPECT_TENSOR_EQ(a.forecast, b.forecast);
+  }
+}
+
+TEST(ForecastEngineTest, PaperScaleBatchesMatchSingleForecastsAtEveryTeamSize) {
+  // DyHSL at the paper configuration (d = 64, I = 32, J = 6 scales, Lp = 6,
+  // Ls = 2) on the PEMS08-like road network (N = 170): every SubmitBatch
+  // item must equal ForecastNow on its window bit for bit at every team
+  // size. Batching changes the length of every elementwise array, and a
+  // team of 3 splits those arrays at boundaries that do not fall on
+  // vector-width multiples — so this holds only if no kernel's rounding
+  // depends on where an element sits. A tanh whose vector body and scalar
+  // tail rounded differently broke it for item 5 of the B = 8 batch of
+  // these windows; most windows hide such a one-ulp difference, because
+  // the rounding of the head's dot products absorbs it.
+  const data::TrafficDataset dataset = data::TrafficDataset::Generate(
+      data::DatasetSpec::Pems08Like(1.0, 2, /*seed=*/1));
+  const train::ForecastTask task = train::ForecastTask::FromDataset(dataset);
+  ASSERT_EQ(task.num_nodes, 170);
+  models::DyHslConfig config;  // paper defaults
+  Rng rng(10);
+  std::vector<T::Tensor> windows;
+  for (int i = 0; i < 8; ++i) {
+    windows.push_back(T::Tensor::Randn(
+        {task.history, task.num_nodes, task.input_dim}, &rng, 1.0f));
+  }
+  for (int team : {1, 2, 3, 4}) {
+    EngineOptions options;
+    options.team_size = team;
+    auto engine =
+        std::move(ForecastEngine::Create(task, config, "", options))
+            .ValueOrDie();
+    std::vector<T::Tensor> single;
+    for (const T::Tensor& w : windows) {
+      ForecastResponse one = engine->ForecastNow(w);
+      ASSERT_TRUE(one.status.ok()) << one.status.ToString();
+      single.push_back(one.forecast);
+    }
+    for (size_t b : {2, 3, 4, 8}) {
+      const std::vector<T::Tensor> items(windows.begin(),
+                                         windows.begin() + b);
+      BatchForecastResponse batch = engine->SubmitBatch(T::PackBatch(items));
+      ASSERT_TRUE(batch.status.ok()) << batch.status.ToString();
+      const int64_t item_numel = task.horizon * task.num_nodes;
+      for (size_t i = 0; i < b; ++i) {
+        EXPECT_TRUE(TensorEq(
+            batch.forecasts.Alias(static_cast<int64_t>(i) * item_numel,
+                                  {task.horizon, task.num_nodes}),
+            single[i]))
+            << "team " << team << " batch " << b << " item " << i;
+      }
+    }
   }
 }
 

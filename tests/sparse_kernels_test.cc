@@ -5,11 +5,17 @@
 // Mirrors tensor_kernels_test: SpMM is checked against an independent
 // naive reference across odd/prime shapes, both beta modes and batch
 // layouts, plus OpenMP thread-count bit-determinism; the taped SpMM is
-// finite-difference gradchecked through the transpose product. Every
-// compiled SIMD level is checked bit-for-bit against the scalar table.
+// finite-difference gradchecked through the transpose product. The SIMD
+// transcendentals are checked against a double-precision reference, and
+// every compiled level bit-for-bit against the scalar table.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -177,41 +183,138 @@ std::vector<simd::Level> SupportedVectorLevels() {
   return levels;
 }
 
-TEST_F(SparseKernelsTest, SimdTileRowUpdateBitIdenticalAcrossLevels) {
-  const simd::Ops& scalar = simd::OpsFor(simd::Level::kScalar);
-  // The second scale draws every operand far below FLT_MIN: simd.h
-  // promises no FTZ/DAZ, so denormal sums and products must round the
-  // same way at every level instead of flushing to zero.
-  const float denorm = std::ldexp(1.0f, -140);
-  for (float scale : {1.0f, denorm}) {
-    for (int64_t n = 1; n <= simd::kMaxLanes; ++n) {
-      Tensor acc = Tensor::Randn({simd::kMaxLanes}, &rng_, scale);
-      Tensor base = Tensor::Randn({simd::kMaxLanes}, &rng_, scale);
-      if (scale != 1.0f) {
-        // Keeps the case honest: the operands really are subnormal.
-        int64_t subnormal = 0;
-        for (int64_t j = 0; j < n; ++j) {
-          subnormal += std::fpclassify(acc.data()[j]) == FP_SUBNORMAL;
-          subnormal += std::fpclassify(base.data()[j]) == FP_SUBNORMAL;
-        }
-        ASSERT_GT(subnormal, 0) << "n=" << n;
+// The transcendental sweep: every 2^-8-spaced value in [-20, 20], then
+// ±0, denormals, ±inf and NaN. `range_edges` adds arguments where exp
+// overflows or returns denormals, for the bit-identity checks.
+Tensor TranscendentalSweep(bool range_edges = false) {
+  std::vector<float> xs;
+  if (range_edges) {
+    for (float x : {-150.0f, -104.5f, -103.9f, -103.0f, -100.0f, -95.5f,
+                    -90.0f, -87.5f, -87.0f, 88.5f, 88.72f, 88.75f, 89.5f,
+                    100.0f}) {
+      xs.push_back(x);
+    }
+  }
+  for (int i = -20 * 256; i <= 20 * 256; ++i) {
+    xs.push_back(std::ldexp(static_cast<float>(i), -8));
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm_min = std::numeric_limits<float>::denorm_min();
+  for (float x : {0.0f, -0.0f, denorm_min, -denorm_min,
+                  std::ldexp(1.0f, -130), -std::ldexp(1.0f, -140),
+                  std::ldexp(0.75f, -126), inf, -inf,
+                  std::numeric_limits<float>::quiet_NaN(),
+                  -std::numeric_limits<float>::quiet_NaN()}) {
+    xs.push_back(x);
+  }
+  return Tensor::FromVector({static_cast<int64_t>(xs.size())}, xs);
+}
+
+// Distance in representable floats between two finite floats.
+int64_t UlpDistance(float a, float b) {
+  auto ordered = [](float f) {
+    int32_t i;
+    std::memcpy(&i, &f, sizeof(i));
+    return i < 0 ? static_cast<int64_t>(INT32_MIN) - i
+                 : static_cast<int64_t>(i);
+  };
+  return std::llabs(ordered(a) - ordered(b));
+}
+
+struct Transcendental {
+  const char* name;
+  void (*simd::Ops::*fn)(const float*, float*, int64_t);
+  double (*reference)(double);
+};
+
+const Transcendental kTranscendentals[] = {
+    {"tanh", &simd::Ops::tanh, [](double x) { return std::tanh(x); }},
+    {"sigmoid", &simd::Ops::sigmoid,
+     [](double x) { return 1.0 / (1.0 + std::exp(-x)); }},
+    {"exp", &simd::Ops::exp, [](double x) { return std::exp(x); }},
+};
+
+TEST_F(SparseKernelsTest, SimdTranscendentalsWithinTwoUlpOfDouble) {
+  const Tensor x = TranscendentalSweep();
+  for (const Transcendental& t : kTranscendentals) {
+    Tensor y(x.shape());
+    (simd::OpsFor(simd::Level::kScalar).*t.fn)(x.data(), y.data(),
+                                               x.numel());
+    int64_t worst = 0;
+    for (int64_t i = 0; i < x.numel(); ++i) {
+      const float xi = x.data()[i];
+      const float got = y.data()[i];
+      const float want = static_cast<float>(t.reference(xi));
+      if (std::isnan(want)) {
+        // NaN passes through with its exact bits.
+        EXPECT_TENSOR_EQ(Tensor::Scalar(got), Tensor::Scalar(xi)) << t.name;
+        continue;
       }
-      for (float beta : {0.0f, 1.0f, -0.375f}) {
-        Tensor want = base.Clone();
-        scalar.tile_row_update(acc.data(), want.data(), n, beta);
-        for (simd::Level level : SupportedVectorLevels()) {
-          Tensor got = base.Clone();
-          simd::OpsFor(level).tile_row_update(acc.data(), got.data(), n,
-                                              beta);
-          EXPECT_TENSOR_EQ(got, want) << simd::LevelName(level) << " n=" << n
-                                      << " beta=" << beta
-                                      << " scale=" << scale;
-          // Lanes past n must be untouched (masked stores).
-          for (int64_t j = n; j < simd::kMaxLanes; ++j) {
-            EXPECT_EQ(got.data()[j], base.data()[j]);
+      if (std::isinf(want) || want == 0.0f) {
+        // Exact at the limits, including the sign of a zero.
+        EXPECT_TENSOR_EQ(Tensor::Scalar(got), Tensor::Scalar(want))
+            << t.name << "(" << xi << ") = " << got;
+        continue;
+      }
+      const int64_t ulps = UlpDistance(got, want);
+      worst = std::max(worst, ulps);
+      EXPECT_LE(ulps, 2) << t.name << "(" << xi << ") = " << got
+                         << ", want " << want;
+    }
+    RecordProperty(std::string("max_ulp_") + t.name,
+                   static_cast<int>(worst));
+  }
+}
+
+TEST_F(SparseKernelsTest, SimdTranscendentalsBitIdenticalAcrossLevels) {
+  const Tensor x = TranscendentalSweep(/*range_edges=*/true);
+  // Input windows start anywhere in a random buffer, so every lane of the
+  // vector body and of the masked tail sees varied values.
+  Tensor buffer = Tensor::Randn({64}, &rng_, 6.0f);
+  for (const Transcendental& t : kTranscendentals) {
+    Tensor want(x.shape());
+    (simd::OpsFor(simd::Level::kScalar).*t.fn)(x.data(), want.data(),
+                                               x.numel());
+    std::vector<simd::Level> levels = SupportedVectorLevels();
+    levels.insert(levels.begin(), simd::Level::kScalar);
+    for (simd::Level level : levels) {
+      const simd::Ops& ops = simd::OpsFor(level);
+      Tensor got(x.shape());
+      (ops.*t.fn)(x.data(), got.data(), x.numel());
+      EXPECT_TENSOR_EQ(got, want) << t.name << " " << simd::LevelName(level);
+      // Elementwise reference for the buffer, one element per call.
+      Tensor one(buffer.shape());
+      for (int64_t i = 0; i < buffer.numel(); ++i) {
+        (ops.*t.fn)(buffer.data() + i, one.data() + i, 1);
+      }
+      for (int64_t n = 0; n <= 33; ++n) {
+        for (int64_t off = 0; off <= 15; ++off) {
+          Tensor out = Tensor::Full(buffer.shape(), -7.0f);
+          (ops.*t.fn)(buffer.data() + off, out.data() + off, n);
+          for (int64_t i = 0; i < buffer.numel(); ++i) {
+            const bool live = i >= off && i < off + n;
+            const float expect = live ? one.data()[i] : -7.0f;
+            ASSERT_EQ(std::memcmp(&out.data()[i], &expect, sizeof(float)), 0)
+                << t.name << " " << simd::LevelName(level) << " n=" << n
+                << " off=" << off << " i=" << i;
+          }
+          // In place gives the same bits.
+          Tensor inplace = buffer.Clone();
+          (ops.*t.fn)(inplace.data() + off, inplace.data() + off, n);
+          for (int64_t i = off; i < off + n; ++i) {
+            ASSERT_EQ(std::memcmp(&inplace.data()[i], &one.data()[i],
+                                  sizeof(float)),
+                      0)
+                << t.name << " in place n=" << n << " off=" << off;
           }
         }
       }
+      // The scalar reference of the buffer matches this level too.
+      Tensor scalar_one(buffer.shape());
+      (simd::OpsFor(simd::Level::kScalar).*t.fn)(
+          buffer.data(), scalar_one.data(), buffer.numel());
+      EXPECT_TENSOR_EQ(one, scalar_one) << t.name << " "
+                                        << simd::LevelName(level);
     }
   }
 }

@@ -6,10 +6,15 @@
 // reference across odd/prime sizes (micro-kernel tails in every
 // dimension), all four trans-flag combinations, every batched sharing
 // pattern, and both beta modes — plus bit-determinism across OpenMP
-// thread counts.
+// thread counts. The fused GEMM epilogues are checked bit for bit against
+// the unfused op chains, and every parallel elementwise op against its own
+// result on a slice of the array.
 
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +25,7 @@
 
 #include "src/autograd/ops.h"
 #include "src/autograd/variable.h"
+#include "src/core/parallel.h"
 #include "src/core/rng.h"
 #include "src/tensor/gemm.h"
 #include "src/tensor/ops.h"
@@ -238,6 +244,188 @@ TEST_F(TensorKernelsTest, RsqrtMatchesComposition) {
 }
 
 #ifdef _OPENMP
+TEST_F(TensorKernelsTest, GemmEpilogueMatchesUnfusedOpChain) {
+  // Every epilogue the model fuses must equal the GEMM followed by the
+  // same steps as separate tensor ops, bit for bit: over one and several K
+  // panels (k = 300 > kKc), row tails (125 = 20 * 6 + 5 rows, two row
+  // blocks) and column tails (37 = 2 * 16 + 5), both beta modes, strided,
+  // transposed, prepacked-A, prepacked-B and fresh shared-B operands, and
+  // teams of 1 and 4.
+  constexpr int64_t kBatch = 3, kM = 125, kN = 37;
+  struct Case {
+    const char* name;
+    bool bias;
+    float scale;
+    bool relu;
+    bool residual;
+    float post;
+    bool gate;
+  };
+  const Case cases[] = {
+      {"bias", true, 1.0f, false, false, 1.0f, false},
+      {"bias+relu+residual", true, 1.0f, true, true, 1.0f, false},
+      {"scale", false, 0.37f, false, false, 1.0f, false},
+      {"scale+residual+post", false, 0.37f, false, true, 0.5f, false},
+      {"bias+gate", true, 1.0f, false, false, 1.0f, true},
+  };
+  enum class Operands {
+    kStrided,
+    kStridedTransA,
+    kPrepackedSharedA,
+    kPrepackedSharedB,
+    kFreshSharedB,
+  };
+  const Tensor bias = Tensor::Randn({kN}, &rng_);
+  const Tensor residual = Tensor::Randn({kBatch, kM, kN}, &rng_);
+  const Tensor gate_a = Tensor::Randn({kBatch, kM, kN}, &rng_);
+  const Tensor gate_b = Tensor::Randn({kBatch, kM, kN}, &rng_);
+  const Tensor c_init = Tensor::Randn({kBatch, kM, kN}, &rng_);
+  for (int team : {1, 4}) {
+    core::TeamScope scope(team);
+    for (int64_t k : {20, 300}) {
+      for (Operands operands :
+           {Operands::kStrided, Operands::kStridedTransA,
+            Operands::kPrepackedSharedA, Operands::kPrepackedSharedB,
+            Operands::kFreshSharedB}) {
+        const bool trans_a = operands == Operands::kStridedTransA;
+        const bool shared_a = operands == Operands::kPrepackedSharedA;
+        const bool shared_b = operands == Operands::kPrepackedSharedB ||
+                              operands == Operands::kFreshSharedB;
+        const Tensor a =
+            shared_a  ? Tensor::Randn({kM, k}, &rng_)
+            : trans_a ? Tensor::Randn({kBatch, k, kM}, &rng_)
+                      : Tensor::Randn({kBatch, kM, k}, &rng_);
+        const Tensor b = shared_b ? Tensor::Randn({k, kN}, &rng_)
+                                  : Tensor::Randn({kBatch, k, kN}, &rng_);
+        std::shared_ptr<const PackedPanels> pre_a, pre_b;
+        if (shared_a) {
+          pre_a = PackedPanels::PackAOperand(a.data(), k, false, kM, k);
+        }
+        if (operands == Operands::kPrepackedSharedB) {
+          pre_b = PackedPanels::PackBOperand(b.data(), kN, false, k, kN);
+        }
+        for (float beta : {0.0f, 1.0f}) {
+          auto run = [&](const GemmEpilogue* ep) {
+            Tensor c = c_init.Clone();
+            BatchedGemmPrepackedInto(
+                kBatch, trans_a, false, kM, kN, k, a.data(),
+                shared_a ? 0 : kM * k, trans_a ? kM : k, pre_a.get(),
+                b.data(), shared_b ? 0 : k * kN, kN, pre_b.get(), beta,
+                c.data(), kM * kN, kN, ep);
+            return c;
+          };
+          const Tensor plain = run(nullptr);
+          for (const Case& c : cases) {
+            GemmEpilogue ep;
+            Tensor want = plain;
+            if (c.bias) {
+              ep.bias = bias.data();
+              want = Add(want, bias);
+            }
+            if (c.scale != 1.0f) {
+              ep.scale = c.scale;
+              want = MulScalar(want, c.scale);
+            }
+            if (c.relu) {
+              ep.relu = true;
+              want = Relu(want);
+            }
+            if (c.residual) {
+              ep.residual = residual.data();
+              want = Add(want, residual);
+            }
+            if (c.post != 1.0f) {
+              ep.post = c.post;
+              want = MulScalar(want, c.post);
+            }
+            if (c.gate) {
+              ep.gate_a = gate_a.data();
+              ep.gate_b = gate_b.data();
+              want = Add(Tanh(Mul(gate_a, gate_b)), Relu(want));
+            }
+            EXPECT_TENSOR_EQ(run(&ep), want)
+                << c.name << " team=" << team << " k=" << k
+                << " operands=" << static_cast<int>(operands)
+                << " beta=" << beta;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(TensorKernelsTest, ElementwiseResultsIndependentOfLengthAndPartition) {
+  // At a team of 3, a parallel elementwise loop splits its array at
+  // boundaries set by the array's length; batching changes that length.
+  // An element's result must not depend on it: an odd-length slice at an
+  // odd offset (both long enough to run in parallel) must reproduce the
+  // whole array's bits.
+  core::TeamScope scope(3);
+  constexpr int64_t kLen = 3 * (1 << 15) + 37;
+  constexpr int64_t kOff = 13, kSub = (1 << 15) + 1001;
+  const Tensor x = Tensor::Randn({kLen}, &rng_, 2.0f);
+  const Tensor y = Tensor::Randn({kLen}, &rng_);
+  const Tensor pos = AddScalar(Abs(y), 0.5f);
+  auto part = [](const Tensor& t) { return Slice(t, 0, kOff, kSub); };
+  using Op = std::function<Tensor(const Tensor&, const Tensor&,
+                                  const Tensor&)>;
+  const std::vector<std::pair<const char*, Op>> ops = {
+      {"Add", [](auto& a, auto& b, auto&) { return Add(a, b); }},
+      {"Sub", [](auto& a, auto& b, auto&) { return Sub(a, b); }},
+      {"Mul", [](auto& a, auto& b, auto&) { return Mul(a, b); }},
+      {"Div", [](auto& a, auto&, auto& p) { return Div(a, p); }},
+      {"Maximum", [](auto& a, auto& b, auto&) { return Maximum(a, b); }},
+      {"AddScalar", [](auto& a, auto&, auto&) { return AddScalar(a, 0.3f); }},
+      {"MulScalar", [](auto& a, auto&, auto&) { return MulScalar(a, 0.3f); }},
+      {"Neg", [](auto& a, auto&, auto&) { return Neg(a); }},
+      {"Relu", [](auto& a, auto&, auto&) { return Relu(a); }},
+      {"LeakyRelu", [](auto& a, auto&, auto&) { return LeakyRelu(a, 0.1f); }},
+      {"Sigmoid", [](auto& a, auto&, auto&) { return Sigmoid(a); }},
+      {"Tanh", [](auto& a, auto&, auto&) { return Tanh(a); }},
+      {"Exp", [](auto& a, auto&, auto&) { return Exp(a); }},
+      {"Log", [](auto&, auto&, auto& p) { return Log(p); }},
+      {"Sqrt", [](auto&, auto&, auto& p) { return Sqrt(p); }},
+      {"Rsqrt", [](auto&, auto&, auto& p) { return Rsqrt(p, 1e-5f); }},
+      {"Abs", [](auto& a, auto&, auto&) { return Abs(a); }},
+      {"Sign", [](auto& a, auto&, auto&) { return Sign(a); }},
+      {"Clamp", [](auto& a, auto&, auto&) { return Clamp(a, -1.0f, 1.5f); }},
+      {"AxpyInPlace",
+       [](auto& a, auto& b, auto&) {
+         Tensor d = a.Clone();
+         AxpyInPlace(&d, 0.3f, b);
+         return d;
+       }},
+      {"ScaleInPlace",
+       [](auto& a, auto&, auto&) {
+         Tensor d = a.Clone();
+         ScaleInPlace(&d, 0.3f);
+         return d;
+       }},
+      {"AddInto",
+       [](auto& a, auto& b, auto&) {
+         Tensor d(a.shape());
+         AddInto(a, b, &d);
+         return d;
+       }},
+      {"ReluInPlace",
+       [](auto& a, auto&, auto&) {
+         Tensor d = a.Clone();
+         ReluInPlace(&d);
+         return d;
+       }},
+      {"AddScalarInPlace",
+       [](auto& a, auto&, auto&) {
+         Tensor d = a.Clone();
+         AddScalarInPlace(&d, 0.3f);
+         return d;
+       }},
+  };
+  for (const auto& [name, op] : ops) {
+    EXPECT_TENSOR_EQ(op(part(x), part(y), part(pos)), part(op(x, y, pos)))
+        << name;
+  }
+}
+
 TEST_F(TensorKernelsTest, GemmBitDeterministicAcrossThreadCounts) {
   // The parallel partition must not change any element's accumulation
   // order: results are required to be bit-identical for every thread
