@@ -161,6 +161,30 @@ inline bool EnvListAllows(const char* env_name, const std::string& value) {
   return false;
 }
 
+/// \brief SynPEMS03 and SynPEMS04, the datasets of the ablation tables
+/// (V-VII), as far as DYHSL_DATASETS allows.
+inline std::vector<data::TrafficDataset> AblationDatasets(
+    const BenchEnv& env) {
+  std::vector<data::TrafficDataset> datasets;
+  for (const char* name : {"SynPEMS03", "SynPEMS04"}) {
+    if (EnvListAllows("DYHSL_DATASETS", name)) {
+      datasets.push_back(MakeDataset(name, env));
+    }
+  }
+  return datasets;
+}
+
+/// \brief One paper number per ablation dataset, looked up by dataset
+/// name so a DYHSL_DATASETS filter never shifts a column onto the other
+/// dataset's reference.
+struct PaperRef {
+  double pems03;
+  double pems04;
+  double For(const std::string& dataset) const {
+    return dataset == "SynPEMS03" ? pems03 : pems04;
+  }
+};
+
 }  // namespace dyhsl::bench
 
 #endif  // DYHSL_BENCH_BENCH_COMMON_H_

@@ -1,7 +1,11 @@
 // google-benchmark suite validating the paper's section IV-D complexity
 // claim: DyHSL's forward+backward cost grows linearly with the network
 // size ||A||_0 (ring roads of increasing N) and with the observation
-// length T. Also measures forward latency of DyHSL next to two baselines.
+// length T. Also measures forward latency of DyHSL next to two baselines,
+// and whether packing requests into one batch pays for each served model.
+
+#include <chrono>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +13,8 @@
 #include "src/autograd/ops.h"
 #include "src/data/dataset.h"
 #include "src/models/dyhsl.h"
+#include "src/serve/engine.h"
+#include "src/tensor/ops.h"
 #include "src/train/model_zoo.h"
 
 namespace dyhsl {
@@ -99,6 +105,77 @@ constexpr char kAgcrn[] = "AGCRN";
 BENCHMARK_TEMPLATE(BM_ModelForward, kDyHsl)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_ModelForward, kStgode)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_ModelForward, kAgcrn)->Unit(benchmark::kMillisecond);
+
+// Does packing amortize? Each iteration runs one packed B = 4 grad-free
+// forward (SubmitBatch) and the same four windows as B = 1 forwards
+// (ForecastNow), through a team-1 engine at the model's serving shape.
+// `packed_over_sequential` above 1 means the packed batch costs more
+// than its items served one by one.
+void RunPackedVsSequential(benchmark::State& state,
+                           const data::DatasetSpec& spec,
+                           const serve::ModelFactory& factory) {
+  using Clock = std::chrono::steady_clock;
+  const data::TrafficDataset dataset = data::TrafficDataset::Generate(spec);
+  const train::ForecastTask task = train::ForecastTask::FromDataset(dataset);
+  serve::EngineOptions options;
+  options.team_size = 1;
+  auto engine = std::move(serve::ForecastEngine::Create(task, factory, "",
+                                                        options))
+                    .ValueOrDie();
+  Rng rng(4);
+  std::vector<T::Tensor> windows;
+  for (int i = 0; i < 4; ++i) {
+    windows.push_back(T::Tensor::Randn(
+        {task.history, task.num_nodes, task.input_dim}, &rng, 1.0f));
+  }
+  const T::Tensor packed = T::PackBatch(windows);
+  // Warm both paths' arenas before timing.
+  engine->SubmitBatch(packed);
+  for (const T::Tensor& w : windows) engine->ForecastNow(w);
+  double packed_s = 0.0;
+  double sequential_s = 0.0;
+  for (auto _ : state) {
+    const Clock::time_point t0 = Clock::now();
+    benchmark::DoNotOptimize(engine->SubmitBatch(packed).forecasts.data());
+    const Clock::time_point t1 = Clock::now();
+    for (const T::Tensor& w : windows) {
+      benchmark::DoNotOptimize(engine->ForecastNow(w).forecast.data());
+    }
+    const Clock::time_point t2 = Clock::now();
+    packed_s += std::chrono::duration<double>(t1 - t0).count();
+    sequential_s += std::chrono::duration<double>(t2 - t1).count();
+  }
+  const double n = static_cast<double>(state.iterations());
+  state.counters["nodes"] = static_cast<double>(task.num_nodes);
+  state.counters["packed_ms"] = 1e3 * packed_s / n;
+  state.counters["sequential_ms"] = 1e3 * sequential_s / n;
+  state.counters["packed_over_sequential"] = packed_s / sequential_s;
+}
+
+train::ZooConfig Hidden16() {
+  train::ZooConfig zoo;
+  zoo.hidden_dim = 16;
+  return zoo;
+}
+
+// Paper-config DyHSL on the PEMS08-like network (N = 170).
+void BM_PackedVsSequential_DyHsl(benchmark::State& state) {
+  RunPackedVsSequential(state, data::DatasetSpec::Pems08Like(1.0, 2),
+                        serve::DyHslFactory(models::DyHslConfig()));
+}
+// STGCN, hidden 16, on the PEMS07-like network (N = 883).
+void BM_PackedVsSequential_Stgcn(benchmark::State& state) {
+  RunPackedVsSequential(state, data::DatasetSpec::Pems07Like(1.0, 2),
+                        serve::ZooFactory("STGCN", Hidden16()));
+}
+// DCRNN, hidden 16, on the PEMS08-like network (N = 170).
+void BM_PackedVsSequential_Dcrnn(benchmark::State& state) {
+  RunPackedVsSequential(state, data::DatasetSpec::Pems08Like(1.0, 2),
+                        serve::ZooFactory("DCRNN", Hidden16()));
+}
+BENCHMARK(BM_PackedVsSequential_DyHsl)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PackedVsSequential_Stgcn)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PackedVsSequential_Dcrnn)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace dyhsl

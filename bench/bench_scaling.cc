@@ -150,8 +150,6 @@ int RunPhaseInChild(int64_t shards, int threads, int per_client, int out_fd) {
   train::ZooConfig zoo;
   zoo.hidden_dim = kHidden;
   serve::EngineOptions options;
-  options.max_batch = 8;
-  options.max_delay_us = 2000;
   serve::RouterOptions router_options;
   if (shards > 1) {
     router_options.placement = serve::Placement::kPinned;

@@ -99,7 +99,6 @@ struct LoadResult {
   double throughput_rps = 0.0;
   double p50_ms = 0.0;
   double p99_ms = 0.0;
-  double mean_batch = 0.0;
 };
 
 // Closed loop: `clients` threads each submit `per_client` requests
@@ -107,7 +106,6 @@ struct LoadResult {
 LoadResult RunLoad(serve::ForecastEngine* engine, const T::Tensor& window,
                    int clients, int per_client) {
   std::vector<std::vector<double>> latencies(clients);
-  std::vector<std::vector<int64_t>> batch_sizes(clients);
   std::vector<std::thread> threads;
   threads.reserve(clients);
   Clock::time_point start = Clock::now();
@@ -118,9 +116,7 @@ LoadResult RunLoad(serve::ForecastEngine* engine, const T::Tensor& window,
         serve::ForecastResponse response =
             engine->Submit(serve::ForecastRequest{window.Clone()}).get();
         latencies[c].push_back(MsSince(sent));
-        if (response.status.ok()) {
-          batch_sizes[c].push_back(response.batch_size);
-        } else {
+        if (!response.status.ok()) {
           std::fprintf(stderr, "serve error: %s\n",
                        response.status.ToString().c_str());
         }
@@ -132,20 +128,13 @@ LoadResult RunLoad(serve::ForecastEngine* engine, const T::Tensor& window,
 
   LoadResult result;
   std::vector<double> all;
-  double batch_sum = 0.0;
-  int64_t batch_count = 0;
   for (int c = 0; c < clients; ++c) {
     all.insert(all.end(), latencies[c].begin(), latencies[c].end());
-    for (int64_t b : batch_sizes[c]) {
-      batch_sum += static_cast<double>(b);
-      ++batch_count;
-    }
   }
   result.throughput_rps =
       wall_ms > 0.0 ? 1000.0 * static_cast<double>(all.size()) / wall_ms : 0.0;
   result.p50_ms = Percentile(all, 50.0);
   result.p99_ms = Percentile(all, 99.0);
-  result.mean_batch = batch_count > 0 ? batch_sum / batch_count : 0.0;
   return result;
 }
 
@@ -181,8 +170,6 @@ int main() {
 
   // 2. Engine under closed-loop load at 1 / 4 / 16 clients.
   serve::EngineOptions options;
-  options.max_batch = 16;
-  options.max_delay_us = 2000;
   auto created = serve::ForecastEngine::Create(task, config, "", options);
   if (!created.ok()) {
     std::fprintf(stderr, "engine: %s\n", created.status().ToString().c_str());
@@ -190,7 +177,7 @@ int main() {
   }
   std::unique_ptr<serve::ForecastEngine> engine =
       std::move(created).ValueOrDie();
-  // Warm the workers (first batches pay arena growth).
+  // Warm the worker (the first forwards pay arena growth).
   RunLoad(engine.get(), window, 2, 4);
 
   std::vector<int> client_counts = {1, 4, 16};
@@ -199,10 +186,8 @@ int main() {
     LoadResult load = RunLoad(engine.get(), window, clients, per_client);
     loads.push_back(load);
     std::printf(
-        "clients=%-3d  %8.1f req/s   p50 %7.2f ms   p99 %7.2f ms   "
-        "mean batch %.1f\n",
-        clients, load.throughput_rps, load.p50_ms, load.p99_ms,
-        load.mean_batch);
+        "clients=%-3d  %8.1f req/s   p50 %7.2f ms   p99 %7.2f ms\n",
+        clients, load.throughput_rps, load.p50_ms, load.p99_ms);
   }
 
   // 3. JSON artifact for CI trend tracking.
@@ -220,18 +205,15 @@ int main() {
   std::fprintf(out, "  \"forward_taped_ms\": %.4f,\n", taped_ms);
   std::fprintf(out, "  \"forward_gradfree_ms\": %.4f,\n", gradfree_ms);
   std::fprintf(out, "  \"gradfree_speedup\": %.4f,\n", speedup);
-  std::fprintf(out, "  \"engine\": {\"max_batch\": %lld, \"max_delay_us\": "
-                    "%lld, \"num_workers\": %lld},\n",
-               static_cast<long long>(options.max_batch),
-               static_cast<long long>(options.max_delay_us),
+  std::fprintf(out, "  \"engine\": {\"num_workers\": %lld},\n",
                static_cast<long long>(options.num_workers));
   std::fprintf(out, "  \"load\": [\n");
   for (size_t i = 0; i < loads.size(); ++i) {
     std::fprintf(out,
                  "    {\"clients\": %d, \"throughput_rps\": %.2f, "
-                 "\"p50_ms\": %.3f, \"p99_ms\": %.3f, \"mean_batch\": %.2f}%s\n",
+                 "\"p50_ms\": %.3f, \"p99_ms\": %.3f}%s\n",
                  client_counts[i], loads[i].throughput_rps, loads[i].p50_ms,
-                 loads[i].p99_ms, loads[i].mean_batch,
+                 loads[i].p99_ms,
                  i + 1 < loads.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");

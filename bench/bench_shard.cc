@@ -126,20 +126,16 @@ int RunPhaseInChild(int64_t shards, int per_client, int out_fd) {
   train::ForecastTask task = train::RingForecastTask(kNodes, kHistory);
   train::ZooConfig zoo;
   zoo.hidden_dim = kHidden;
-  serve::EngineOptions options;
-  options.max_batch = 8;
-  options.max_delay_us = 2000;
   auto created = serve::ForecastRouter::Create();
   if (!created.ok()) return 1;
   auto router = std::move(created).ValueOrDie();
   Status added =
       shards == 1
-          ? router->AddModel("m", task, serve::ZooFactory("STGCN", zoo), "",
-                             options)
+          ? router->AddModel("m", task, serve::ZooFactory("STGCN", zoo))
           : router->AddShardedModel(
                 "m", task,
                 graph::ShardPlan::Build(task.spatial_adj, shards, kHalo),
-                serve::ZooFactory("STGCN", zoo), "", options);
+                serve::ZooFactory("STGCN", zoo));
   if (!added.ok()) {
     std::fprintf(stderr, "fleet bring-up: %s\n", added.ToString().c_str());
     return 1;

@@ -10,7 +10,7 @@
 //
 //  * Baseline ("resubmit"): the client keeps the (T, N, F) window,
 //    shifts it by one frame per tick, and submits the full window
-//    through ForecastRouter::Submit — the batch path re-reads all
+//    through ForecastRouter::Submit — the queue path re-reads all
 //    T x N x F floats and re-runs the model end to end every tick.
 //  * Streamed ("session"): a warm SessionManager session. Append hands
 //    the server N raw floats; the session advances the carried DCRNN
@@ -19,10 +19,10 @@
 //    instead of T + T', plus none of the window materialization.
 //  * A stateless STGCN pair (windowed session vs resubmission) isolates
 //    the transport/queue savings alone — no recurrent carry, the model
-//    work is identical, so the gap is window assembly + batch queue.
+//    work is identical, so the gap is window assembly + the queue.
 //
-// The engines run with max_batch=1 / max_delay_us=0 so the baseline
-// pays no artificial batching delay — the comparison is fast path vs
+// The engines serve every queued request at once as its own forward, so
+// the baseline pays no batching delay — the comparison is fast path vs
 // fast path. DCRNN uses horizon T'=3 (nowcasting), the regime streaming
 // targets; history is the paper's T=12.
 //
@@ -358,20 +358,12 @@ int main(int argc, char** argv) {
       train::RingForecastTask(kNodes, kHistory, kHorizon);
   train::ZooConfig zoo;
   zoo.hidden_dim = kHidden;
-  // Fast path vs fast path: no batching delay for the baseline.
-  serve::EngineOptions options;
-  options.max_batch = 1;
-  options.max_delay_us = 0;
 
   auto created = serve::ForecastRouter::Create();
   if (!created.ok()) return 1;
   auto router = std::move(created).ValueOrDie();
-  if (!router->AddModel("dcrnn", task, serve::ZooFactory("DCRNN", zoo), "",
-                        options)
-           .ok() ||
-      !router->AddModel("stgcn", task, serve::ZooFactory("STGCN", zoo), "",
-                        options)
-           .ok()) {
+  if (!router->AddModel("dcrnn", task, serve::ZooFactory("DCRNN", zoo)).ok() ||
+      !router->AddModel("stgcn", task, serve::ZooFactory("STGCN", zoo)).ok()) {
     std::fprintf(stderr, "fleet bring-up failed\n");
     return 1;
   }
@@ -434,12 +426,10 @@ int main(int argc, char** argv) {
   if (!fleet_created.ok()) return 1;
   auto fleet_router = std::move(fleet_created).ValueOrDie();
   if (!fleet_router
-           ->AddModel("dcrnn", fleet_task, serve::ZooFactory("DCRNN", zoo),
-                      "", options)
+           ->AddModel("dcrnn", fleet_task, serve::ZooFactory("DCRNN", zoo))
            .ok() ||
       !fleet_router
-           ->AddModel("stgcn", fleet_task, serve::ZooFactory("STGCN", zoo),
-                      "", options)
+           ->AddModel("stgcn", fleet_task, serve::ZooFactory("STGCN", zoo))
            .ok()) {
     std::fprintf(stderr, "fleet bring-up failed\n");
     return 1;

@@ -15,7 +15,7 @@ namespace {
 struct Row {
   const char* label;
   models::StructureLearning mode;
-  double paper_mae03, paper_mae04;
+  PaperRef paper_mae;
 };
 
 int Main() {
@@ -23,30 +23,18 @@ int Main() {
   PrintHeaderLine("Table V: structure-learning ablation (DHSL/NSL/FS)", env);
 
   const std::vector<Row> rows = {
-      {"DHSL", models::StructureLearning::kLowRank, 15.49, 17.66},
-      {"NSL", models::StructureLearning::kFixedRandom, 16.43, 18.19},
-      {"FS", models::StructureLearning::kFromScratch, 18.91, 24.32},
+      {"DHSL", models::StructureLearning::kLowRank, {15.49, 17.66}},
+      {"NSL", models::StructureLearning::kFixedRandom, {16.43, 18.19}},
+      {"FS", models::StructureLearning::kFromScratch, {18.91, 24.32}},
   };
+  const std::vector<data::TrafficDataset> datasets = AblationDatasets(env);
   std::printf("%-6s", "SL");
-  for (const char* ds : {"SynPEMS03", "SynPEMS04"}) {
-    std::printf(" | %-44s", ds);
-  }
+  for (const auto& ds : datasets) std::printf(" | %-44s", ds.name().c_str());
   std::printf("\n");
-
-  for (const char* name : {"SynPEMS03", "SynPEMS04"}) {
-    if (!EnvListAllows("DYHSL_DATASETS", name)) continue;
-  }
-  std::vector<data::TrafficDataset> datasets;
-  for (const char* name : {"SynPEMS03", "SynPEMS04"}) {
-    if (EnvListAllows("DYHSL_DATASETS", name)) {
-      datasets.push_back(MakeDataset(name, env));
-    }
-  }
 
   for (const Row& row : rows) {
     std::printf("%-6s", row.label);
-    for (size_t di = 0; di < datasets.size(); ++di) {
-      const auto& ds = datasets[di];
+    for (const auto& ds : datasets) {
       train::ForecastTask task = train::ForecastTask::FromDataset(ds);
       models::DyHslConfig cfg;
       cfg.hidden_dim = env.zoo_config.hidden_dim;
@@ -60,7 +48,7 @@ int Main() {
       (void)tr;
       train::EvalResult ev = train::EvaluateModel(
           &model, ds, ds.test_range(), env.knobs.batch_size, 24);
-      double paper = di == 0 ? row.paper_mae03 : row.paper_mae04;
+      const double paper = row.paper_mae.For(ds.name());
       char buf[96];
       std::snprintf(buf, sizeof(buf),
                     "MAE %6.2f RMSE %6.2f MAPE %5.1f%% [paper MAE %.2f]",

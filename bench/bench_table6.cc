@@ -16,27 +16,21 @@ int Main() {
   struct Row {
     const char* label;
     bool use_igc;
-    double paper_mae03, paper_mape03, paper_mae04, paper_mape04;
+    PaperRef paper_mae, paper_mape;
   };
   const std::vector<Row> rows = {
-      {"w/", true, 15.49, 14.38, 17.66, 12.42},
-      {"w/o", false, 16.95, 17.15, 17.99, 14.13},
+      {"w/", true, {15.49, 17.66}, {14.38, 12.42}},
+      {"w/o", false, {16.95, 17.99}, {17.15, 14.13}},
   };
 
-  std::vector<data::TrafficDataset> datasets;
-  for (const char* name : {"SynPEMS03", "SynPEMS04"}) {
-    if (EnvListAllows("DYHSL_DATASETS", name)) {
-      datasets.push_back(MakeDataset(name, env));
-    }
-  }
+  const std::vector<data::TrafficDataset> datasets = AblationDatasets(env);
   std::printf("%-5s", "IGC");
   for (const auto& ds : datasets) std::printf(" | %-52s", ds.name().c_str());
   std::printf("\n");
 
   for (const Row& row : rows) {
     std::printf("%-5s", row.label);
-    for (size_t di = 0; di < datasets.size(); ++di) {
-      const auto& ds = datasets[di];
+    for (const auto& ds : datasets) {
       train::ForecastTask task = train::ForecastTask::FromDataset(ds);
       models::DyHslConfig cfg;
       cfg.hidden_dim = env.zoo_config.hidden_dim;
@@ -49,8 +43,8 @@ int Main() {
       train::TrainModel(&model, ds, AblationTrainConfig(env));
       train::EvalResult ev = train::EvaluateModel(
           &model, ds, ds.test_range(), env.knobs.batch_size, 24);
-      double pm = di == 0 ? row.paper_mae03 : row.paper_mae04;
-      double pp = di == 0 ? row.paper_mape03 : row.paper_mape04;
+      const double pm = row.paper_mae.For(ds.name());
+      const double pp = row.paper_mape.For(ds.name());
       char buf[104];
       std::snprintf(
           buf, sizeof(buf),

@@ -17,28 +17,22 @@ int Main() {
   struct Row {
     int scales;
     std::vector<int64_t> windows;
-    double paper_mae03, paper_mae04;
+    PaperRef paper_mae;
   };
   const std::vector<Row> rows = {
-      {1, {1}, 15.61, 18.14},
-      {2, {1, 3}, 15.54, 18.07},
-      {6, {1, 2, 3, 4, 6, 12}, 15.49, 17.66},
+      {1, {1}, {15.61, 18.14}},
+      {2, {1, 3}, {15.54, 18.07}},
+      {6, {1, 2, 3, 4, 6, 12}, {15.49, 17.66}},
   };
 
-  std::vector<data::TrafficDataset> datasets;
-  for (const char* name : {"SynPEMS03", "SynPEMS04"}) {
-    if (EnvListAllows("DYHSL_DATASETS", name)) {
-      datasets.push_back(MakeDataset(name, env));
-    }
-  }
+  const std::vector<data::TrafficDataset> datasets = AblationDatasets(env);
   std::printf("%-8s", "#Scale");
   for (const auto& ds : datasets) std::printf(" | %-48s", ds.name().c_str());
   std::printf("\n");
 
   for (const Row& row : rows) {
     std::printf("%-8d", row.scales);
-    for (size_t di = 0; di < datasets.size(); ++di) {
-      const auto& ds = datasets[di];
+    for (const auto& ds : datasets) {
       train::ForecastTask task = train::ForecastTask::FromDataset(ds);
       models::DyHslConfig cfg;
       cfg.hidden_dim = env.zoo_config.hidden_dim;
@@ -51,7 +45,7 @@ int Main() {
       train::TrainModel(&model, ds, AblationTrainConfig(env));
       train::EvalResult ev = train::EvaluateModel(
           &model, ds, ds.test_range(), env.knobs.batch_size, 24);
-      double paper = di == 0 ? row.paper_mae03 : row.paper_mae04;
+      const double paper = row.paper_mae.For(ds.name());
       char buf[96];
       std::snprintf(buf, sizeof(buf),
                     "MAE %6.2f RMSE %6.2f MAPE %5.1f%% [paper MAE %.2f]",

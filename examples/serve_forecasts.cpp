@@ -1,6 +1,6 @@
 // End-to-end serving flow: train a small DyHSL forecaster, checkpoint it,
 // bring up a ForecastEngine from the checkpoint, and serve concurrent
-// forecast queries through the micro-batching queue.
+// forecast queries through its request queue.
 //
 //   $ ./build/example_serve_forecasts
 //
@@ -60,23 +60,19 @@ int main() {
   // 3. Serving side: one engine, built once from the checkpoint. The
   //    model construction pre-computes every pooling scale's temporal
   //    operator; workers keep warm arenas.
-  serve::EngineOptions options;
-  options.max_batch = 8;
-  options.max_delay_us = 2000;
-  auto created =
-      serve::ForecastEngine::Create(task, config, ckpt, options);
+  auto created = serve::ForecastEngine::Create(task, config, ckpt);
   if (!created.ok()) {
     std::fprintf(stderr, "engine bring-up failed: %s\n",
                  created.status().ToString().c_str());
     return 1;
   }
   auto engine = std::move(created).ValueOrDie();
-  std::printf("engine up: max_batch=%lld max_delay_us=%lld\n",
-              static_cast<long long>(options.max_batch),
-              static_cast<long long>(options.max_delay_us));
+  std::printf("engine up: %lld worker(s), team size %d\n",
+              static_cast<long long>(engine->options().num_workers),
+              engine->team_size());
 
   // 4. Concurrent queries: one window per test position, all in flight
-  //    at once; the queue packs them into shared forwards.
+  //    at once; the worker serves them one by one in arrival order.
   const int64_t kQueries = 6;
   std::vector<std::future<serve::ForecastResponse>> futures;
   int64_t start = dataset.test_range().begin;
@@ -92,20 +88,18 @@ int main() {
       return 1;
     }
     std::printf(
-        "query %lld: batch=%lld queue %.0f us compute %.0f us; sensor 0 "
-        "next hour:",
-        static_cast<long long>(q), static_cast<long long>(response.batch_size),
-        response.queue_micros, response.compute_micros);
+        "query %lld: queue %.0f us compute %.0f us; sensor 0 next hour:",
+        static_cast<long long>(q), response.queue_micros,
+        response.compute_micros);
     for (int64_t t = 0; t < response.forecast.size(0); t += 3) {
       std::printf(" %6.1f", response.forecast.At({t, 0}));
     }
     std::printf("\n");
   }
   serve::EngineStats stats = engine->Snapshot();
-  std::printf("served %lld requests in %lld batches (largest %lld)\n",
+  std::printf("served %lld requests in %lld forwards\n",
               static_cast<long long>(stats.requests),
-              static_cast<long long>(stats.batches),
-              static_cast<long long>(stats.max_batch_observed));
+              static_cast<long long>(stats.batches));
   std::remove(ckpt.c_str());
   return 0;
 }

@@ -91,20 +91,14 @@ int main() {
 
   // 5. Router bring-up: one engine per (model, shard). The family is
   //    validated against the plan before any engine loads it.
-  serve::EngineOptions engine_options;
-  engine_options.max_batch = 8;
-  engine_options.max_delay_us = 2000;
-  engine_options.adaptive_batch = true;
   auto created = serve::ForecastRouter::Create();
   if (!created.ok()) return 1;
   auto router = std::move(created).ValueOrDie();
   Status added = router->AddShardedModel(
-      "stgcn", task, plan, serve::ZooFactory("STGCN", zoo), prefix,
-      engine_options);
+      "stgcn", task, plan, serve::ZooFactory("STGCN", zoo), prefix);
   if (added.ok()) {
     added = router->AddModel("dyhsl", task,
-                             serve::DyHslFactory(dyhsl_config), "",
-                             engine_options);
+                             serve::DyHslFactory(dyhsl_config));
   }
   if (!added.ok()) {
     std::fprintf(stderr, "router bring-up failed: %s\n",
@@ -133,9 +127,8 @@ int main() {
                    response.status.ToString().c_str());
       return 1;
     }
-    std::printf("query %lld via %-5s: batch=%lld  sensor 0 next hour:",
-                static_cast<long long>(q), names[q].c_str(),
-                static_cast<long long>(response.batch_size));
+    std::printf("query %lld via %-5s: sensor 0 next hour:",
+                static_cast<long long>(q), names[q].c_str());
     for (int64_t t = 0; t < response.forecast.size(0); t += 3) {
       std::printf(" %6.1f", response.forecast.At({t, 0}));
     }
@@ -145,17 +138,15 @@ int main() {
   // 7. Fleet telemetry: per-engine snapshots plus totals.
   serve::RouterStats stats = router->Stats();
   std::printf("router served %lld requests (%lld engine-requests, "
-              "%lld batches across the fleet)\n",
+              "%lld forwards across the fleet)\n",
               static_cast<long long>(stats.requests),
               static_cast<long long>(stats.total.requests),
               static_cast<long long>(stats.total.batches));
   for (const serve::EngineStatsEntry& e : stats.engines) {
-    std::printf("  %-5s shard %lld: %lld requests in %lld batches"
-                " (effective batch %lld)\n",
+    std::printf("  %-5s shard %lld: %lld requests in %lld forwards\n",
                 e.model.c_str(), static_cast<long long>(e.shard_id),
                 static_cast<long long>(e.stats.requests),
-                static_cast<long long>(e.stats.batches),
-                static_cast<long long>(e.stats.effective_max_batch));
+                static_cast<long long>(e.stats.batches));
   }
 
   for (int64_t s = 0; s < plan.num_shards(); ++s) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <utility>
 
@@ -22,11 +21,6 @@ double MicrosSince(Clock::time_point start, Clock::time_point now) {
   return std::chrono::duration<double, std::micro>(now - start).count();
 }
 
-// How fast the adaptive batch target tracks the observed queue depth.
-// 0.25 reaches a sustained burst's depth within ~10 flushes while a
-// single spike barely moves the target.
-constexpr double kDepthEwmaWeight = 0.25;
-
 }  // namespace
 
 ModelFactory DyHslFactory(const models::DyHslConfig& config) {
@@ -45,12 +39,6 @@ ModelFactory ZooFactory(const std::string& key,
 Result<std::unique_ptr<ForecastEngine>> ForecastEngine::Create(
     const train::ForecastTask& task, const ModelFactory& factory,
     const std::string& checkpoint_path, const EngineOptions& options) {
-  if (options.max_batch < 1) {
-    return Status::InvalidArgument("EngineOptions.max_batch must be >= 1");
-  }
-  if (options.max_delay_us < 0) {
-    return Status::InvalidArgument("EngineOptions.max_delay_us must be >= 0");
-  }
   if (options.num_workers < 1) {
     return Status::InvalidArgument("EngineOptions.num_workers must be >= 1");
   }
@@ -106,7 +94,6 @@ ForecastEngine::ForecastEngine(const train::ForecastTask& task,
                                std::unique_ptr<train::ForecastModel> model,
                                const EngineOptions& options)
     : task_(task), options_(options), model_(std::move(model)) {
-  stats_.effective_max_batch = options_.max_batch;
   // Capability probe, once per engine: warm-state streaming.
   streaming_ = dynamic_cast<const train::RecurrentStreamModel*>(model_.get());
   if (options_.team_size > 0) {
@@ -180,15 +167,10 @@ void ForecastEngine::Shutdown() {
 std::future<ForecastResponse> ForecastEngine::Submit(ForecastRequest request) {
   std::promise<ForecastResponse> promise;
   std::future<ForecastResponse> future = promise.get_future();
-  const tensor::Shape expected = {task_.history, task_.num_nodes,
-                                  task_.input_dim};
-  if (!request.window.defined() || request.window.shape() != expected) {
+  Status valid = CheckWindow(request.window);
+  if (!valid.ok()) {
     ForecastResponse response;
-    response.status = Status::InvalidArgument(
-        "request window shape " +
-        (request.window.defined() ? tensor::ShapeToString(request.window.shape())
-                                  : std::string("<undefined>")) +
-        " != expected " + tensor::ShapeToString(expected));
+    response.status = std::move(valid);
     promise.set_value(std::move(response));
     return future;
   }
@@ -237,18 +219,66 @@ EngineStats ForecastEngine::Snapshot() const {
   return snapshot;
 }
 
-ForecastResponse ForecastEngine::ForecastNow(const tensor::Tensor& window) {
-  ForecastResponse response;
+Status ForecastEngine::CheckWindow(const tensor::Tensor& window) const {
   const tensor::Shape expected = {task_.history, task_.num_nodes,
                                   task_.input_dim};
-  if (!window.defined() || window.shape() != expected) {
-    response.status = Status::InvalidArgument(
-        "stream window shape " +
-        (window.defined() ? tensor::ShapeToString(window.shape())
-                          : std::string("<undefined>")) +
-        " != expected " + tensor::ShapeToString(expected));
-    return response;
+  if (window.defined() && window.shape() == expected) return Status::OK();
+  return Status::InvalidArgument(
+      "window shape " +
+      (window.defined() ? tensor::ShapeToString(window.shape())
+                        : std::string("<undefined>")) +
+      " != expected " + tensor::ShapeToString(expected));
+}
+
+tensor::Tensor ForecastEngine::ForwardGradFree(const tensor::Tensor& windows) {
+  const tensor::PrepackCache::Stats pp_before =
+      tensor::PrepackCache::ThreadCounters();
+  // Every caller runs under the same team size: GEMM is bit-deterministic
+  // per thread count, so ForecastNow reproduces the queue path exactly.
+  core::TeamScope team(worker_team_);
+  autograd::InferenceModeGuard no_grad;
+  tensor::PrepackLookupScope prepack;
+  // One warm arena per thread — queue workers and session threads alike
+  // run allocation-free once it has grown to their largest forward.
+  thread_local tensor::Workspace workspace;
+  tensor::Tensor forecasts;
+  {
+    tensor::WorkspaceScope scope(&workspace);
+    autograd::Variable pred = model_->Forward(windows, /*training=*/false);
+    const tensor::Tensor& p = pred.value();  // (B, T', N)
+    DYHSL_CHECK_EQ(p.size(0), windows.size(0));
+    {
+      // Responses outlive this call: keep them off the arena so they
+      // cannot pin a slab.
+      tensor::WorkspaceBypass bypass;
+      forecasts = tensor::Tensor(p.shape());
+    }
+    std::memcpy(forecasts.data(), p.data(),
+                static_cast<size_t>(p.numel()) * sizeof(float));
   }
+  workspace.Reset();
+  AccumulatePrepackDelta(pp_before);
+  return forecasts;
+}
+
+ForecastResponse ForecastEngine::ForecastOne(const tensor::Tensor& window) {
+  ForecastResponse response;
+  const Clock::time_point started = Clock::now();
+  // Reshape shares the window's storage (it may be a live ring view) —
+  // the forward only reads it.
+  const tensor::Tensor forecasts = ForwardGradFree(
+      window.Reshape({1, task_.history, task_.num_nodes, task_.input_dim}));
+  response.forecast =
+      forecasts.Reshape({forecasts.size(1), forecasts.size(2)});
+  response.batch_size = 1;
+  response.compute_micros = MicrosSince(started, Clock::now());
+  return response;
+}
+
+ForecastResponse ForecastEngine::ForecastNow(const tensor::Tensor& window) {
+  ForecastResponse response;
+  response.status = CheckWindow(window);
+  if (!response.status.ok()) return response;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {
@@ -256,37 +286,7 @@ ForecastResponse ForecastEngine::ForecastNow(const tensor::Tensor& window) {
       return response;
     }
   }
-  const Clock::time_point started = Clock::now();
-  const tensor::PrepackCache::Stats pp_before =
-      tensor::PrepackCache::ThreadCounters();
-  // Same team size as the worker loop: GEMM is bit-deterministic per
-  // thread count, so the fast path reproduces the queue path exactly.
-  core::TeamScope team(worker_team_);
-  autograd::InferenceModeGuard no_grad;
-  tensor::PrepackLookupScope prepack;
-  // One warm arena per calling thread — session threads get the same
-  // allocation-free steady state as engine workers.
-  thread_local tensor::Workspace workspace;
-  {
-    tensor::WorkspaceScope scope(&workspace);
-    // Reshape shares the window's storage (it may be a live ring view) —
-    // the forward only reads it.
-    autograd::Variable pred =
-        model_->Forward(window.Reshape({1, expected[0], expected[1],
-                                        expected[2]}),
-                        /*training=*/false);
-    const tensor::Tensor& p = pred.value();  // (1, T', N)
-    {
-      tensor::WorkspaceBypass bypass;
-      response.forecast = tensor::Tensor({p.size(1), p.size(2)});
-    }
-    std::memcpy(response.forecast.data(), p.data(),
-                static_cast<size_t>(p.numel()) * sizeof(float));
-  }
-  workspace.Reset();
-  response.batch_size = 1;
-  response.compute_micros = MicrosSince(started, Clock::now());
-  AccumulatePrepackDelta(pp_before);
+  response = ForecastOne(window);
   {
     std::lock_guard<std::mutex> lock(mu_);
     stats_.requests += 1;
@@ -319,30 +319,11 @@ BatchForecastResponse ForecastEngine::SubmitBatch(
   }
   const int64_t b = windows.size(0);
   const Clock::time_point started = Clock::now();
-  const tensor::PrepackCache::Stats pp_before =
-      tensor::PrepackCache::ThreadCounters();
-  core::TeamScope team(worker_team_);
-  autograd::InferenceModeGuard no_grad;
-  tensor::PrepackLookupScope prepack;
-  thread_local tensor::Workspace workspace;
-  {
-    tensor::WorkspaceScope scope(&workspace);
-    // The batch is already packed (possibly sharing ring storage at
-    // B = 1) — one forward, no queue, no per-request repacking.
-    autograd::Variable pred = model_->Forward(windows, /*training=*/false);
-    const tensor::Tensor& p = pred.value();  // (B, T', N)
-    DYHSL_CHECK_EQ(p.size(0), b);
-    {
-      tensor::WorkspaceBypass bypass;
-      response.forecasts = tensor::Tensor(p.shape());
-    }
-    std::memcpy(response.forecasts.data(), p.data(),
-                static_cast<size_t>(p.numel()) * sizeof(float));
-  }
-  workspace.Reset();
+  // The batch is already packed (possibly sharing ring storage at
+  // B = 1) — one forward, no queue, no per-request repacking.
+  response.forecasts = ForwardGradFree(windows);
   response.batch_size = b;
   response.compute_micros = MicrosSince(started, Clock::now());
-  AccumulatePrepackDelta(pp_before);
   {
     std::lock_guard<std::mutex> lock(mu_);
     stats_.requests += b;
@@ -504,139 +485,22 @@ void ForecastEngine::WorkerLoop() {
       DYHSL_LOG(Warning) << "engine worker pin failed: " << pinned.ToString();
     }
   }
-  // Every kernel this worker runs — GEMM/SpMM via their explicit
-  // num_threads(core::TeamThreads()) clauses, the elementwise ops via
-  // this thread's OpenMP ICV — is scoped to the worker's ThreadBudget
-  // slice for the lifetime of the loop.
-  core::TeamScope team(worker_team_);
-  // The warm per-worker arena: after the first few batches every forward
-  // runs allocation-free out of recycled slabs.
-  tensor::Workspace workspace;
-  const auto max_delay = std::chrono::microseconds(options_.max_delay_us);
   while (true) {
-    std::vector<Pending> batch;
+    Pending item;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (stopping_) return;
-        continue;
-      }
-      // Latency-aware dynamic batching: the flush target follows the
-      // queue depth the engine has actually been seeing, so a shallow
-      // queue is served the moment it arrives instead of waiting
-      // max_delay_us for slots that history says will stay empty.
-      const auto effective_target = [this] {
-        return std::min<int64_t>(
-            options_.max_batch,
-            std::max<int64_t>(1, static_cast<int64_t>(
-                                     std::ceil(depth_ewma_ - 1e-9))));
-      };
-      int64_t effective = options_.max_batch;
-      if (options_.adaptive_batch) {
-        depth_ewma_ =
-            (1.0 - kDepthEwmaWeight) * depth_ewma_ +
-            kDepthEwmaWeight * static_cast<double>(queue_.size());
-        effective = effective_target();
-        stats_.effective_max_batch = effective;
-      }
-      // Micro-batching: hold the flush until the target is reached or the
-      // oldest request has aged past max_delay_us. Shutdown flushes
-      // immediately.
-      const Clock::time_point deadline = queue_.front().enqueued + max_delay;
-      bool timed_out = false;
-      while (!stopping_ && !queue_.empty() &&
-             static_cast<int64_t>(queue_.size()) < effective) {
-        if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
-          timed_out = true;
-          break;
-        }
-      }
-      if (options_.adaptive_batch && timed_out && !queue_.empty() &&
-          static_cast<int64_t>(queue_.size()) < effective) {
-        // (The !empty() guard matters with several workers: a peer may
-        // have drained the queue while this one slept — that is not
-        // evidence traffic went shallow, just that the peer won the
-        // race, so only a genuinely under-filled wait collapses.)
-        // The full delay elapsed without the target filling: that is hard
-        // evidence traffic has gone shallow, so collapse the estimate to
-        // what actually arrived instead of letting it decay over many
-        // flushes — after a burst, a lone client pays at most one delay
-        // window before the engine is serving it immediately again.
-        depth_ewma_ = std::min(
-            depth_ewma_,
-            static_cast<double>(std::max<int64_t>(
-                1, static_cast<int64_t>(queue_.size()))));
-        stats_.effective_max_batch = effective_target();
-      }
-      // Another worker may have drained the queue while this one waited
-      // (wait_until releases the lock) — go back to sleep, don't flush
-      // an empty batch.
-      if (queue_.empty()) {
-        if (stopping_) return;
-        continue;
-      }
-      int64_t take = std::min<int64_t>(options_.max_batch,
-                                       static_cast<int64_t>(queue_.size()));
-      batch.reserve(take);
-      for (int64_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
+      // Shutdown serves everything already queued before the exit.
+      if (queue_.empty()) return;
+      item = std::move(queue_.front());
+      queue_.pop_front();
       stats_.batches += 1;
-      stats_.requests += take;
-      stats_.max_batch_observed = std::max(stats_.max_batch_observed, take);
+      stats_.requests += 1;
     }
-    // More requests may still be waiting (queue longer than max_batch);
-    // wake another worker — or ourselves on the next loop iteration.
-    cv_.notify_one();
-    const tensor::PrepackCache::Stats pp_before =
-        tensor::PrepackCache::ThreadCounters();
-    {
-      tensor::PrepackLookupScope prepack;
-      tensor::WorkspaceScope scope(&workspace);
-      ServeBatch(&batch);
-    }
-    workspace.Reset();
-    AccumulatePrepackDelta(pp_before);
-  }
-}
-
-void ForecastEngine::ServeBatch(std::vector<Pending>* batch) {
-  const int64_t b = static_cast<int64_t>(batch->size());
-  const Clock::time_point started = Clock::now();
-
-  autograd::InferenceModeGuard no_grad;
-  // Pack the windows into one (B, T, N, F) forward. A B = 1 flush (the
-  // common case for a single-stream client) passes the request's own
-  // contiguous window straight through — PackBatch reshapes it in place,
-  // no batch tensor, no memcpy. Larger flushes pack into an arena-backed
-  // buffer recycled by the worker's Reset().
-  std::vector<tensor::Tensor> windows;
-  windows.reserve(static_cast<size_t>(b));
-  for (const Pending& pending : *batch) windows.push_back(pending.window);
-  tensor::Tensor x = tensor::PackBatch(windows);
-  autograd::Variable pred = model_->Forward(x, /*training=*/false);
-  const tensor::Tensor& p = pred.value();  // (B, T', N)
-  DYHSL_CHECK_EQ(p.size(0), b);
-  const int64_t out_numel = p.numel() / b;
-  const Clock::time_point finished = Clock::now();
-  const double compute_micros = MicrosSince(started, finished);
-
-  for (int64_t i = 0; i < b; ++i) {
-    ForecastResponse response;
-    {
-      // Responses outlive this step: keep them off the arena so they
-      // cannot pin a worker slab.
-      tensor::WorkspaceBypass bypass;
-      response.forecast = tensor::Tensor({p.size(1), p.size(2)});
-    }
-    std::memcpy(response.forecast.data(), p.data() + i * out_numel,
-                static_cast<size_t>(out_numel) * sizeof(float));
-    response.batch_size = b;
-    response.queue_micros = MicrosSince((*batch)[i].enqueued, started);
-    response.compute_micros = compute_micros;
-    (*batch)[i].promise.set_value(std::move(response));
+    const double queue_micros = MicrosSince(item.enqueued, Clock::now());
+    ForecastResponse response = ForecastOne(item.window);
+    response.queue_micros = queue_micros;
+    item.promise.set_value(std::move(response));
   }
 }
 

@@ -1,24 +1,29 @@
-// Batched forecast-serving engine.
+// Forecast-serving engine.
 //
 // ForecastEngine is the query-time counterpart of the training harness:
 // it builds one ForecastModel through a ModelFactory (model construction
 // pre-computes and caches the sparse structure operators), loads a
 // checkpoint once, keeps the ForecastTask scaler for de-normalization,
-// and serves Submit() requests from a micro-batching queue. Worker
-// threads collect concurrent requests and flush them as one (B, T, N, F)
-// grad-free forward — tape-less (autograd::InferenceModeGuard) and
-// allocated from a warm per-worker Workspace arena — when either the
-// effective batch target is reached or the oldest request has waited
-// `max_delay_us` microseconds. With `adaptive_batch` the target tracks
-// the observed queue depth, so a shallow queue flushes immediately
-// instead of paying the full delay for batch slots that never fill.
+// and serves Submit() requests from a FIFO queue. Each worker thread pops
+// the oldest request the moment one is waiting and serves it as its own
+// grad-free B = 1 forward — tape-less (autograd::InferenceModeGuard),
+// over a zero-copy view of the request's window, allocated from the
+// worker's warm Workspace arena — and fulfils that request's promise as
+// soon as its forward ends. Nothing waits for batch slots to fill: at
+// one thread per forward a packed DyHSL or STGCN batch costs no less
+// than its items run one by one (see README "Serving"; that basis is
+// measured at team 1 only), so packing is left to callers that already
+// hold several windows (SubmitBatch, and the batched warm carry of
+// ForecastFromStateBatch). DCRNN is the exception: its packed B = 4
+// forward costs ~0.87x of four B = 1 forwards, so DCRNN callers should
+// pack with SubmitBatch or serve through sessions rather than Submit.
 //
 // Model forwards are read-only in inference mode, so any number of
 // workers may share the one model; every per-request quantity lives in
 // the request/response structs. Responses are heap-backed (never
 // arena-backed) so they stay valid for as long as the caller keeps them.
 //
-// Threading: each worker scopes its kernels to an OpenMP team of
+// Threading: each forward scopes its kernels to an OpenMP team of
 // team_size() threads (core::TeamScope), so num_workers engines never
 // multiply into workers x machine-wide teams; with
 // EngineOptions::pin_cores the workers additionally pin to the engine's
@@ -87,11 +92,13 @@ struct ForecastResponse {
   Status status;
   /// Raw-flow forecast (T', N).
   tensor::Tensor forecast;
-  /// Size of the micro-batch this request was served in.
+  /// Windows in the forward that served the request: 1 from Submit and
+  /// ForecastNow (SessionManager::ForecastBatch reports its pack size).
   int64_t batch_size = 0;
-  /// Time spent waiting in the queue before the flush started.
+  /// Time from enqueue to the start of the request's forward (0 for
+  /// ForecastNow, which skips the queue).
   double queue_micros = 0.0;
-  /// Wall time of the batched forward that served the request.
+  /// Wall time of the request's own forward.
   double compute_micros = 0.0;
 };
 
@@ -107,12 +114,8 @@ struct BatchForecastResponse {
   double compute_micros = 0.0;
 };
 
-/// \brief Micro-batching and threading knobs.
+/// \brief Queueing and threading knobs.
 struct EngineOptions {
-  /// Flush the queue once this many requests are waiting.
-  int64_t max_batch = 16;
-  /// ... or once the oldest waiting request is this old (microseconds).
-  int64_t max_delay_us = 1000;
   /// Worker threads, each with its own warm Workspace arena.
   int64_t num_workers = 1;
   /// Admission control: with `max_queue` > 0, a Submit() arriving while
@@ -120,12 +123,6 @@ struct EngineOptions {
   /// kUnavailable Status instead of growing the queue without bound.
   /// 0 keeps the queue unbounded.
   int64_t max_queue = 0;
-  /// Latency-aware dynamic batching: track an exponential moving average
-  /// of the queue depth seen at flush time and cap each flush's wait
-  /// target at that depth (>= 1, <= max_batch). A single-stream client
-  /// then never waits max_delay_us for batch slots that cannot fill,
-  /// while bursts still pack toward max_batch.
-  bool adaptive_batch = false;
   /// OpenMP team size each worker scopes its kernels to (core::TeamScope).
   /// 0 = auto: the creating thread's own team budget (core::TeamThreads()
   /// at Create time) is partitioned evenly across num_workers, so with
@@ -144,16 +141,13 @@ struct EngineOptions {
 /// \brief Aggregate serving counters (monotonic since engine start except
 /// where noted). Always read as one consistent Snapshot() — the fields
 /// are updated together under the engine mutex and must never be observed
-/// mid-flush.
+/// mid-update.
 struct EngineStats {
   int64_t requests = 0;
+  /// Forwards run by the queue workers: one per Submit served.
   int64_t batches = 0;
-  int64_t max_batch_observed = 0;
   /// Submissions rejected by max_queue admission control.
   int64_t rejected = 0;
-  /// Current flush target: max_batch, or the adaptive estimate when
-  /// EngineOptions::adaptive_batch is on.
-  int64_t effective_max_batch = 0;
   /// Requests waiting at snapshot time (not monotonic).
   int64_t queue_depth = 0;
   /// Requests served through the synchronous streaming fast paths
@@ -174,7 +168,7 @@ struct EngineStats {
   tensor::PrepackCache::Stats prepack;
 };
 
-/// \brief Loads a model + checkpoint once and serves batched grad-free
+/// \brief Loads a model + checkpoint once and serves grad-free
 /// forecasts. Thread-safe: Submit may be called from any thread.
 class ForecastEngine {
  public:
@@ -201,24 +195,24 @@ class ForecastEngine {
   ForecastEngine(const ForecastEngine&) = delete;
   ForecastEngine& operator=(const ForecastEngine&) = delete;
 
-  /// \brief Enqueues one window for the next micro-batch. The future is
-  /// always fulfilled — with a failed Status for malformed requests or
+  /// \brief Enqueues one window for the next free worker, which serves
+  /// it as its own B = 1 forward (bit-identical to ForecastNow over the
+  /// same window). The future is always fulfilled — with a failed Status for malformed requests or
   /// an engine shutting down, never with a broken promise.
   std::future<ForecastResponse> Submit(ForecastRequest request);
 
   /// \brief Synchronous streaming fast path: one grad-free forward over
-  /// `window` (T, N, F) on the *calling* thread, skipping the queue and
-  /// micro-batch delay entirely. The window may be (and in the session
-  /// path is) a zero-copy ring view — it is only read. Kernels run under
-  /// the same worker team size as the queue path, so the result is
-  /// bit-identical to a Submit of the same window at batch 1.
+  /// `window` (T, N, F) on the *calling* thread, skipping the queue. The
+  /// window may be (and in the session path is) a zero-copy ring view —
+  /// it is only read. It runs the very forward the queue workers run, so
+  /// the result is bit-identical to a Submit of the same window.
   /// Thread-safe and usable concurrently with Submit.
   ForecastResponse ForecastNow(const tensor::Tensor& window);
 
   /// \brief Synchronous pre-packed batch fast path: one grad-free
   /// forward over `windows` (B, T, N, F) on the calling thread,
-  /// bypassing the micro-batch queue entirely — the batch is already
-  /// packed, so there is nothing for the queue to amortize. `windows` is
+  /// bypassing the queue — for callers that already hold several
+  /// windows packed together. `windows` is
   /// only read (it may be a zero-copy pack of live ring views). Each
   /// batch item's forecast is bit-identical to ForecastNow over the same
   /// window: the batched kernels process every item with the same
@@ -271,8 +265,8 @@ class ForecastEngine {
   const train::ShardMeta& shard_meta() const { return shard_meta_; }
 
   /// \brief One consistent view of every counter, taken under the engine
-  /// mutex — a reader can never observe a batch's `requests` without its
-  /// `batches` increment or tear `effective_max_batch` mid-flush.
+  /// mutex — a reader can never observe a request's `requests` increment
+  /// without its `batches` increment.
   EngineStats Snapshot() const;
 
  private:
@@ -286,9 +280,20 @@ class ForecastEngine {
                  std::unique_ptr<train::ForecastModel> model,
                  const EngineOptions& options);
 
+  /// Pops the oldest request, serves it through ForecastOne and
+  /// fulfils its promise; returns once stopping with the queue drained.
   void WorkerLoop();
-  /// Runs one packed grad-free forward and fulfills every promise.
-  void ServeBatch(std::vector<Pending>* batch);
+  /// One grad-free forward of already validated (B, T, N, F) `windows`
+  /// under the engine team size and the calling thread's warm arena,
+  /// which is reset before returning. Returns the heap-backed (B, T', N)
+  /// forecasts; touches no counter but the prepack deltas.
+  tensor::Tensor ForwardGradFree(const tensor::Tensor& windows);
+  /// The B = 1 forward behind both ForecastNow and the queue workers:
+  /// ForwardGradFree over a zero-copy (1, T, N, F) view of `window`.
+  /// Fills `forecast`, `batch_size` and `compute_micros`.
+  ForecastResponse ForecastOne(const tensor::Tensor& window);
+  /// InvalidArgument unless `window` is defined with shape (T, N, F).
+  Status CheckWindow(const tensor::Tensor& window) const;
   /// Enrolls every 2-D parameter/constant of the model in the process
   /// PrepackCache (called once at Create, after the checkpoint load) and
   /// remembers the pointers for stats attribution and Release.
@@ -316,8 +321,6 @@ class ForecastEngine {
   std::deque<Pending> queue_;
   bool stopping_ = false;
   EngineStats stats_;
-  /// EWMA of queue depth at flush (adaptive_batch mode), under mu_.
-  double depth_ewma_ = 1.0;
   std::vector<std::thread> workers_;
 };
 

@@ -80,7 +80,7 @@ void ForecastRouter::Shutdown() {
   // Stop accepting requests, then shut the engines down *first*: every
   // already-fanned-out request was accepted by its engines before
   // stopping_ flipped (Submit fans out under mu_), and Engine::Shutdown
-  // flushes its queue immediately instead of waiting out max_delay. The
+  // serves what its queue holds before it returns. The
   // stitchers then drain the job queue against already-resolved futures —
   // no in-flight promise is ever abandoned.
   std::vector<std::thread> claimed;
@@ -102,7 +102,20 @@ EngineOptions ForecastRouter::PlaceEngineOptions(const EngineOptions& base,
                                                  int64_t engine_index,
                                                  int64_t num_engines) const {
   EngineOptions placed = base;
-  if (options_.placement == Placement::kInherit) return placed;
+  if (options_.placement == Placement::kInherit) {
+    // A model's shards run concurrently, so an auto-sized engine takes
+    // an equal slice of the creator's team rather than the whole team:
+    // two shards on four threads run two-thread teams side by side
+    // instead of time-slicing two four-thread teams.
+    if (placed.team_size == 0) {
+      const int slice =
+          std::max<int>(1, core::TeamThreads() / static_cast<int>(num_engines));
+      placed.team_size = core::ThreadBudget::Partition(
+                             slice, static_cast<int>(base.num_workers))
+                             .team_size;
+    }
+    return placed;
+  }
   const int budget =
       options_.thread_budget > 0 ? static_cast<int>(options_.thread_budget)
                                  : core::HardwareThreads();
@@ -488,11 +501,7 @@ RouterStats ForecastRouter::Stats() const {
       e.stats = entry.engines[s]->Snapshot();
       stats.total.requests += e.stats.requests;
       stats.total.batches += e.stats.batches;
-      stats.total.max_batch_observed = std::max(
-          stats.total.max_batch_observed, e.stats.max_batch_observed);
       stats.total.rejected += e.stats.rejected;
-      stats.total.effective_max_batch = std::max(
-          stats.total.effective_max_batch, e.stats.effective_max_batch);
       stats.total.queue_depth += e.stats.queue_depth;
       stats.total.streamed += e.stats.streamed;
       stats.total.batched_submits += e.stats.batched_submits;

@@ -150,9 +150,11 @@ struct RouterStats {
 /// \brief How the router spends the machine's cores across a model's
 /// engines (shards are the natural parallel unit).
 enum class Placement {
-  /// Engines keep the EngineOptions they were registered with; kernels
-  /// inherit the process-wide OpenMP default. The legacy single-core
-  /// behavior — engines time-slice one thread pool.
+  /// Engines keep the EngineOptions they were registered with, except
+  /// that an auto-sized team (team_size 0) is the creator's team
+  /// (core::TeamThreads()) divided by the model's engine count, then
+  /// split across the engine's workers. A single engine keeps the whole
+  /// team; the shards of one model never oversubscribe it. No pinning.
   kInherit,
   /// Divide `thread_budget` evenly across a model's engines: each engine
   /// gets a budget/num_engines slice, its workers split the slice via
@@ -273,7 +275,8 @@ class ForecastRouter {
   /// kPartition/kPinned, engine `engine_index` of `num_engines` gets an
   /// equal thread_budget slice (workers clamped into it, team auto
   /// unless explicitly set) and, when pinned, the matching contiguous
-  /// core slice. kInherit returns `base` untouched.
+  /// core slice. kInherit only resolves an auto team_size to the
+  /// creator's team divided by `num_engines`.
   EngineOptions PlaceEngineOptions(const EngineOptions& base,
                                    int64_t engine_index,
                                    int64_t num_engines) const;

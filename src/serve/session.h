@@ -22,7 +22,7 @@
 //  * Forecast() serves from the hot window with zero window assembly:
 //    each ring's contiguous (T, L, F) view feeds the shard engine's
 //    synchronous ForecastNow fast path on the calling thread (no queue,
-//    no micro-batch delay, no window copy), and the shard forecasts are
+//    no window copy), and the shard forecasts are
 //    stitched into the global (T', N) exactly like the router does.
 //
 // Exactness. A default (windowed) session forecast is bit-identical to

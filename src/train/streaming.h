@@ -70,27 +70,25 @@ class RecurrentStreamModel {
   /// \name Cross-session batching
   ///
   /// The batched forms amortize one cell step / decoder rollout across B
-  /// sessions that are ready at the same tick. The base implementations
-  /// loop the per-session methods (so every RecurrentStreamModel batches
-  /// correctly out of the box); models with a batch-capable cell (DCRNN)
-  /// override them to stack per-session state into (B, N, d) and run one
-  /// batched step. Contract: per-session results equal the sequential
-  /// methods — bit-identically at B == 1, and within 1e-5 for B > 1
-  /// (the stacked kernels process each batch item with the same
-  /// accumulation order, so overrides are typically bit-identical too).
+  /// sessions that are ready at the same tick: an implementation stacks
+  /// per-session state into (B, N, d) and runs one batched step (DCRNN).
+  /// Contract: per-session results equal the sequential methods —
+  /// bit-identically at B == 1, and within 1e-5 for B > 1 (the stacked
+  /// kernels process each batch item with the same accumulation order,
+  /// so implementations are typically bit-identical too).
   /// @{
 
   /// \brief Advances states[i] by one tick using frames slice i, where
   /// `frames` is the (B, frame_shape...) stack of per-session frames.
   virtual void AdvanceStateBatch(const std::vector<StreamState*>& states,
-                                 const tensor::Tensor& frames) const;
+                                 const tensor::Tensor& frames) const = 0;
 
   /// \brief Decoder-only rollout for every state: stacked raw-flow
   /// forecasts (B, T', N). Mutates no state. The result is allocated
   /// through the caller's current allocation path (arena inside a
   /// WorkspaceScope) — copy it out before any reset.
   virtual tensor::Tensor ForecastFromStateBatch(
-      const std::vector<const StreamState*>& states) const;
+      const std::vector<const StreamState*>& states) const = 0;
   /// @}
 };
 

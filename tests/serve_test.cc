@@ -1,6 +1,6 @@
 // Tests for the forecast-serving engine: correctness of served responses
-// against direct model forwards, micro-batching under concurrent load,
-// determinism across batch compositions, checkpoint bring-up, and
+// against direct model forwards, per-request serving under concurrent
+// load, determinism across batch compositions, checkpoint bring-up, and
 // request validation.
 
 #include <algorithm>
@@ -76,14 +76,10 @@ TEST(ForecastEngineTest, ServesForecastMatchingDirectForward) {
   EXPECT_TENSOR_EQ(response.forecast, expected.Reshape({12, 16}));
 }
 
-TEST(ForecastEngineTest, ConcurrentSubmitsAreBatchedAndCorrect) {
+TEST(ForecastEngineTest, ConcurrentSubmitsAreServedOneByOneAndCorrect) {
   train::ForecastTask task = RingForecastTask(12, 12);
-  EngineOptions options;
-  options.max_batch = 4;
-  options.max_delay_us = 20000;  // generous so concurrent requests pack
   auto engine =
-      std::move(ForecastEngine::Create(task, TinyConfig(), "", options))
-          .ValueOrDie();
+      std::move(ForecastEngine::Create(task, TinyConfig())).ValueOrDie();
 
   T::Tensor window = RandomWindow(task, 11);
   T::Tensor expected;
@@ -107,51 +103,42 @@ TEST(ForecastEngineTest, ConcurrentSubmitsAreBatchedAndCorrect) {
   }
   for (std::thread& c : clients) c.join();
 
-  int64_t max_batch_seen = 0;
   for (auto& future : futures) {
     ForecastResponse response = future.get();
     ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-    // Batching must not change a single bit of any response.
     EXPECT_TENSOR_EQ(response.forecast, expected);
-    max_batch_seen = std::max(max_batch_seen, response.batch_size);
-    EXPECT_LE(response.batch_size, options.max_batch);
+    EXPECT_EQ(response.batch_size, 1);
   }
   EngineStats stats = engine->Snapshot();
   EXPECT_EQ(stats.requests, kClients);
-  EXPECT_EQ(stats.max_batch_observed, max_batch_seen);
-  // 12 requests through max_batch=4 flushes need at least 3 batches.
-  EXPECT_GE(stats.batches, 3);
+  // One forward per request, however many arrived together.
+  EXPECT_EQ(stats.batches, kClients);
 }
 
 TEST(ForecastEngineTest, ResponsesIdenticalAcrossBatchCompositions) {
+  // The same windows served per request through the queue and packed
+  // through SubmitBatch must agree bit for bit.
   train::ForecastTask task = RingForecastTask(10, 12);
-  // Engine A serves strictly one-by-one; engine B packs micro-batches.
-  EngineOptions solo;
-  solo.max_batch = 1;
-  EngineOptions packed;
-  packed.max_batch = 8;
-  packed.max_delay_us = 20000;
-  auto engine_a =
-      std::move(ForecastEngine::Create(task, TinyConfig(), "", solo))
-          .ValueOrDie();
-  auto engine_b =
-      std::move(ForecastEngine::Create(task, TinyConfig(), "", packed))
-          .ValueOrDie();
+  auto engine =
+      std::move(ForecastEngine::Create(task, TinyConfig())).ValueOrDie();
 
   std::vector<T::Tensor> windows;
   for (uint64_t s = 0; s < 5; ++s) windows.push_back(RandomWindow(task, s));
 
-  std::vector<std::future<ForecastResponse>> futures_b;
+  std::vector<std::future<ForecastResponse>> futures;
   for (auto& w : windows) {
-    futures_b.push_back(engine_b->Submit(ForecastRequest{w.Clone()}));
+    futures.push_back(engine->Submit(ForecastRequest{w.Clone()}));
   }
+  BatchForecastResponse packed = engine->SubmitBatch(T::PackBatch(windows));
+  ASSERT_TRUE(packed.status.ok()) << packed.status.ToString();
+  ASSERT_EQ(packed.batch_size, 5);
+  const int64_t item_numel = task.horizon * task.num_nodes;
   for (size_t i = 0; i < windows.size(); ++i) {
-    ForecastResponse a =
-        engine_a->Submit(ForecastRequest{windows[i].Clone()}).get();
-    ForecastResponse b = futures_b[i].get();
-    ASSERT_TRUE(a.status.ok());
-    ASSERT_TRUE(b.status.ok());
-    EXPECT_TENSOR_EQ(a.forecast, b.forecast);
+    ForecastResponse one = futures[i].get();
+    ASSERT_TRUE(one.status.ok());
+    EXPECT_TENSOR_EQ(one.forecast,
+                     packed.forecasts.Alias(static_cast<int64_t>(i) * item_numel,
+                                            {task.horizon, task.num_nodes}));
   }
 }
 
@@ -206,11 +193,85 @@ TEST(ForecastEngineTest, PaperScaleBatchesMatchSingleForecastsAtEveryTeamSize) {
   }
 }
 
+TEST(ForecastEngineTest, SubmitMatchesForecastNowAtPaperScale) {
+  // Paper-config DyHSL on the PEMS08-like network (N = 170): eight
+  // Submits in flight at once on a one-worker engine are served one by
+  // one, in arrival order, each bit-identical to ForecastNow on its
+  // window — at team 1 and at a team of 3, which splits every kernel at
+  // boundaries off the vector width.
+  const data::TrafficDataset dataset = data::TrafficDataset::Generate(
+      data::DatasetSpec::Pems08Like(1.0, 2, /*seed=*/1));
+  const train::ForecastTask task = train::ForecastTask::FromDataset(dataset);
+  ASSERT_EQ(task.num_nodes, 170);
+  models::DyHslConfig config;  // paper defaults
+  Rng rng(12);
+  std::vector<T::Tensor> windows;
+  for (int i = 0; i < 8; ++i) {
+    windows.push_back(T::Tensor::Randn(
+        {task.history, task.num_nodes, task.input_dim}, &rng, 1.0f));
+  }
+  using Clock = std::chrono::steady_clock;
+  const auto micros = [](Clock::duration d) {
+    return std::chrono::duration<double, std::micro>(d).count();
+  };
+  for (int team : {1, 3}) {
+    EngineOptions options;
+    options.team_size = team;
+    auto engine =
+        std::move(ForecastEngine::Create(task, config, "", options))
+            .ValueOrDie();
+    ASSERT_EQ(engine->team_size(), team);
+    std::vector<T::Tensor> single;
+    for (const T::Tensor& w : windows) {
+      ForecastResponse one = engine->ForecastNow(w);
+      ASSERT_TRUE(one.status.ok()) << one.status.ToString();
+      single.push_back(one.forecast);
+    }
+    // Each enqueue instant lies between the test's clock reads around its
+    // Submit, offsets in microseconds from t0.
+    const Clock::time_point t0 = Clock::now();
+    std::vector<double> before(windows.size());
+    std::vector<double> after(windows.size());
+    std::vector<std::future<ForecastResponse>> futures;
+    for (size_t i = 0; i < windows.size(); ++i) {
+      before[i] = micros(Clock::now() - t0);
+      futures.push_back(engine->Submit(ForecastRequest{windows[i]}));
+      after[i] = micros(Clock::now() - t0);
+    }
+    std::vector<ForecastResponse> responses;
+    for (auto& future : futures) {
+      responses.push_back(future.get());
+      ASSERT_TRUE(responses.back().status.ok())
+          << responses.back().status.ToString();
+    }
+    for (size_t i = 0; i < responses.size(); ++i) {
+      const ForecastResponse& r = responses[i];
+      EXPECT_TRUE(TensorEq(r.forecast, single[i]))
+          << "team " << team << " request " << i;
+      EXPECT_EQ(r.batch_size, 1);
+      if (i == 0) continue;
+      // Request i-1's forward ends no earlier than before[i-1] + queue +
+      // compute, and request i's starts no later than after[i] + queue.
+      // The bounds are loose by the microseconds a Submit takes; a
+      // forward takes milliseconds, so overlapping or reordered forwards
+      // fail.
+      const ForecastResponse& prev = responses[i - 1];
+      const double prev_end_min =
+          before[i - 1] + prev.queue_micros + prev.compute_micros;
+      const double start_max = after[i] + r.queue_micros;
+      EXPECT_LE(prev_end_min, start_max)
+          << "team " << team << ": request " << i
+          << " started before request " << i - 1 << " finished";
+    }
+    const EngineStats stats = engine->Snapshot();
+    EXPECT_EQ(stats.batches, 8);
+    EXPECT_EQ(stats.requests, 16);
+  }
+}
+
 TEST(ForecastEngineTest, MultipleWorkersServeEveryRequest) {
   train::ForecastTask task = RingForecastTask(8, 12);
   EngineOptions options;
-  options.max_batch = 2;
-  options.max_delay_us = 500;
   options.num_workers = 3;
   auto engine =
       std::move(ForecastEngine::Create(task, TinyConfig(), "", options))
@@ -270,13 +331,7 @@ TEST(ForecastEngineTest, CreateFailsOnMissingCheckpoint) {
 TEST(ForecastEngineTest, CreateValidatesOptions) {
   train::ForecastTask task = RingForecastTask(8, 12);
   EngineOptions bad;
-  bad.max_batch = 0;
-  EXPECT_FALSE(ForecastEngine::Create(task, TinyConfig(), "", bad).ok());
-  bad = EngineOptions();
   bad.num_workers = 0;
-  EXPECT_FALSE(ForecastEngine::Create(task, TinyConfig(), "", bad).ok());
-  bad = EngineOptions();
-  bad.max_delay_us = -1;
   EXPECT_FALSE(ForecastEngine::Create(task, TinyConfig(), "", bad).ok());
 }
 
@@ -342,14 +397,15 @@ TEST(ForecastEngineTest, CreateValidatesMaxQueue) {
 TEST(ForecastEngineTest, MaxQueueShedsLoadWithUnavailable) {
   train::ForecastTask task = RingForecastTask(8, 12);
   EngineOptions options;
-  // A huge flush delay keeps everything queued while this thread floods
-  // past the admission limit.
-  options.max_batch = 64;
-  options.max_delay_us = 1000000;
   options.max_queue = 3;
-  auto engine =
-      std::move(ForecastEngine::Create(task, TinyConfig(), "", options))
-          .ValueOrDie();
+  // A 50 ms forward keeps the queue full while this thread floods past
+  // the admission limit.
+  ModelFactory slow = [](const train::ForecastTask& t) {
+    return std::make_unique<testing::SlowForecastModel>(
+        t, std::chrono::milliseconds(50));
+  };
+  auto engine = std::move(ForecastEngine::Create(task, slow, "", options))
+                    .ValueOrDie();
   T::Tensor window = RandomWindow(task, 3);
   std::vector<std::future<ForecastResponse>> futures;
   for (int i = 0; i < 8; ++i) {
@@ -376,132 +432,28 @@ TEST(ForecastEngineTest, MaxQueueShedsLoadWithUnavailable) {
   EXPECT_EQ(engine->Snapshot().rejected, rejected);
 }
 
-TEST(ForecastEngineTest, AdaptiveBatchServesShallowQueueImmediately) {
-  // With a huge max_delay and adaptive batching OFF, a lone request waits
-  // out the full delay for batch slots that never fill. Adaptive batching
-  // tracks the shallow queue and flushes immediately.
-  train::ForecastTask task = RingForecastTask(8, 12);
-  EngineOptions options;
-  options.max_batch = 16;
-  options.max_delay_us = 2000000;  // 2 s: a non-adaptive engine would stall
-  options.adaptive_batch = true;
-  auto engine =
-      std::move(ForecastEngine::Create(task, TinyConfig(), "", options))
-          .ValueOrDie();
-  T::Tensor window = RandomWindow(task, 6);
-  auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < 3; ++i) {
-    ForecastResponse response =
-        engine->Submit(ForecastRequest{window.Clone()}).get();
-    ASSERT_TRUE(response.status.ok());
-    EXPECT_EQ(response.batch_size, 1);
-  }
-  double elapsed_ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-  // Three sequential round trips must not pay even one 2 s delay window.
-  EXPECT_LT(elapsed_ms, 1000.0);
-  EngineStats stats = engine->Snapshot();
-  EXPECT_EQ(stats.effective_max_batch, 1);
-  EXPECT_EQ(stats.requests, 3);
-}
-
-TEST(ForecastEngineTest, AdaptiveBatchStillPacksBursts) {
-  // Adaptive batching shrinks the wait target, never the take: requests
-  // already waiting are still packed into one forward.
-  train::ForecastTask task = RingForecastTask(8, 12);
-  EngineOptions options;
-  options.max_batch = 16;
-  options.max_delay_us = 1000000;
-  options.adaptive_batch = true;
-  auto engine =
-      std::move(ForecastEngine::Create(task, TinyConfig(), "", options))
-          .ValueOrDie();
-  T::Tensor window = RandomWindow(task, 8);
-  std::vector<std::future<ForecastResponse>> futures;
-  for (int i = 0; i < 12; ++i) {
-    futures.push_back(engine->Submit(ForecastRequest{window.Clone()}));
-  }
-  engine->Shutdown();
-  int64_t served = 0;
-  for (auto& future : futures) {
-    ForecastResponse response = future.get();
-    ASSERT_TRUE(response.status.ok());
-    served += 1;
-  }
-  EXPECT_EQ(served, 12);
-  EngineStats stats = engine->Snapshot();
-  EXPECT_EQ(stats.requests, 12);
-  // The effective target stays within [1, max_batch].
-  EXPECT_GE(stats.effective_max_batch, 1);
-  EXPECT_LE(stats.effective_max_batch, options.max_batch);
-}
-
-TEST(ForecastEngineTest, AdaptiveBatchRecoversAfterABurst) {
-  // A burst drives the depth estimate up; when traffic drops back to a
-  // single stream, one timed-out wait is hard evidence and collapses the
-  // target — the lone client pays at most one delay window, not one per
-  // flush while an EWMA decays.
-  train::ForecastTask task = RingForecastTask(8, 12);
-  EngineOptions options;
-  options.max_batch = 16;
-  options.max_delay_us = 300000;  // 0.3 s per stalled flush
-  options.adaptive_batch = true;
-  auto engine =
-      std::move(ForecastEngine::Create(task, TinyConfig(), "", options))
-          .ValueOrDie();
-  T::Tensor window = RandomWindow(task, 14);
-  // Burst: 12 concurrent requests raise the depth EWMA.
-  std::vector<std::future<ForecastResponse>> burst;
-  for (int i = 0; i < 12; ++i) {
-    burst.push_back(engine->Submit(ForecastRequest{window.Clone()}));
-  }
-  for (auto& future : burst) ASSERT_TRUE(future.get().status.ok());
-  // Single stream: the first request may pay one 0.3 s window while the
-  // engine learns the queue went shallow; the rest must be immediate.
-  // 4 sequential requests across 3 s of budget leaves generous slack.
-  auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < 4; ++i) {
-    ForecastResponse response =
-        engine->Submit(ForecastRequest{window.Clone()}).get();
-    ASSERT_TRUE(response.status.ok());
-  }
-  double elapsed_ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-  EXPECT_LT(elapsed_ms, 1000.0);
-  EXPECT_EQ(engine->Snapshot().effective_max_batch, 1);
-}
-
 TEST(ForecastEngineTest, SnapshotIsConsistentUnderLoad) {
   // Snapshot() must hand back one coherent view: after a drained run,
-  // requests/batches/max_batch_observed agree with what was served, and
-  // the queue depth is zero.
+  // requests and batches agree with what was served, and the queue depth
+  // is zero.
   train::ForecastTask task = RingForecastTask(8, 12);
-  EngineOptions options;
-  options.max_batch = 4;
-  options.max_delay_us = 5000;
   auto engine =
-      std::move(ForecastEngine::Create(task, TinyConfig(), "", options))
-          .ValueOrDie();
+      std::move(ForecastEngine::Create(task, TinyConfig())).ValueOrDie();
   T::Tensor window = RandomWindow(task, 9);
   std::vector<std::future<ForecastResponse>> futures;
   for (int i = 0; i < 10; ++i) {
     futures.push_back(engine->Submit(ForecastRequest{window.Clone()}));
   }
-  int64_t max_batch_seen = 0;
   for (auto& future : futures) {
     ForecastResponse response = future.get();
     ASSERT_TRUE(response.status.ok());
-    max_batch_seen = std::max(max_batch_seen, response.batch_size);
+    EXPECT_EQ(response.batch_size, 1);
   }
   EngineStats stats = engine->Snapshot();
   EXPECT_EQ(stats.requests, 10);
-  EXPECT_EQ(stats.max_batch_observed, max_batch_seen);
-  EXPECT_GE(stats.batches, (10 + options.max_batch - 1) / options.max_batch);
+  EXPECT_EQ(stats.batches, 10);
   EXPECT_EQ(stats.queue_depth, 0);
   EXPECT_EQ(stats.rejected, 0);
-  EXPECT_EQ(stats.effective_max_batch, options.max_batch);  // adaptive off
 }
 
 TEST(ForecastEngineTest, ServesZooModelThroughFactory) {
@@ -614,8 +566,6 @@ TEST(EngineThreadingTest, WorkersNeverOversubscribeTheBudget) {
   core::TeamScope creator(budget.total);
   EngineOptions options;
   options.num_workers = budget.num_workers;
-  options.max_batch = 1;  // every request is its own forward
-  options.max_delay_us = 0;
   auto engine = std::move(ForecastEngine::Create(task, factory, "", options))
                     .ValueOrDie();
   ASSERT_EQ(engine->team_size(), budget.team_size);
@@ -666,18 +616,14 @@ TEST(EngineThreadingTest, PinnedWorkersServeCorrectly) {
 
 TEST(ForecastEngineTest, ShutdownDrainsQueuedRequests) {
   train::ForecastTask task = RingForecastTask(8, 12);
-  EngineOptions options;
-  options.max_batch = 64;
-  options.max_delay_us = 1000000;  // would wait a second without shutdown
   auto engine =
-      std::move(ForecastEngine::Create(task, TinyConfig(), "", options))
-          .ValueOrDie();
+      std::move(ForecastEngine::Create(task, TinyConfig())).ValueOrDie();
   T::Tensor window = RandomWindow(task, 2);
   std::vector<std::future<ForecastResponse>> futures;
   for (int i = 0; i < 5; ++i) {
     futures.push_back(engine->Submit(ForecastRequest{window.Clone()}));
   }
-  engine->Shutdown();  // must flush the partial batch, not strand it
+  engine->Shutdown();  // must serve what is queued, not strand it
   for (auto& future : futures) {
     EXPECT_TRUE(future.get().status.ok());
   }

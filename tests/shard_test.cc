@@ -4,6 +4,7 @@
 // forecasts over 2- and 4-way partitioned N=1024 networks matching the
 // unsharded engine element-wise within 1e-5 for graph-operator models.
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <future>
@@ -516,19 +517,16 @@ TEST(ForecastRouterTest, LoadsShardCheckpointFamilyThroughEngines) {
 TEST(ForecastRouterTest, ShutdownDrainsEveryShard) {
   train::ForecastTask task = RingForecastTask(16);
   auto router = MakeRouter();
-  EngineOptions slow;
-  slow.max_batch = 64;
-  slow.max_delay_us = 1000000;  // would hold partial batches for a second
   ASSERT_TRUE(router
                   ->AddShardedModel(
                       "m", task, graph::ShardPlan::Build(task.spatial_adj, 2, 1),
-                      ZooFactory("STGCN", SmallZoo()), "", slow)
+                      ZooFactory("STGCN", SmallZoo()))
                   .ok());
   std::vector<std::future<ForecastResponse>> futures;
   for (int i = 0; i < 6; ++i) {
     futures.push_back(router->Submit(RouterRequest{"m", RandomWindow(task, i)}));
   }
-  router->Shutdown();  // must flush both shards' partial batches promptly
+  router->Shutdown();  // must serve both shards' queued requests
   for (auto& future : futures) {
     ForecastResponse response = future.get();
     EXPECT_TRUE(response.status.ok()) << response.status.ToString();
@@ -543,13 +541,17 @@ TEST(ForecastRouterTest, ShardUnavailableSurfacesPerRequest) {
   train::ForecastTask task = RingForecastTask(16);
   auto router = MakeRouter();
   EngineOptions tight;
-  tight.max_batch = 64;
-  tight.max_delay_us = 1000000;
   tight.max_queue = 2;  // everything past 2 queued requests is shed
+  // A 50 ms forward keeps each shard's queue full while the requests
+  // arrive.
+  ModelFactory slow = [](const train::ForecastTask& t) {
+    return std::make_unique<testing::SlowForecastModel>(
+        t, std::chrono::milliseconds(50));
+  };
   ASSERT_TRUE(router
                   ->AddShardedModel(
                       "m", task, graph::ShardPlan::Build(task.spatial_adj, 2, 1),
-                      ZooFactory("STGCN", SmallZoo()), "", tight)
+                      slow, "", tight)
                   .ok());
   T::Tensor window = RandomWindow(task, 5);
   std::vector<std::future<ForecastResponse>> futures;
@@ -633,6 +635,43 @@ TEST(RouterPlacementTest, PartitionDividesTheBudgetAcrossShards) {
   }
 }
 
+TEST(RouterPlacementTest, InheritSplitsTheCreatorsTeamAcrossShards) {
+  // Default placement: an auto-sized engine takes the creator's team
+  // divided by its model's engine count, so concurrent shards never
+  // oversubscribe it. A lone engine and an explicit team_size keep theirs.
+  core::TeamScope creator(4);
+  train::ForecastTask task = RingForecastTask(64);
+  auto router = std::move(ForecastRouter::Create()).ValueOrDie();
+  ModelFactory factory = ZooFactory("STGCN", SmallZoo());
+  const graph::ShardPlan halves = graph::ShardPlan::Build(task.spatial_adj, 2, 2);
+  EngineOptions two_workers;
+  two_workers.num_workers = 2;
+  EngineOptions explicit_team;
+  explicit_team.team_size = 3;
+  ASSERT_TRUE(router->AddModel("single", task, factory).ok());
+  ASSERT_TRUE(router->AddShardedModel("x2", task, halves, factory).ok());
+  ASSERT_TRUE(router
+                  ->AddShardedModel(
+                      "x4", task, graph::ShardPlan::Build(task.spatial_adj, 4, 2),
+                      factory)
+                  .ok());
+  ASSERT_TRUE(
+      router->AddShardedModel("x2w2", task, halves, factory, "", two_workers)
+          .ok());
+  ASSERT_TRUE(
+      router->AddShardedModel("x2t3", task, halves, factory, "", explicit_team)
+          .ok());
+  RouterStats stats = router->Stats();
+  ASSERT_EQ(stats.engines.size(), 11u);
+  for (const EngineStatsEntry& e : stats.engines) {
+    const int64_t expected_team = e.model == "single" ? 4
+                                  : e.model == "x2"   ? 2
+                                  : e.model == "x2t3" ? 3
+                                                      : 1;
+    EXPECT_EQ(e.team_size, expected_team) << e.model;
+  }
+}
+
 TEST(RouterPlacementTest, SubmitStormThroughPartitionedMultiWorkerFleet) {
   // The concurrency stress this PR is about: many client threads flooding
   // a placement-partitioned fleet whose engines each run several workers.
@@ -645,8 +684,6 @@ TEST(RouterPlacementTest, SubmitStormThroughPartitionedMultiWorkerFleet) {
   ModelFactory factory = ZooFactory("STGCN", SmallZoo());
   EngineOptions engine_options;
   engine_options.num_workers = 2;
-  engine_options.max_batch = 4;
-  engine_options.max_delay_us = 500;
   ASSERT_TRUE(router->AddModel("single", task, factory).ok());
   ASSERT_TRUE(router
                   ->AddShardedModel(

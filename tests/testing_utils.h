@@ -1,5 +1,6 @@
 // Shared helpers for the GoogleTest suites: tensor comparison with
-// first-mismatch diagnostics and seeded-RNG fixtures.
+// first-mismatch diagnostics, seeded-RNG fixtures and a slow stand-in
+// model for the serving tests.
 //
 // Keep this header test-only; production code must not include it.
 
@@ -7,16 +8,20 @@
 #define DYHSL_TESTS_TESTING_UTILS_H_
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/core/rng.h"
 #include "src/tensor/tensor.h"
+#include "src/train/forecast_model.h"
 
 namespace dyhsl::testing {
 
@@ -154,6 +159,32 @@ inline float SumAbsDiff(const tensor::Tensor& a, const tensor::Tensor& b) {
 inline std::string TempPath(const char* name) {
   return ::testing::TempDir() + "/" + name;
 }
+
+/// \brief A forecast model whose every forward takes `forward_time` and
+/// returns zeros (B, T', N). A queue behind it stays full for as long as
+/// a test needs, without any engine knob.
+class SlowForecastModel : public train::ForecastModel {
+ public:
+  SlowForecastModel(const train::ForecastTask& task,
+                    std::chrono::milliseconds forward_time)
+      : horizon_(task.horizon),
+        num_nodes_(task.num_nodes),
+        forward_time_(forward_time) {}
+
+  autograd::Variable Forward(const tensor::Tensor& x, bool) override {
+    std::this_thread::sleep_for(forward_time_);
+    return autograd::Variable(
+        tensor::Tensor::Zeros({x.size(0), horizon_, num_nodes_}));
+  }
+  std::vector<autograd::Variable> Parameters() const override { return {}; }
+  int64_t ParameterCount() const override { return 0; }
+  std::string name() const override { return "Slow"; }
+
+ private:
+  int64_t horizon_;
+  int64_t num_nodes_;
+  std::chrono::milliseconds forward_time_;
+};
 
 /// \brief Fixture owning a deterministically seeded Rng.
 class SeededTest : public ::testing::Test {
