@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks for the tensor/sparse kernels that
 // dominate DyHSL training time: dense matmul, batched matmul, SpMM over
-// temporal graphs, elementwise chains, hypergraph-style products, and the
-// tanh/sigmoid/exp array kernels.
+// temporal graphs, elementwise chains, hypergraph-style products, the
+// tanh/sigmoid/exp array kernels and the channels-last temporal conv.
 
 #include <benchmark/benchmark.h>
 
@@ -176,14 +176,33 @@ void BM_MaxPoolTime(benchmark::State& state) {
 BENCHMARK(BM_MaxPoolTime)->Arg(64)->Arg(256);
 
 void BM_Conv1dDilated(benchmark::State& state) {
+  // range(0) sequences of 32 channels over 12 steps, kernel 2, dilation 2,
+  // causal: the TCN block shape.
   Rng rng(7);
-  T::Tensor x = T::Tensor::Randn({state.range(0), 32, 12}, &rng);
+  T::Tensor x = T::Tensor::Randn({1, 12, state.range(0), 32}, &rng);
   T::Tensor w = T::Tensor::Randn({32, 32, 2}, &rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(T::Conv1d(x, w, 2, 2, 0));
+    benchmark::DoNotOptimize(T::TemporalConv(x, w, nullptr, 2, 2, 0));
   }
 }
 BENCHMARK(BM_Conv1dDilated)->Arg(64)->Arg(512);
+
+void BM_TemporalConv(benchmark::State& state) {
+  // STGCN's second gated conv, (B, 12, R, 16) -> (B, 12, R, 32), kernel 3,
+  // causal: B = 1, R = 840 is one metro shard; B = 64, R = 24 a fleet
+  // tick of windowed sessions.
+  const int64_t batch = state.range(0), rows = state.range(1);
+  Rng rng(8);
+  T::Tensor x = T::Tensor::Randn({batch, 12, rows, 16}, &rng);
+  T::Tensor w = T::Tensor::Randn({32, 16, 3}, &rng);
+  T::Tensor bias = T::Tensor::Randn({32}, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(T::TemporalConv(x, w, bias.data(), 1, 2, 0));
+  }
+  state.SetItemsProcessed(state.iterations() * batch * 12 * rows * 16 * 32 *
+                          3);
+}
+BENCHMARK(BM_TemporalConv)->Args({1, 840})->Args({64, 24});
 
 }  // namespace
 }  // namespace dyhsl

@@ -28,7 +28,8 @@
 //
 // Fleet phase: many sessions of one model ticking in lock-step — a
 // sensor fleet with one forecast per member per tick. Per (model, B in
-// {64, 256}) the same feed runs twice on a district-sized N=24 subgraph
+// {64, 256}) the same feed runs both ways, alternating in repeated short
+// phases, on a district-sized N=24 subgraph
 // (the cross-session batching regime: fleets of many SMALL per-model
 // sessions, where a B=1 forward is dispatch- and packing-dominated; a
 // single metro-scale session already saturates a core on its own and
@@ -40,7 +41,8 @@
 //    whole warm fleet) then one ForecastBatch (one (B, ...) forward).
 //
 // The metric is session-ticks/s (sessions x ticks / wall), reported
-// overall and split into the ingest (Append) and forecast halves. The
+// overall; the batched/sequential ratios, overall and split into the
+// ingest (Append) and forecast halves, are medians over the phases. The
 // batched DCRNN fleet amortizes the per-call overhead of B tiny
 // recurrent forwards into one batched GEMM per tick, which is where
 // cross-session batching pays.
@@ -48,10 +50,10 @@
 // --check-floor=R exits non-zero if the warm-session p50 per-forecast
 // latency is not at least R x better than full-window resubmission.
 // --check-batch-floor=R does the same for the batched-vs-sequential
-// fleet throughput ratio at DCRNN B=64.
+// fleet throughput ratio at DCRNN B=64 (the median over the phases).
 //
-// DYHSL_PROFILE=tiny|quick|full scales tick counts only; model and
-// network sizes are fixed so numbers are comparable across profiles.
+// DYHSL_PROFILE=tiny|quick|full scales tick and phase counts only; model
+// and network sizes are fixed so numbers are comparable across profiles.
 
 #include <algorithm>
 #include <chrono>
@@ -214,20 +216,23 @@ bool RunSession(serve::SessionManager* manager, const std::string& id,
 
 struct FleetResult {
   int sessions = 0;
-  double sequential_sticks_per_s = 0.0;
+  double sequential_sticks_per_s = 0.0;  // over all phases
   double batched_sticks_per_s = 0.0;
+  // Medians over the phases of each phase's sequential / batched ratio.
   double speedup = 0.0;
   double ingest_speedup = 0.0;    // B x Append vs one AppendMany
   double forecast_speedup = 0.0;  // B x Forecast vs one ForecastBatch
 };
 
 // One (model, fleet-size) comparison: a fresh fleet of B lock-step
-// sessions, primed together, then the same tick stream measured first
-// sequentially (B Appends + B Forecasts per tick) and then batched
-// (one AppendMany + one ForecastBatch per tick).
+// sessions, primed together, then `phases` repetitions of the same
+// measurement: `ticks` ticks sequentially (B Appends + B Forecasts per
+// tick), then `ticks` ticks batched (one AppendMany + one ForecastBatch
+// per tick). The ratios are medians over the phases, so one scheduling
+// stall in one short phase cannot decide them.
 bool RunFleet(serve::ForecastRouter* router, const std::string& model,
               bool warm, const train::ForecastTask& task, int sessions,
-              int ticks, uint64_t seed, FleetResult* result) {
+              int phases, int ticks, uint64_t seed, FleetResult* result) {
   serve::SessionManager manager(router);
   serve::SessionOptions options;
   options.model = model;
@@ -265,53 +270,61 @@ bool RunFleet(serve::ForecastRouter* router, const std::string& model,
   if (!manager.Forecast(ids[0]).status.ok()) return false;
 
   result->sessions = sessions;
-  // Sequential: one engine forward per session per tick. Ingest and
-  // forecast halves are timed separately so the report shows where the
-  // batched tick earns its ratio.
-  double seq_ingest_ms = 0.0, seq_forecast_ms = 0.0;
-  for (int t = 0; t < ticks; ++t, ++tick) {
-    FillRawFrame(task, &rng, raw.data());
-    Clock::time_point start = Clock::now();
-    for (const std::string& id : ids) {
-      if (!manager.Append(id, tick, raw).ok()) return false;
-    }
-    seq_ingest_ms += MsSince(start);
-    start = Clock::now();
-    for (const std::string& id : ids) {
-      if (!manager.Forecast(id).status.ok()) return false;
-    }
-    seq_forecast_ms += MsSince(start);
-  }
-  const double seq_ms = seq_ingest_ms + seq_forecast_ms;
-  // Batched: one tick barrier, one batched forward per tick.
-  double bat_ingest_ms = 0.0, bat_forecast_ms = 0.0;
-  for (int t = 0; t < ticks; ++t, ++tick) {
-    FillRawFrame(task, &rng, raw.data());
-    Clock::time_point start = Clock::now();
-    if (!barrier_ok(manager.AppendMany(ids, tick, frames))) return false;
-    bat_ingest_ms += MsSince(start);
-    start = Clock::now();
-    for (const serve::ForecastResponse& r : manager.ForecastBatch(ids)) {
-      if (!r.status.ok()) {
-        std::fprintf(stderr, "fleet forecast error: %s\n",
-                     r.status.ToString().c_str());
-        return false;
+  auto ratio = [](double num, double den) {
+    return num > 0.0 && den > 0.0 ? num / den : 0.0;
+  };
+  std::vector<double> speedups, ingest_speedups, forecast_speedups;
+  double seq_total_ms = 0.0, bat_total_ms = 0.0;
+  for (int phase = 0; phase < phases; ++phase) {
+    // Sequential: one engine forward per session per tick. Ingest and
+    // forecast halves are timed separately so the report shows where the
+    // batched tick earns its ratio.
+    double seq_ingest_ms = 0.0, seq_forecast_ms = 0.0;
+    for (int t = 0; t < ticks; ++t, ++tick) {
+      FillRawFrame(task, &rng, raw.data());
+      Clock::time_point start = Clock::now();
+      for (const std::string& id : ids) {
+        if (!manager.Append(id, tick, raw).ok()) return false;
       }
+      seq_ingest_ms += MsSince(start);
+      start = Clock::now();
+      for (const std::string& id : ids) {
+        if (!manager.Forecast(id).status.ok()) return false;
+      }
+      seq_forecast_ms += MsSince(start);
     }
-    bat_forecast_ms += MsSince(start);
+    // Batched: one tick barrier, one batched forward per tick.
+    double bat_ingest_ms = 0.0, bat_forecast_ms = 0.0;
+    for (int t = 0; t < ticks; ++t, ++tick) {
+      FillRawFrame(task, &rng, raw.data());
+      Clock::time_point start = Clock::now();
+      if (!barrier_ok(manager.AppendMany(ids, tick, frames))) return false;
+      bat_ingest_ms += MsSince(start);
+      start = Clock::now();
+      for (const serve::ForecastResponse& r : manager.ForecastBatch(ids)) {
+        if (!r.status.ok()) {
+          std::fprintf(stderr, "fleet forecast error: %s\n",
+                       r.status.ToString().c_str());
+          return false;
+        }
+      }
+      bat_forecast_ms += MsSince(start);
+    }
+    const double seq_ms = seq_ingest_ms + seq_forecast_ms;
+    const double bat_ms = bat_ingest_ms + bat_forecast_ms;
+    seq_total_ms += seq_ms;
+    bat_total_ms += bat_ms;
+    speedups.push_back(ratio(seq_ms, bat_ms));
+    ingest_speedups.push_back(ratio(seq_ingest_ms, bat_ingest_ms));
+    forecast_speedups.push_back(ratio(seq_forecast_ms, bat_forecast_ms));
   }
-  const double bat_ms = bat_ingest_ms + bat_forecast_ms;
 
-  const double session_ticks = static_cast<double>(sessions) * ticks;
-  result->sequential_sticks_per_s =
-      seq_ms > 0.0 ? 1000.0 * session_ticks / seq_ms : 0.0;
-  result->batched_sticks_per_s =
-      bat_ms > 0.0 ? 1000.0 * session_ticks / bat_ms : 0.0;
-  result->speedup = seq_ms > 0.0 && bat_ms > 0.0 ? seq_ms / bat_ms : 0.0;
-  result->ingest_speedup =
-      bat_ingest_ms > 0.0 ? seq_ingest_ms / bat_ingest_ms : 0.0;
-  result->forecast_speedup =
-      bat_forecast_ms > 0.0 ? seq_forecast_ms / bat_forecast_ms : 0.0;
+  const double session_ticks = static_cast<double>(sessions) * phases * ticks;
+  result->sequential_sticks_per_s = ratio(1000.0 * session_ticks, seq_total_ms);
+  result->batched_sticks_per_s = ratio(1000.0 * session_ticks, bat_total_ms);
+  result->speedup = Percentile(speedups, 50.0);
+  result->ingest_speedup = Percentile(ingest_speedups, 50.0);
+  result->forecast_speedup = Percentile(forecast_speedups, 50.0);
   return true;
 }
 
@@ -348,11 +361,11 @@ int main(int argc, char** argv) {
   const int ticks = profile == RunProfile::kTiny
                         ? 30
                         : (profile == RunProfile::kQuick ? 100 : 300);
-  // Fleet ticks stay small: one sequential 256-session tick costs ~512
-  // engine forwards, and the comparison stabilizes within a few ticks.
-  const int fleet_ticks = profile == RunProfile::kTiny
-                              ? 4
-                              : (profile == RunProfile::kQuick ? 10 : 20);
+  // Fleet phases stay short: one sequential 256-session tick costs ~512
+  // engine forwards. The ratios are medians over the phases, so they
+  // need several phases rather than many ticks.
+  const int fleet_ticks = 2;
+  const int fleet_phases = profile == RunProfile::kFull ? 15 : 9;
 
   train::ForecastTask task =
       train::RingForecastTask(kNodes, kHistory, kHorizon);
@@ -435,8 +448,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf(
-      "--- fleet phase (N=%lld, %d ticks, batched vs sequential) ---\n",
-      static_cast<long long>(kFleetNodes), fleet_ticks);
+      "--- fleet phase (N=%lld, median of %d phases x %d ticks, batched vs "
+      "sequential) ---\n",
+      static_cast<long long>(kFleetNodes), fleet_phases, fleet_ticks);
   struct FleetRun {
     const char* key;
     const char* model;
@@ -453,7 +467,8 @@ int main(int argc, char** argv) {
   uint64_t fleet_seed = 31;
   for (FleetRun& run : fleet_runs) {
     if (!RunFleet(fleet_router.get(), run.model, run.warm, fleet_task,
-                  run.sessions, fleet_ticks, fleet_seed++, &run.result)) {
+                  run.sessions, fleet_phases, fleet_ticks, fleet_seed++,
+                  &run.result)) {
       std::fprintf(stderr, "fleet run %s failed\n", run.key);
       return 1;
     }
@@ -513,7 +528,8 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  \"fleet\": {\n");
   std::fprintf(out, "    \"nodes\": %lld,\n",
                static_cast<long long>(kFleetNodes));
-  std::fprintf(out, "    \"ticks\": %d,\n", fleet_ticks);
+  std::fprintf(out, "    \"phases\": %d,\n", fleet_phases);
+  std::fprintf(out, "    \"ticks_per_phase\": %d,\n", fleet_ticks);
   for (size_t i = 0; i < 4; ++i) {
     const FleetRun& run = fleet_runs[i];
     std::fprintf(out,

@@ -2,10 +2,10 @@
 // and testing time of DyHSL against the heavier baselines, on SynPEMS04.
 //
 // The paper compares STGODE (714K params), DSTAGNN (3.58M) and DyHSL
-// (256K). DSTAGNN is not implemented (attention family covered elsewhere,
-// see DESIGN.md); GraphWaveNet and AGCRN stand in as the extra comparison
-// points. Absolute times are hardware-bound; the ranking and the parameter
-// ordering are the reproduction target.
+// (256K). DSTAGNN is not implemented (the attention family is represented
+// by DSANet in Table III); GraphWaveNet and AGCRN stand in as the extra
+// comparison points. Absolute times are hardware-bound; the ranking and
+// the parameter ordering are the reproduction target.
 
 #include <cstdio>
 #include <string>

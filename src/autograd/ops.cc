@@ -502,20 +502,34 @@ Variable MaxPoolAxis(const Variable& a, int64_t axis, int64_t window) {
   });
 }
 
-Variable Conv1d(const Variable& x, const Variable& w, int64_t dilation,
-                int64_t pad_left, int64_t pad_right) {
+Variable TemporalConv(const Variable& x, const Variable& w, const Variable& b,
+                      int64_t dilation, int64_t pad_left, int64_t pad_right) {
   T::Tensor xv = x.value(), wv = w.value();
+  const bool has_bias = b.defined();
+  if (has_bias) DYHSL_CHECK_EQ(b.numel(), wv.size(0));
+  T::Tensor y =
+      T::TemporalConv(xv, wv, has_bias ? b.value().data() : nullptr,
+                      dilation, pad_left, pad_right);
+  std::vector<Variable> parents{x, w};
+  if (has_bias) parents.push_back(b);
   tensor::Shape x_shape = xv.shape(), w_shape = wv.shape();
   return MakeOpResult(
-      T::Conv1d(xv, wv, dilation, pad_left, pad_right), {x, w},
-      [xv, wv, x_shape, w_shape, dilation, pad_left](Node* n) {
+      std::move(y), std::move(parents),
+      [xv, wv, x_shape, w_shape, dilation, pad_left, has_bias](Node* n) {
+        const T::Tensor& g = n->grad;
         if (ParentNeedsGrad(n, 0)) {
-          Accumulate(n, 0, T::Conv1dBackwardInput(n->grad, wv, x_shape,
-                                                  dilation, pad_left));
+          Accumulate(n, 0, T::TemporalConvBackwardInput(g, wv, x_shape,
+                                                        dilation, pad_left));
         }
         if (ParentNeedsGrad(n, 1)) {
-          Accumulate(n, 1, T::Conv1dBackwardWeight(n->grad, xv, w_shape,
-                                                   dilation, pad_left));
+          Accumulate(n, 1, T::TemporalConvBackwardWeight(g, xv, w_shape,
+                                                         dilation, pad_left));
+        }
+        if (has_bias && ParentNeedsGrad(n, 2)) {
+          // db = column sum over every (item, step, row).
+          const int64_t cout = w_shape[0];
+          T::Tensor db = T::Sum(g.Reshape({g.numel() / cout, cout}), 0);
+          Accumulate(n, 2, db.Reshape(n->parents[2]->value.shape()));
         }
       });
 }

@@ -120,9 +120,14 @@ Variable LayerNormLastAxis(Variable&& x, const Variable& gamma,
 /// \brief Non-overlapping max pool along `axis` (window divides the size).
 Variable MaxPoolAxis(const Variable& a, int64_t axis, int64_t window);
 
-/// \brief Dilated zero-padded 1-D convolution; x (B, Cin, L), w (Cout, Cin, K).
-Variable Conv1d(const Variable& x, const Variable& w, int64_t dilation = 1,
-                int64_t pad_left = 0, int64_t pad_right = 0);
+/// \brief Channels-last temporal convolution (see tensor::TemporalConv):
+/// x (B, T, R, Cin), w (Cout, Cin, K) -> (B, Tout, R, Cout). `b` holds
+/// Cout floats (any shape) or is undefined for no bias; it joins in the
+/// first tap's GEMM write-back. Taped and grad-free calls run the same
+/// kernel.
+Variable TemporalConv(const Variable& x, const Variable& w, const Variable& b,
+                      int64_t dilation = 1, int64_t pad_left = 0,
+                      int64_t pad_right = 0);
 
 /// \brief Inverted dropout. Identity when !training or p == 0.
 Variable Dropout(const Variable& a, float p, bool training, Rng* rng);

@@ -82,31 +82,26 @@ Stgcn::Stgcn(const train::ForecastTask& task, int64_t hidden_dim,
 
 Variable Stgcn::TemporalGated(const nn::Conv1dLayer& conv, const Variable& h,
                               int64_t channels) const {
-  Variable pq = conv.Forward(h);  // (B*N, 2C, T)
-  Variable p = ag::Slice(pq, 1, 0, channels);
-  Variable q = ag::Slice(pq, 1, channels, channels);
-  return ag::Mul(p, ag::Sigmoid(q));
+  // GLU over two contiguous half-width convolutions, one per half of the
+  // 2C-channel weight, so P and Q are never sliced out of one activation.
+  Variable p = conv.ForwardChannels(h, 0, channels);
+  Variable q = conv.ForwardChannels(h, channels, channels);
+  return ag::Mul(p, ag::Sigmoid(std::move(q)));
 }
 
 Variable Stgcn::Forward(const tensor::Tensor& x, bool training) {
   (void)training;
   Variable input(x);
-  int64_t batch = x.size(0), t_in = x.size(1), n = x.size(2), f = x.size(3);
-  // Temporal gated conv over each sensor.
-  Variable seq = ag::Reshape(ag::TransposePerm(input, {0, 2, 3, 1}),
-                             {batch * n, f, t_in});
-  Variable h = TemporalGated(tconv1_, seq, hidden_dim_);  // (B*N, C, T)
+  int64_t batch = x.size(0), t_in = x.size(1), n = x.size(2);
+  // Temporal gated conv over each sensor, channels-last: (B, T, N, C).
+  Variable h = TemporalGated(tconv1_, input, hidden_dim_);
   // Spatial graph conv applied per time position.
-  h = ag::Reshape(h, {batch, n, hidden_dim_, t_in});
-  h = ag::TransposePerm(h, {0, 3, 1, 2});                // (B, T, N, C)
   h = ag::Reshape(h, {batch * t_in, n, hidden_dim_});
   h = ag::Relu(gconv_.Forward(ag::SpMM(sym_adj_, h)));
   // Second temporal gated conv.
   h = ag::Reshape(h, {batch, t_in, n, hidden_dim_});
-  h = ag::Reshape(ag::TransposePerm(h, {0, 2, 3, 1}),
-                  {batch * n, hidden_dim_, t_in});
   h = TemporalGated(tconv2_, h, hidden_dim_);
-  Variable last = ag::Reshape(ag::Slice(h, 2, t_in - 1, 1),
+  Variable last = ag::Reshape(ag::Slice(h, 1, t_in - 1, 1),
                               {batch * n, hidden_dim_});
   Variable out = ag::Reshape(head_.Forward(last),
                              {batch, n, task_.horizon});
@@ -439,15 +434,11 @@ Variable GraphWaveNet::Forward(const tensor::Tensor& x, bool training) {
       ag::Relu(ag::MatMul(emb1_, emb2_, false, /*trans_b=*/true)));
   Variable h = input_proj_.Forward(input);  // (B, T, N, C)
   for (size_t l = 0; l < filter_convs_.size(); ++l) {
-    // Gated dilated temporal convolution per sensor.
-    Variable seq = ag::Reshape(ag::TransposePerm(h, {0, 2, 3, 1}),
-                               {batch * n, channels_, t_in});
-    Variable gated = ag::Mul(ag::Tanh(filter_convs_[l]->Forward(seq)),
-                             ag::Sigmoid(gate_convs_[l]->Forward(seq)));
-    // Back to (B*T, N, C) for the graph mixing step.
-    gated = ag::Reshape(gated, {batch, n, channels_, t_in});
-    Variable spatial_in = ag::Reshape(
-        ag::TransposePerm(gated, {0, 3, 1, 2}), {batch * t_in, n, channels_});
+    // Gated dilated temporal convolution per sensor, channels-last, so
+    // its (B, T, N, C) output is already the graph step's (B*T, N, C).
+    Variable gated = ag::Mul(ag::Tanh(filter_convs_[l]->Forward(h)),
+                             ag::Sigmoid(gate_convs_[l]->Forward(h)));
+    Variable spatial_in = ag::Reshape(gated, {batch * t_in, n, channels_});
     Variable mixed =
         ag::Add(ag::Add(gconv_fw_[l]->Forward(ag::SpMM(fw_, spatial_in)),
                         gconv_bw_[l]->Forward(ag::SpMM(bw_, spatial_in))),

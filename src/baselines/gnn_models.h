@@ -1,6 +1,7 @@
 // Graph-based neural baselines of paper Table III. Each model implements
 // the defining mechanism of its published counterpart on top of this
-// repository's substrate (see DESIGN.md for the fidelity notes):
+// repository's substrate; simplifications are noted below and in each
+// class comment:
 //
 //   Stgcn         gated temporal convolution + Chebyshev-style graph conv
 //   Dcrnn         diffusion-convolutional GRU encoder-decoder

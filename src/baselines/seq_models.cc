@@ -65,19 +65,15 @@ Tcn::Tcn(const train::ForecastTask& task, int64_t channels, int64_t levels,
 Variable Tcn::Forward(const tensor::Tensor& x, bool training) {
   (void)training;
   Variable input(x);
-  int64_t batch = x.size(0), t_in = x.size(1), n = x.size(2), f = x.size(3);
-  // Fold sensors into the batch: (B, T, N, F) -> (B*N, F, T).
-  Variable seq = ag::TransposePerm(input, {0, 2, 3, 1});  // (B, N, F, T)
-  seq = ag::Reshape(seq, {batch * n, f, t_in});
-  Variable h = ag::Relu(input_conv_->Forward(seq));
+  int64_t batch = x.size(0), t_in = x.size(1), n = x.size(2);
+  // Channels-last: sensors are the conv's rows, (B, T, N, F) -> (B, T, N, C).
+  Variable h = ag::Relu(input_conv_->Forward(input));
   for (const auto& conv : convs_) {
     h = ag::Add(h, ag::Relu(conv->Forward(h)));  // residual block
   }
   // Readout from the final step's channel vector.
-  Variable last = ag::Slice(h, 2, t_in - 1, 1);  // (B*N, C, 1)
-  last = ag::Reshape(last, {batch * n, convs_.empty()
-                                           ? input_conv_->out_channels()
-                                           : convs_.back()->out_channels()});
+  Variable last = ag::Slice(h, 1, t_in - 1, 1);  // (B, 1, N, C)
+  last = ag::Reshape(last, {batch * n, h.size(3)});
   Variable out = head_.Forward(last);  // (B*N, T')
   out = ag::Reshape(out, {batch, n, task_.horizon});
   out = ag::TransposePerm(out, {0, 2, 1});
@@ -147,13 +143,11 @@ DsaNet::DsaNet(const train::ForecastTask& task, int64_t hidden_dim,
 
 Variable DsaNet::Forward(const tensor::Tensor& x, bool training) {
   Variable input(x);
-  int64_t batch = x.size(0), n = task_.num_nodes, f = task_.input_dim;
-  // Temporal convolution per sensor.
-  Variable seq = ag::TransposePerm(input, {0, 2, 3, 1});  // (B, N, F, T)
-  seq = ag::Reshape(seq, {batch * n, f, task_.history});
-  Variable conv = ag::Relu(temporal_conv_.Forward(seq));  // (B*N, C, T)
+  int64_t batch = x.size(0), n = task_.num_nodes;
+  // Temporal convolution per sensor, channels-last: (B, T, N, C).
+  Variable conv = ag::Relu(temporal_conv_.Forward(input));
   Variable feat = ag::Reshape(
-      ag::Slice(conv, 2, task_.history - 1, 1), {batch, n, hidden_dim_});
+      ag::Slice(conv, 1, task_.history - 1, 1), {batch, n, hidden_dim_});
   // Self-attention across sensors.
   Variable q = query_.Forward(feat);
   Variable k = key_.Forward(feat);

@@ -85,8 +85,8 @@ ag::Variable DyHsl::RunScale(const ag::Variable& h_full, int64_t eps,
       mixed = dhsl_.Forward(delta);  // Table VI "w/o IGC" ablation
     }
     // Normalization and dropout keep iterated block outputs well-scaled
-    // (implementation detail; see DESIGN.md). mixed is consumed so the
-    // inference path normalizes in place.
+    // (an implementation detail outside the paper's equations). mixed is
+    // consumed so the inference path normalizes in place.
     delta = iter_norm_.Forward(std::move(mixed));
     delta = ag::Dropout(delta, config_.dropout, training, dropout_rng);
   }

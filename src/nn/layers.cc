@@ -136,15 +136,24 @@ Conv1dLayer::Conv1dLayer(int64_t in_channels, int64_t out_channels,
   }
 }
 
-Variable Conv1dLayer::Forward(const Variable& x) const {
+Variable Conv1dLayer::Convolve(const Variable& x, const Variable& weight,
+                              const Variable& bias) const {
   int64_t reach = (kernel_size_ - 1) * dilation_;
-  // Causal: pad on the left only, so output length == input length and
-  // out[t] depends on x[<= t]. Non-causal: split padding symmetrically.
   int64_t pad_left = causal_ ? reach : reach / 2;
-  int64_t pad_right = causal_ ? 0 : reach - reach / 2;
-  Variable y = ag::Conv1d(x, weight_, dilation_, pad_left, pad_right);
-  if (bias_.defined()) y = ag::Add(y, bias_);
-  return y;
+  int64_t pad_right = reach - pad_left;
+  return ag::TemporalConv(x, weight, bias, dilation_, pad_left, pad_right);
+}
+
+Variable Conv1dLayer::Forward(const Variable& x) const {
+  return Convolve(x, weight_, bias_);
+}
+
+Variable Conv1dLayer::ForwardChannels(const Variable& x, int64_t begin,
+                                      int64_t count) const {
+  DYHSL_CHECK(begin >= 0 && count > 0 && begin + count <= out_channels_);
+  Variable bias;
+  if (bias_.defined()) bias = ag::Slice(bias_, 0, begin, count);
+  return Convolve(x, ag::Slice(weight_, 0, begin, count), bias);
 }
 
 GraphConv::GraphConv(int64_t in_dim, int64_t out_dim, Rng* rng, bool bias)

@@ -114,7 +114,10 @@ class LstmCell : public Module {
   Linear h_gates_;
 };
 
-/// \brief 1-D convolution over (B, Cin, L) with optional causal padding.
+/// \brief Temporal convolution over channels-last (B, T, R, Cin) input
+/// (ag::TemporalConv) -> (B, T, R, Cout). Causal pads (K - 1) * dilation
+/// steps on the left, so out[t] depends on x[<= t]; otherwise the padding
+/// is split, the left side taking the floor half.
 class Conv1dLayer : public Module {
  public:
   Conv1dLayer(int64_t in_channels, int64_t out_channels, int64_t kernel_size,
@@ -122,16 +125,21 @@ class Conv1dLayer : public Module {
               bool bias = true);
 
   Variable Forward(const Variable& x) const;
-
-  int64_t out_channels() const { return out_channels_; }
+  /// \brief Output channels [begin, begin + count) only: the convolution
+  /// with that slice of the weight and bias (e.g. one half of a GLU).
+  Variable ForwardChannels(const Variable& x, int64_t begin,
+                           int64_t count) const;
 
  private:
+  Variable Convolve(const Variable& x, const Variable& weight,
+                    const Variable& bias) const;
+
   int64_t out_channels_;
   int64_t kernel_size_;
   int64_t dilation_;
   bool causal_;
   Variable weight_;  // (Cout, Cin, K)
-  Variable bias_;    // (Cout, 1) broadcastable over (B, Cout, L)
+  Variable bias_;    // (Cout, 1)
 };
 
 /// \brief First-order graph convolution y = act(Ā x W) with a fixed sparse

@@ -866,104 +866,169 @@ Tensor MaxPoolAxisValues(const Tensor& a, int64_t axis, int64_t window) {
   return out;
 }
 
-Tensor Conv1d(const Tensor& x, const Tensor& w, int64_t dilation,
-              int64_t pad_left, int64_t pad_right) {
-  DYHSL_CHECK_EQ(x.dim(), 3);
-  DYHSL_CHECK_EQ(w.dim(), 3);
-  int64_t batch = x.size(0), cin = x.size(1), len = x.size(2);
-  int64_t cout = w.size(0), kcin = w.size(1), ksize = w.size(2);
-  DYHSL_CHECK_EQ(cin, kcin);
-  int64_t reach = (ksize - 1) * dilation;
-  int64_t lout = len + pad_left + pad_right - reach;
-  DYHSL_CHECK_GT(lout, 0);
-  Tensor out = Tensor::Zeros({batch, cout, lout});
-  const float* px = x.data();
-  const float* pw = w.data();
-  float* po = out.data();
-#pragma omp parallel for collapse(2) if (batch * cout * lout > 1024)
-  for (int64_t b = 0; b < batch; ++b) {
-    for (int64_t co = 0; co < cout; ++co) {
-      float* orow = po + (b * cout + co) * lout;
-      for (int64_t ci = 0; ci < cin; ++ci) {
-        const float* xrow = px + (b * cin + ci) * len;
-        const float* wrow = pw + (co * cin + ci) * ksize;
-        for (int64_t k = 0; k < ksize; ++k) {
-          float wv = wrow[k];
-          if (wv == 0.0f) continue;
-          // out[t] += w[k] * x[t - pad_left + k*dilation]
-          int64_t shift = k * dilation - pad_left;
-          int64_t t_lo = std::max<int64_t>(0, -shift);
-          int64_t t_hi = std::min<int64_t>(lout, len - shift);
-          for (int64_t t = t_lo; t < t_hi; ++t) {
-            orow[t] += wv * xrow[t + shift];
-          }
-        }
-      }
-    }
-  }
-  return out;
+namespace {
+
+// The destination steps [lo, hi) a tap reaches: step u reads source step
+// u + shift, and only source steps in [0, src_len) exist.
+struct TapSpan {
+  int64_t shift;
+  int64_t lo;
+  int64_t hi;
+  int64_t steps() const { return std::max<int64_t>(0, hi - lo); }
+};
+
+TapSpan SpanOf(int64_t shift, int64_t dst_len, int64_t src_len) {
+  return {shift, std::max<int64_t>(0, -shift),
+          std::min<int64_t>(dst_len, src_len - shift)};
 }
 
-Tensor Conv1dBackwardInput(const Tensor& grad_out, const Tensor& w,
-                           const Shape& x_shape, int64_t dilation,
-                           int64_t pad_left) {
-  int64_t batch = x_shape[0], cin = x_shape[1], len = x_shape[2];
-  int64_t cout = w.size(0), ksize = w.size(2);
-  int64_t lout = grad_out.size(2);
-  Tensor gx = Tensor::Zeros(x_shape);
-  const float* pg = grad_out.data();
+// (Cout, Cin, K) -> (K, Cin, Cout): tap k's GEMM operand is the
+// contiguous (Cin, Cout) block k.
+Tensor TapMajor(const Tensor& w) {
+  const int64_t cout = w.size(0), cin = w.size(1), ksize = w.size(2);
+  Tensor wt({ksize, cin, cout});
   const float* pw = w.data();
-  float* px = gx.data();
-#pragma omp parallel for collapse(2) if (batch * cin > 8)
-  for (int64_t b = 0; b < batch; ++b) {
+  float* pt = wt.data();
+  for (int64_t co = 0; co < cout; ++co) {
     for (int64_t ci = 0; ci < cin; ++ci) {
-      float* xrow = px + (b * cin + ci) * len;
-      for (int64_t co = 0; co < cout; ++co) {
-        const float* grow = pg + (b * cout + co) * lout;
-        const float* wrow = pw + (co * cin + ci) * ksize;
-        for (int64_t k = 0; k < ksize; ++k) {
-          float wv = wrow[k];
-          if (wv == 0.0f) continue;
-          int64_t shift = k * dilation - pad_left;
-          int64_t t_lo = std::max<int64_t>(0, -shift);
-          int64_t t_hi = std::min<int64_t>(lout, len - shift);
-          for (int64_t t = t_lo; t < t_hi; ++t) {
-            xrow[t + shift] += wv * grow[t];
-          }
-        }
+      for (int64_t k = 0; k < ksize; ++k) {
+        pt[(k * cin + ci) * cout + co] = pw[(co * cin + ci) * ksize + k];
       }
     }
   }
+  return wt;
+}
+
+// The tap loop shared by the forward and the input VJP. src is
+// (B, src_len, R, src_ch) and dst (B, dst_len, R, dst_ch); destination
+// step u accumulates source step u + sign * (k * dilation - pad_left)
+// times op(W_k) for every tap k, W_k being the (Cin, Cout) block k of
+// `wt` (transposed when `trans_w`). One batched GEMM per tap covers the
+// rows it reaches in every item. The widest-reaching tap writes first
+// (beta 0, `bias` in its epilogue); the destination rows it does not reach
+// are pre-filled with `bias` (zeros when null), and the remaining taps
+// accumulate in ascending k.
+void ShiftedTapGemms(int64_t batch, int64_t rows, const float* src,
+                     int64_t src_len, int64_t src_ch, const float* wt,
+                     int64_t ksize, bool trans_w, int64_t sign,
+                     int64_t dilation, int64_t pad_left, const float* bias,
+                     float* dst, int64_t dst_len, int64_t dst_ch) {
+  std::vector<TapSpan> spans;
+  spans.reserve(static_cast<size_t>(ksize));
+  int64_t lead = 0;
+  for (int64_t k = 0; k < ksize; ++k) {
+    spans.push_back(
+        SpanOf(sign * (k * dilation - pad_left), dst_len, src_len));
+    if (spans[k].steps() > spans[lead].steps()) lead = k;
+  }
+  const int64_t src_step = rows * src_ch;
+  const int64_t dst_step = rows * dst_ch;
+  const int64_t dst_item = dst_len * dst_step;
+  const TapSpan& first = spans[lead];
+  const int64_t lo = first.steps() > 0 ? first.lo : 0;
+  const int64_t hi = first.steps() > 0 ? first.hi : 0;
+  auto fill_rows = [&](float* item, int64_t from, int64_t to) {
+    for (int64_t r = from; r < to; ++r) {
+      float* row = item + r * dst_ch;
+      if (bias != nullptr) {
+        std::memcpy(row, bias, static_cast<size_t>(dst_ch) * sizeof(float));
+      } else {
+        std::memset(row, 0, static_cast<size_t>(dst_ch) * sizeof(float));
+      }
+    }
+  };
+  for (int64_t b = 0; b < batch; ++b) {
+    fill_rows(dst + b * dst_item, 0, lo * rows);
+    fill_rows(dst + b * dst_item, hi * rows, dst_len * rows);
+  }
+  GemmEpilogue with_bias;
+  with_bias.bias = bias;
+  auto run_tap = [&](int64_t k, float beta, const GemmEpilogue* ep) {
+    const TapSpan& s = spans[k];
+    if (s.steps() == 0) return;
+    BatchedGemmPrepackedInto(
+        batch, /*trans_a=*/false, trans_w, s.steps() * rows, dst_ch, src_ch,
+        src + (s.lo + s.shift) * src_step, src_len * src_step, src_ch,
+        /*pre_a=*/nullptr, wt + k * src_ch * dst_ch, /*b_stride=*/0,
+        trans_w ? src_ch : dst_ch, /*pre_b=*/nullptr, beta,
+        dst + s.lo * dst_step, dst_item, dst_ch, ep);
+  };
+  run_tap(lead, 0.0f, &with_bias);
+  for (int64_t k = 0; k < ksize; ++k) {
+    if (k != lead) run_tap(k, 1.0f, nullptr);
+  }
+}
+
+}  // namespace
+
+Tensor TemporalConv(const Tensor& x, const Tensor& w, const float* bias,
+                    int64_t dilation, int64_t pad_left, int64_t pad_right) {
+  DYHSL_CHECK_EQ(x.dim(), 4);
+  DYHSL_CHECK_EQ(w.dim(), 3);
+  DYHSL_CHECK_GT(dilation, 0);
+  DYHSL_CHECK_GE(pad_left, 0);
+  DYHSL_CHECK_GE(pad_right, 0);
+  const int64_t batch = x.size(0), t_in = x.size(1), rows = x.size(2);
+  const int64_t cin = x.size(3);
+  const int64_t cout = w.size(0), ksize = w.size(2);
+  DYHSL_CHECK_EQ(w.size(1), cin);
+  const int64_t t_out = t_in + pad_left + pad_right - (ksize - 1) * dilation;
+  DYHSL_CHECK_GT(t_out, 0);
+  Tensor wt = TapMajor(w);
+  Tensor y({batch, t_out, rows, cout});
+  ShiftedTapGemms(batch, rows, x.data(), t_in, cin, wt.data(), ksize,
+                  /*trans_w=*/false, /*sign=*/1, dilation, pad_left, bias,
+                  y.data(), t_out, cout);
+  return y;
+}
+
+Tensor TemporalConvBackwardInput(const Tensor& grad_out, const Tensor& w,
+                                 const Shape& x_shape, int64_t dilation,
+                                 int64_t pad_left) {
+  DYHSL_CHECK_EQ(x_shape.size(), 4u);
+  const int64_t batch = x_shape[0], t_in = x_shape[1], rows = x_shape[2];
+  const int64_t cin = x_shape[3];
+  const int64_t cout = w.size(0), ksize = w.size(2);
+  const int64_t t_out = grad_out.size(1);
+  Tensor wt = TapMajor(w);
+  Tensor gx(x_shape);
+  // Input step u received output step u - shift: the forward geometry
+  // with the shift negated, output and input swapping roles.
+  ShiftedTapGemms(batch, rows, grad_out.data(), t_out, cout, wt.data(),
+                  ksize, /*trans_w=*/true, /*sign=*/-1, dilation, pad_left,
+                  /*bias=*/nullptr, gx.data(), t_in, cin);
   return gx;
 }
 
-Tensor Conv1dBackwardWeight(const Tensor& grad_out, const Tensor& x,
-                            const Shape& w_shape, int64_t dilation,
-                            int64_t pad_left) {
-  int64_t batch = x.size(0), cin = x.size(1), len = x.size(2);
-  int64_t cout = w_shape[0], ksize = w_shape[2];
-  int64_t lout = grad_out.size(2);
-  Tensor gw = Tensor::Zeros(w_shape);
-  const float* pg = grad_out.data();
-  const float* px = x.data();
+Tensor TemporalConvBackwardWeight(const Tensor& grad_out, const Tensor& x,
+                                  const Shape& w_shape, int64_t dilation,
+                                  int64_t pad_left) {
+  const int64_t batch = x.size(0), t_in = x.size(1), rows = x.size(2);
+  const int64_t cin = x.size(3);
+  const int64_t cout = w_shape[0], ksize = w_shape[2];
+  const int64_t t_out = grad_out.size(1);
+  const int64_t in_step = rows * cin, out_step = rows * cout;
+  // dW_k = sum over items of X_shifted^T G over the rows tap k reaches,
+  // accumulated tap-major and re-laid to (Cout, Cin, K) at the end.
+  Tensor gwt = Tensor::Zeros({ksize, cin, cout});
+  for (int64_t k = 0; k < ksize; ++k) {
+    const TapSpan s = SpanOf(k * dilation - pad_left, t_out, t_in);
+    if (s.steps() == 0) continue;
+    for (int64_t b = 0; b < batch; ++b) {
+      GemmInto(/*trans_a=*/true, /*trans_b=*/false, cin, cout,
+               s.steps() * rows,
+               x.data() + b * t_in * in_step + (s.lo + s.shift) * in_step,
+               cin, grad_out.data() + b * t_out * out_step + s.lo * out_step,
+               cout, /*beta=*/1.0f, gwt.data() + k * cin * cout, cout);
+    }
+  }
+  Tensor gw(w_shape);
+  const float* pt = gwt.data();
   float* pw = gw.data();
-#pragma omp parallel for collapse(2) if (cout * cin > 8)
   for (int64_t co = 0; co < cout; ++co) {
     for (int64_t ci = 0; ci < cin; ++ci) {
-      float* wrow = pw + (co * cin + ci) * ksize;
-      for (int64_t b = 0; b < batch; ++b) {
-        const float* grow = pg + (b * cout + co) * lout;
-        const float* xrow = px + (b * cin + ci) * len;
-        for (int64_t k = 0; k < ksize; ++k) {
-          int64_t shift = k * dilation - pad_left;
-          int64_t t_lo = std::max<int64_t>(0, -shift);
-          int64_t t_hi = std::min<int64_t>(lout, len - shift);
-          double acc = 0.0;
-          for (int64_t t = t_lo; t < t_hi; ++t) {
-            acc += static_cast<double>(grow[t]) * xrow[t + shift];
-          }
-          wrow[k] += static_cast<float>(acc);
-        }
+      for (int64_t k = 0; k < ksize; ++k) {
+        pw[(co * cin + ci) * ksize + k] = pt[(k * cin + ci) * cout + co];
       }
     }
   }

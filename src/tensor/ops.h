@@ -191,19 +191,35 @@ PoolResult MaxPoolAxis(const Tensor& a, int64_t axis, int64_t window);
 /// \brief MaxPoolAxis without the argmax bookkeeping (grad-free paths).
 Tensor MaxPoolAxisValues(const Tensor& a, int64_t axis, int64_t window);
 
-/// \name 1-D convolution (for TCN / STGCN / GraphWaveNet baselines)
+/// \name Channels-last temporal convolution (TCN / STGCN / GraphWaveNet /
+/// DSANet)
+///
+/// x is (B, T, R, Cin): B items of T time steps, each step R rows of Cin
+/// channels (R = sensors). The kernel w is (Cout, Cin, K), tap k reading
+/// time step t + k * dilation - pad_left for output step t; steps outside
+/// [0, T) read as zero. The output is (B, Tout, R, Cout) with
+/// Tout = T + pad_left + pad_right - (K - 1) * dilation.
+///
+/// Each tap is one GEMM of the item's contiguous (steps * R, Cin) row block
+/// against the tap's (Cin, Cout) weight slice, batched over B with
+/// per-item strides, so no tap reads across an item boundary and item b's
+/// result does not depend on B. The weight is re-laid tap-major on every
+/// call (K * Cin * Cout floats). Summation order, per output element:
+/// the widest-reaching tap first (writing with the bias), then the others
+/// by ascending k; rows that tap does not reach start from the bias.
 /// @{
 
-/// \brief x: (B, Cin, L), w: (Cout, Cin, K) -> (B, Cout, Lout) with
-/// Lout = L + pad_left + pad_right - (K-1)*dilation. Zero padding.
-Tensor Conv1d(const Tensor& x, const Tensor& w, int64_t dilation,
-              int64_t pad_left, int64_t pad_right);
-Tensor Conv1dBackwardInput(const Tensor& grad_out, const Tensor& w,
-                           const Shape& x_shape, int64_t dilation,
-                           int64_t pad_left);
-Tensor Conv1dBackwardWeight(const Tensor& grad_out, const Tensor& x,
-                            const Shape& w_shape, int64_t dilation,
-                            int64_t pad_left);
+/// \brief y = conv(x, w) + bias. `bias` is Cout floats or null.
+Tensor TemporalConv(const Tensor& x, const Tensor& w, const float* bias,
+                    int64_t dilation, int64_t pad_left, int64_t pad_right);
+/// \brief VJP w.r.t. x: grad_out (B, Tout, R, Cout) -> (B, T, R, Cin).
+Tensor TemporalConvBackwardInput(const Tensor& grad_out, const Tensor& w,
+                                 const Shape& x_shape, int64_t dilation,
+                                 int64_t pad_left);
+/// \brief VJP w.r.t. w: -> (Cout, Cin, K).
+Tensor TemporalConvBackwardWeight(const Tensor& grad_out, const Tensor& x,
+                                  const Shape& w_shape, int64_t dilation,
+                                  int64_t pad_left);
 /// @}
 
 /// \brief Max over all elements (helper for tests/metrics).

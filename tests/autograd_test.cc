@@ -395,13 +395,27 @@ TEST_F(OpGradCheck, MaxPoolAxisDistinctValues) {
         {Param(x)});
 }
 
-TEST_F(OpGradCheck, Conv1dCausalDilated) {
+TEST_F(OpGradCheck, TemporalConvCausalDilated) {
+  // Channels-last (B, T, R, Cin); the dilation-2 causal tap at t - 2
+  // reaches past step 0 for the first two steps of each item.
   Check([](const std::vector<Variable>& in) {
-          return ToScalar(Conv1d(in[0], in[1], /*dilation=*/2,
-                                 /*pad_left=*/2, /*pad_right=*/0));
+          return ToScalar(TemporalConv(in[0], in[1], in[2], /*dilation=*/2,
+                                       /*pad_left=*/2, /*pad_right=*/0));
         },
-        {Param(T::Tensor::Randn({2, 3, 6}, &rng_)),
-         Param(T::Tensor::Randn({4, 3, 2}, &rng_))});
+        {Param(T::Tensor::Randn({2, 6, 2, 3}, &rng_)),
+         Param(T::Tensor::Randn({4, 3, 2}, &rng_)),
+         Param(T::Tensor::Randn({4, 1}, &rng_))});
+}
+
+TEST_F(OpGradCheck, TemporalConvNonCausal) {
+  // Split padding, K = 3, no bias: taps read both the past and the future.
+  Check([](const std::vector<Variable>& in) {
+          return ToScalar(TemporalConv(in[0], in[1], Variable(),
+                                       /*dilation=*/1, /*pad_left=*/1,
+                                       /*pad_right=*/1));
+        },
+        {Param(T::Tensor::Randn({2, 5, 3, 2}, &rng_)),
+         Param(T::Tensor::Randn({3, 2, 3}, &rng_))});
 }
 
 TEST_F(OpGradCheck, MaeMseLosses) {

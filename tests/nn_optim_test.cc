@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "src/autograd/gradcheck.h"
+#include "src/autograd/inference.h"
 #include "src/autograd/ops.h"
 #include "src/nn/init.h"
 #include "src/nn/layers.h"
@@ -155,20 +156,51 @@ TEST(LstmCellTest, StateShapes) {
 TEST(Conv1dLayerTest, CausalPreservesLength) {
   Rng rng(12);
   Conv1dLayer conv(2, 4, 3, &rng, /*dilation=*/2, /*causal=*/true);
-  ag::Variable x(T::Tensor::Randn({3, 2, 12}, &rng));
-  EXPECT_EQ(conv.Forward(x).shape(), (T::Shape{3, 4, 12}));
+  ag::Variable x(T::Tensor::Randn({3, 12, 5, 2}, &rng));  // (B, T, R, Cin)
+  EXPECT_EQ(conv.Forward(x).shape(), (T::Shape{3, 12, 5, 4}));
+  Conv1dLayer split(2, 4, 2, &rng, /*dilation=*/8, /*causal=*/false);
+  EXPECT_EQ(split.Forward(x).shape(), (T::Shape{3, 12, 5, 4}));
 }
 
 TEST(Conv1dLayerTest, CausalityNoFutureLeak) {
   Rng rng(13);
   Conv1dLayer conv(1, 1, 3, &rng, 1, /*causal=*/true);
-  T::Tensor base = T::Tensor::Randn({1, 1, 8}, &rng);
+  T::Tensor base = T::Tensor::Randn({1, 8, 1, 1}, &rng);
   T::Tensor perturbed = base.Clone();
   perturbed.data()[7] += 10.0f;  // change only the last step
   T::Tensor y0 = conv.Forward(ag::Variable(base)).value();
   T::Tensor y1 = conv.Forward(ag::Variable(perturbed)).value();
   for (int64_t t = 0; t < 7; ++t) {
-    EXPECT_FLOAT_EQ(y0.At({0, 0, t}), y1.At({0, 0, t}));
+    EXPECT_FLOAT_EQ(y0.At({0, t, 0, 0}), y1.At({0, t, 0, 0}));
+  }
+}
+
+TEST(Conv1dLayerTest, CheckpointShapesUnchanged) {
+  // Parameter names and shapes are the checkpoint format.
+  Rng rng(15);
+  Conv1dLayer conv(3, 8, 2, &rng);
+  auto params = conv.NamedParameters();
+  ASSERT_EQ(params.size(), 2u);
+  EXPECT_EQ(params[0].first, "weight");
+  EXPECT_EQ(params[0].second.shape(), (T::Shape{8, 3, 2}));
+  EXPECT_EQ(params[1].first, "bias");
+  EXPECT_EQ(params[1].second.shape(), (T::Shape{8, 1}));
+}
+
+TEST(Conv1dLayerTest, ChannelHalvesMatchFullOutput) {
+  // A GLU half convolves with its slice of the weight and bias: exactly
+  // the matching channels of the full output, taped or grad-free.
+  Rng rng(16);
+  Conv1dLayer conv(4, 6, 3, &rng, /*dilation=*/2, /*causal=*/true);
+  ag::Variable bias = conv.NamedParameters()[1].second;
+  bias.mutable_value()->CopyDataFrom(T::Tensor::Randn({6, 1}, &rng));
+  ag::Variable x(T::Tensor::Randn({2, 7, 5, 4}, &rng));
+  T::Tensor full = conv.Forward(x).value();
+  for (int64_t begin : {0, 3}) {
+    T::Tensor half = conv.ForwardChannels(x, begin, 3).value();
+    EXPECT_TENSOR_EQ(half, T::Slice(full, 3, begin, 3));
+    ag::InferenceModeGuard no_grad;
+    EXPECT_TENSOR_EQ(conv.ForwardChannels(x, begin, 3).value(), half);
   }
 }
 

@@ -1,12 +1,14 @@
 // Unit tests for the dense tensor library: construction, movement ops,
 // broadcasting arithmetic, matmuls, reductions, pooling and convolution.
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/core/parallel.h"
 #include "src/tensor/ops.h"
 #include "src/tensor/tensor.h"
 #include "tests/testing_utils.h"
@@ -300,37 +302,266 @@ TEST(OpsTest, UnaryKernels) {
   EXPECT_FLOAT_EQ(lr.At({3}), 3.0f);
 }
 
-TEST(OpsTest, Conv1dIdentityKernel) {
-  // Kernel [1] with K=1 is the identity.
-  Tensor x = Tensor::FromVector({1, 1, 4}, {1, 2, 3, 4});
+TEST(TemporalConvTest, IdentityKernel) {
+  // Kernel [1] with K=1 is the identity, for every row and item.
+  Tensor x = Tensor::FromVector({2, 4, 1, 1}, {1, 2, 3, 4, 5, 6, 7, 8});
   Tensor w = Tensor::FromVector({1, 1, 1}, {1});
-  Tensor y = Conv1d(x, w, 1, 0, 0);
-  EXPECT_EQ(y.ToVector(), (std::vector<float>{1, 2, 3, 4}));
+  Tensor y = TemporalConv(x, w, nullptr, 1, 0, 0);
+  EXPECT_EQ(y.shape(), (Shape{2, 4, 1, 1}));
+  EXPECT_EQ(y.ToVector(), x.ToVector());
 }
 
-TEST(OpsTest, Conv1dCausalDifference) {
-  // Kernel [-1, 1] with causal left pad computes x[t] - x[t-1].
-  Tensor x = Tensor::FromVector({1, 1, 4}, {1, 3, 6, 10});
+TEST(TemporalConvTest, CausalDifference) {
+  // Kernel [-1, 1] with causal left pad computes x[t] - x[t-1] per row.
+  Tensor x = Tensor::FromVector({1, 4, 2, 1}, {1, 0, 3, 1, 6, 3, 10, 6});
   Tensor w = Tensor::FromVector({1, 1, 2}, {-1, 1});
-  Tensor y = Conv1d(x, w, 1, 1, 0);
-  EXPECT_EQ(y.shape(), (Shape{1, 1, 4}));
-  EXPECT_EQ(y.ToVector(), (std::vector<float>{1, 2, 3, 4}));
+  Tensor y = TemporalConv(x, w, nullptr, 1, 1, 0);
+  EXPECT_EQ(y.shape(), (Shape{1, 4, 2, 1}));
+  EXPECT_EQ(y.ToVector(), (std::vector<float>{1, 0, 2, 1, 3, 2, 4, 3}));
 }
 
-TEST(OpsTest, Conv1dDilation) {
-  // Dilated difference: y[t] = x[t] - x[t-2].
-  Tensor x = Tensor::FromVector({1, 1, 5}, {1, 2, 4, 7, 11});
+TEST(TemporalConvTest, DilationAndBias) {
+  // Dilated difference plus bias: y[t] = x[t] - x[t-2] + 0.5.
+  Tensor x = Tensor::FromVector({1, 5, 1, 1}, {1, 2, 4, 7, 11});
   Tensor w = Tensor::FromVector({1, 1, 2}, {-1, 1});
-  Tensor y = Conv1d(x, w, /*dilation=*/2, /*pad_left=*/2, /*pad_right=*/0);
-  EXPECT_EQ(y.ToVector(), (std::vector<float>{1, 2, 3, 5, 7}));
+  const float bias = 0.5f;
+  Tensor y = TemporalConv(x, w, &bias, /*dilation=*/2, /*pad_left=*/2,
+                          /*pad_right=*/0);
+  EXPECT_EQ(y.ToVector(), (std::vector<float>{1.5, 2.5, 3.5, 5.5, 7.5}));
 }
 
-TEST(OpsTest, Conv1dMultiChannelShape) {
+TEST(TemporalConvTest, MultiChannelShape) {
   Rng rng(23);
-  Tensor x = Tensor::Randn({2, 3, 8}, &rng);
+  Tensor x = Tensor::Randn({2, 8, 3, 3}, &rng);
   Tensor w = Tensor::Randn({5, 3, 2}, &rng);
-  Tensor y = Conv1d(x, w, 1, 1, 0);
-  EXPECT_EQ(y.shape(), (Shape{2, 5, 8}));
+  EXPECT_EQ(TemporalConv(x, w, nullptr, 1, 1, 0).shape(),
+            (Shape{2, 8, 3, 5}));
+  // Unpadded: Tout = T - (K - 1) * dilation.
+  EXPECT_EQ(TemporalConv(x, w, nullptr, 3, 0, 0).shape(),
+            (Shape{2, 5, 3, 5}));
+}
+
+// Direct-loop oracles in double precision. A tap reads input step
+// t + k * dilation - pad_left; steps outside [0, T) are zero.
+struct ConvGeometry {
+  int64_t dilation;
+  int64_t pad_left;
+  int64_t pad_right;
+};
+
+Tensor OracleConv(const Tensor& x, const Tensor& w, const float* bias,
+                  ConvGeometry g) {
+  const int64_t nb = x.size(0), t_in = x.size(1), nr = x.size(2);
+  const int64_t cin = x.size(3), cout = w.size(0), ksize = w.size(2);
+  const int64_t t_out =
+      t_in + g.pad_left + g.pad_right - (ksize - 1) * g.dilation;
+  const float* px = x.data();
+  const float* pw = w.data();
+  Tensor y({nb, t_out, nr, cout});
+  for (int64_t b = 0; b < nb; ++b) {
+    for (int64_t t = 0; t < t_out; ++t) {
+      for (int64_t r = 0; r < nr; ++r) {
+        for (int64_t co = 0; co < cout; ++co) {
+          double acc = bias != nullptr ? bias[co] : 0.0;
+          for (int64_t k = 0; k < ksize; ++k) {
+            const int64_t u = t + k * g.dilation - g.pad_left;
+            if (u < 0 || u >= t_in) continue;
+            for (int64_t ci = 0; ci < cin; ++ci) {
+              acc += static_cast<double>(pw[(co * cin + ci) * ksize + k]) *
+                     px[((b * t_in + u) * nr + r) * cin + ci];
+            }
+          }
+          y.data()[((b * t_out + t) * nr + r) * cout + co] =
+              static_cast<float>(acc);
+        }
+      }
+    }
+  }
+  return y;
+}
+
+// The input and weight VJPs of OracleConv for output gradient `gy`.
+void OracleConvGrads(const Tensor& x, const Tensor& w, const Tensor& gy,
+                     ConvGeometry g, Tensor* gx, Tensor* gw) {
+  const int64_t nb = x.size(0), t_in = x.size(1), nr = x.size(2);
+  const int64_t cin = x.size(3), cout = w.size(0), ksize = w.size(2);
+  const int64_t t_out = gy.size(1);
+  const float* px = x.data();
+  const float* pw = w.data();
+  std::vector<double> ax(x.numel(), 0.0), aw(w.numel(), 0.0);
+  for (int64_t b = 0; b < nb; ++b) {
+    for (int64_t t = 0; t < t_out; ++t) {
+      for (int64_t k = 0; k < ksize; ++k) {
+        const int64_t u = t + k * g.dilation - g.pad_left;
+        if (u < 0 || u >= t_in) continue;
+        for (int64_t r = 0; r < nr; ++r) {
+          for (int64_t co = 0; co < cout; ++co) {
+            const double gv =
+                gy.data()[((b * t_out + t) * nr + r) * cout + co];
+            for (int64_t ci = 0; ci < cin; ++ci) {
+              const int64_t xi = ((b * t_in + u) * nr + r) * cin + ci;
+              const int64_t wi = (co * cin + ci) * ksize + k;
+              ax[xi] += gv * pw[wi];
+              aw[wi] += gv * px[xi];
+            }
+          }
+        }
+      }
+    }
+  }
+  *gx = Tensor(x.shape());
+  *gw = Tensor(w.shape());
+  for (int64_t i = 0; i < x.numel(); ++i) {
+    gx->data()[i] = static_cast<float>(ax[i]);
+  }
+  for (int64_t i = 0; i < w.numel(); ++i) {
+    gw->data()[i] = static_cast<float>(aw[i]);
+  }
+}
+
+ConvGeometry Geometry(int64_t ksize, int64_t dilation, bool causal) {
+  const int64_t reach = (ksize - 1) * dilation;
+  const int64_t pad_left = causal ? reach : reach / 2;
+  return {dilation, pad_left, reach - pad_left};
+}
+
+TEST(TemporalConvTest, MatchesDirectLoopOracle) {
+  // Causal and split padding, K in {2, 3}, dilation in {1, 2, 8} (8 shifts
+  // taps by at least T = 12 at K = 3), Cin in {1, 3, 16}, Cout in {16, 32}
+  // and B in {1, 3}: forward and both VJPs against the oracle.
+  Rng rng(29);
+  const int64_t t_in = 12, rows = 5;
+  for (bool causal : {true, false}) {
+    for (int64_t ksize : {2, 3}) {
+      for (int64_t dilation : {1, 2, 8}) {
+        for (int64_t cin : {1, 3, 16}) {
+          for (int64_t cout : {16, 32}) {
+            for (int64_t nb : {1, 3}) {
+              SCOPED_TRACE(::testing::Message()
+                           << "causal " << causal << " K " << ksize << " d "
+                           << dilation << " Cin " << cin << " Cout " << cout
+                           << " B " << nb);
+              const ConvGeometry g = Geometry(ksize, dilation, causal);
+              Tensor x = Tensor::Randn({nb, t_in, rows, cin}, &rng);
+              Tensor w = Tensor::Randn({cout, cin, ksize}, &rng);
+              Tensor bias = Tensor::Randn({cout}, &rng);
+              Tensor y = TemporalConv(x, w, bias.data(), g.dilation,
+                                      g.pad_left, g.pad_right);
+              EXPECT_TENSOR_NEAR(y, OracleConv(x, w, bias.data(), g), 1e-4f);
+              Tensor gy = Tensor::Randn(y.shape(), &rng);
+              Tensor gx, gw;
+              OracleConvGrads(x, w, gy, g, &gx, &gw);
+              EXPECT_TENSOR_NEAR(
+                  TemporalConvBackwardInput(gy, w, x.shape(), g.dilation,
+                                            g.pad_left),
+                  gx, 1e-4f);
+              EXPECT_TENSOR_NEAR(
+                  TemporalConvBackwardWeight(gy, x, w.shape(), g.dilation,
+                                             g.pad_left),
+                  gw, 1e-3f);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Item b of a (B, ...) tensor as its own (1, ...) tensor.
+Tensor Item(const Tensor& t, int64_t b) {
+  Shape shape = t.shape();
+  const int64_t item = t.numel() / shape[0];
+  shape[0] = 1;
+  Tensor out(shape);
+  std::copy(t.data() + b * item, t.data() + (b + 1) * item, out.data());
+  return out;
+}
+
+TEST(TemporalConvTest, BatchOfThreeEqualsThreeSingleCalls) {
+  // Per-item strides: item b's result, forward and input VJP, does not
+  // depend on the batch it rides in — bit for bit, at a size that crosses
+  // the GEMM's parallel cutoff.
+  Rng rng(31);
+  for (bool causal : {true, false}) {
+    for (int64_t dilation : {1, 8}) {
+      const ConvGeometry g = Geometry(3, dilation, causal);
+      Tensor x = Tensor::Randn({3, 12, 96, 16}, &rng);
+      Tensor w = Tensor::Randn({32, 16, 3}, &rng);
+      Tensor bias = Tensor::Randn({32}, &rng);
+      Tensor y =
+          TemporalConv(x, w, bias.data(), g.dilation, g.pad_left, g.pad_right);
+      Tensor gy = Tensor::Randn(y.shape(), &rng);
+      Tensor gx = TemporalConvBackwardInput(gy, w, x.shape(), g.dilation,
+                                            g.pad_left);
+      for (int64_t b = 0; b < 3; ++b) {
+        Tensor xb = Item(x, b);
+        EXPECT_TENSOR_EQ(Item(y, b),
+                         TemporalConv(xb, w, bias.data(), g.dilation,
+                                      g.pad_left, g.pad_right));
+        EXPECT_TENSOR_EQ(Item(gx, b),
+                         TemporalConvBackwardInput(Item(gy, b), w, xb.shape(),
+                                                   g.dilation, g.pad_left));
+      }
+    }
+  }
+}
+
+TEST(TemporalConvTest, NoTapReadsAcrossItems) {
+  // Perturbing item 0's last time step must leave items 1 and 2 untouched:
+  // a causal tap at t - k * dilation must stop at its own item's first
+  // step, not run on into the previous item's rows.
+  Rng rng(37);
+  for (int64_t ksize : {2, 3}) {
+    for (int64_t dilation : {1, 2, 8}) {
+      for (bool causal : {true, false}) {
+        const ConvGeometry g = Geometry(ksize, dilation, causal);
+        Tensor x = Tensor::Randn({3, 12, 4, 3}, &rng);
+        Tensor w = Tensor::Randn({16, 3, ksize}, &rng);
+        Tensor perturbed = x.Clone();
+        for (int64_t i = 11 * 4 * 3; i < 12 * 4 * 3; ++i) {
+          perturbed.data()[i] += 5.0f;
+        }
+        Tensor y0 =
+            TemporalConv(x, w, nullptr, g.dilation, g.pad_left, g.pad_right);
+        Tensor y1 = TemporalConv(perturbed, w, nullptr, g.dilation,
+                                 g.pad_left, g.pad_right);
+        EXPECT_GT(::dyhsl::testing::MaxAbsDiff(Item(y1, 0), Item(y0, 0)), 0.0f);
+        for (int64_t b = 1; b < 3; ++b) {
+          EXPECT_TENSOR_EQ(Item(y1, b), Item(y0, b))
+              << "K " << ksize << " d " << dilation << " causal " << causal
+              << " item " << b;
+        }
+      }
+    }
+  }
+}
+
+TEST(TemporalConvTest, BitIdenticalAcrossTeamSizes) {
+  // Forward and both VJPs at the metro-shard shape agree bit for bit at
+  // teams 1, 2 and 4.
+  Rng rng(41);
+  const ConvGeometry g = Geometry(3, 1, /*causal=*/true);
+  Tensor x = Tensor::Randn({1, 12, 840, 16}, &rng);
+  Tensor w = Tensor::Randn({32, 16, 3}, &rng);
+  Tensor bias = Tensor::Randn({32}, &rng);
+  Tensor gy = Tensor::Randn({1, 12, 840, 32}, &rng);
+  auto run = [&](int team, Tensor* y, Tensor* gx, Tensor* gw) {
+    core::TeamScope scope(team);
+    *y = TemporalConv(x, w, bias.data(), g.dilation, g.pad_left,
+                      g.pad_right);
+    *gx = TemporalConvBackwardInput(gy, w, x.shape(), g.dilation, g.pad_left);
+    *gw = TemporalConvBackwardWeight(gy, x, w.shape(), g.dilation,
+                                     g.pad_left);
+  };
+  Tensor y1, gx1, gw1;
+  run(1, &y1, &gx1, &gw1);
+  for (int team : {2, 4}) {
+    Tensor y, gx, gw;
+    run(team, &y, &gx, &gw);
+    EXPECT_TENSOR_EQ(y, y1) << "team " << team;
+    EXPECT_TENSOR_EQ(gx, gx1) << "team " << team;
+    EXPECT_TENSOR_EQ(gw, gw1) << "team " << team;
+  }
 }
 
 }  // namespace
