@@ -8,20 +8,20 @@
 //
 // Every phase runs in a forked child pinned to min(threads, cores)
 // cores *before* any engine exists, so "threads=1" is genuinely one
-// core's worth of execution even on a multi-core host (engine workers,
-// their OpenMP teams and the stitchers all inherit the mask). Inside
+// core's worth of execution even on a multi-core host (engine workers
+// and their OpenMP teams all inherit the mask). Inside
 // that envelope the router's kPinned placement divides the cores among
 // a model's engines and core::ThreadBudget splits each engine's slice
 // between workers and OpenMP teams — total live compute threads never
 // exceed max(threads, engines).
 //
 // --check-floor=R exits non-zero if the 2-shard fleet's aggregate req/s
-// (the median of its closed loops) at a 2-thread budget falls below R x
-// its own 1-thread aggregate. The floor only means something when a
-// second core exists: on a single-core host the bench downgrades to a
-// 0.85x no-regression floor (threads time-slice; parallelism cannot pay)
-// and records "single-core-no-regression" as the floor mode in the JSON
-// so the downgrade is never silent.
+// at a 2-thread budget falls below R x its own 1-thread aggregate. The
+// floor only means something when a second core exists: on a
+// single-core host the bench downgrades to a 0.85x no-regression floor
+// (threads time-slice; parallelism cannot pay) and records
+// "single-core-no-regression" as the floor mode in the JSON so the
+// downgrade is never silent.
 //
 // Scale: DYHSL_PROFILE=tiny|quick|full adjusts request counts only; the
 // model is always an STGCN (hidden 16) on the N=1024 ring network, so
@@ -58,9 +58,6 @@ constexpr int64_t kHistory = 12;
 constexpr int64_t kHalo = 2;  // STGCN: 1 conv hop + 1 fringe-degree hop
 constexpr int64_t kHidden = 16;
 constexpr int kClients = 4;
-// Closed loops per phase; a phase reports the median loop's req/s, so one
-// disturbed stretch of a short loop cannot decide a ratio.
-constexpr int kRepeats = 5;
 
 double MsSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
@@ -87,13 +84,12 @@ struct PhaseResult {
 };
 
 // Closed loop against the router: kClients threads, each submitting
-// back-to-back and waiting for every response. Sets *rps, appends each
-// latency to *latencies, and returns false if any request failed —
-// failures are fast, so counting them as served traffic would let a
-// broken fleet *beat* the scaling floor.
+// back-to-back and waiting for every response. Returns false if any
+// request failed — failures are fast, so counting them as served
+// traffic would let a broken fleet *beat* the scaling floor.
 bool RunLoad(serve::ForecastRouter* router, const T::Tensor& window,
-             int per_client, double* rps, std::vector<double>* latencies) {
-  std::vector<std::vector<double>> per_thread(kClients);
+             int per_client, double* rps, double* p50, double* p99) {
+  std::vector<std::vector<double>> latencies(kClients);
   std::vector<int64_t> failures(kClients, 0);
   std::vector<std::thread> threads;
   threads.reserve(kClients);
@@ -110,22 +106,22 @@ bool RunLoad(serve::ForecastRouter* router, const T::Tensor& window,
                        response.status.ToString().c_str());
           continue;
         }
-        per_thread[c].push_back(MsSince(sent));
+        latencies[c].push_back(MsSince(sent));
       }
     });
   }
   for (std::thread& t : threads) t.join();
   double wall_ms = MsSince(start);
-  int64_t served = 0;
+  std::vector<double> all;
   int64_t failed = 0;
   for (int c = 0; c < kClients; ++c) {
-    latencies->insert(latencies->end(), per_thread[c].begin(),
-                      per_thread[c].end());
-    served += static_cast<int64_t>(per_thread[c].size());
+    all.insert(all.end(), latencies[c].begin(), latencies[c].end());
     failed += failures[c];
   }
-  *rps = wall_ms > 0.0 ? 1000.0 * static_cast<double>(served) / wall_ms
+  *rps = wall_ms > 0.0 ? 1000.0 * static_cast<double>(all.size()) / wall_ms
                        : 0.0;
+  *p50 = Percentile(all, 50.0);
+  *p99 = Percentile(all, 99.0);
   return failed == 0;
 }
 
@@ -134,7 +130,7 @@ bool RunLoad(serve::ForecastRouter* router, const T::Tensor& window,
 // behind the router, so dispatch overhead is identical across phases.
 int RunPhaseInChild(int64_t shards, int threads, int per_client, int out_fd) {
   // Confine the whole phase to min(threads, cores) cores. Everything
-  // spawned below (workers, OpenMP teams, stitchers) inherits the mask,
+  // spawned below (workers and their OpenMP teams) inherits the mask,
   // so a 1-thread phase really runs on one core and thread counts past
   // the core count honestly time-slice.
   std::vector<int> cores = core::AvailableCores();
@@ -185,22 +181,12 @@ int RunPhaseInChild(int64_t shards, int threads, int per_client, int out_fd) {
 
   Rng rng(1);
   T::Tensor window = T::Tensor::Randn({kHistory, kNodes, 3}, &rng, 0.5f);
-  double rps = 0.0;
-  std::vector<double> warm_up;
-  if (!RunLoad(router.get(), window, std::max(2, per_client / 4), &rps,
-               &warm_up)) {  // warm the worker arenas
+  double rps = 0.0, p50 = 0.0, p99 = 0.0;
+  if (!RunLoad(router.get(), window, std::max(2, per_client / 4), &rps, &p50,
+               &p99)) {  // warm the worker arenas
     return 1;
   }
-  std::vector<double> rates, latencies;
-  for (int r = 0; r < kRepeats; ++r) {
-    if (!RunLoad(router.get(), window, per_client, &rps, &latencies)) {
-      return 1;
-    }
-    rates.push_back(rps);
-  }
-  rps = Percentile(rates, 50.0);
-  const double p50 = Percentile(latencies, 50.0);
-  const double p99 = Percentile(latencies, 99.0);
+  if (!RunLoad(router.get(), window, per_client, &rps, &p50, &p99)) return 1;
   char line[160];
   int len = std::snprintf(line, sizeof(line), "%.3f %.4f %.4f %lld %lld\n",
                           rps, p50, p99, static_cast<long long>(workers),
@@ -279,14 +265,16 @@ int main(int argc, char** argv) {
     }
   }
   RunProfile profile = GetRunProfile();
-  int per_client = profile == RunProfile::kFull ? 48 : 24;
+  int per_client = profile == RunProfile::kTiny
+                       ? 8
+                       : (profile == RunProfile::kQuick ? 24 : 48);
   const int cores = core::HardwareThreads();
 
   std::printf("=== bench_scaling (N=%lld, STGCN d=%lld, halo=%lld, "
-              "%d clients x %d requests x %d loops, %d core(s)) ===\n",
+              "%d clients x %d requests, %d core(s)) ===\n",
               static_cast<long long>(kNodes),
               static_cast<long long>(kHidden), static_cast<long long>(kHalo),
-              kClients, per_client, kRepeats, cores);
+              kClients, per_client, cores);
 
   const int thread_counts[] = {1, 2, 4};
   const int64_t shard_counts[] = {1, 2, 4};
@@ -359,7 +347,6 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  \"profile\": \"%s\",\n", RunProfileName(profile));
   std::fprintf(out, "  \"clients\": %d,\n", kClients);
   std::fprintf(out, "  \"requests_per_client\": %d,\n", per_client);
-  std::fprintf(out, "  \"repeats\": %d,\n", kRepeats);
   std::fprintf(out, "  \"cores\": %d,\n", cores);
   std::fprintf(out, "  \"floor_mode\": \"%s\",\n", floor_mode);
   std::fprintf(out, "  \"x2_2t_vs_1t\": %.4f,\n", x2_scale);

@@ -12,11 +12,10 @@
 // in-process would charge the first one's high-water mark to all three.
 //
 // --check-floor=R exits non-zero if the 2-shard router's aggregate req/s
-// (the median of its closed loops) falls below R x the single-engine
-// baseline: sharding pays halo recompute and stitching, but on one core
-// it must stay within that margin of the monolith (its win is memory
-// footprint per engine and the ability to spread shards across
-// processes/hosts).
+// falls below R x the single-engine baseline: sharding pays halo
+// recompute and stitching, but on one core it must stay within that
+// margin of the monolith (its win is memory footprint per engine and the
+// ability to spread shards across processes/hosts).
 //
 // Scale: DYHSL_PROFILE=tiny|quick|full adjusts request counts only; the
 // model is always an STGCN (hidden 16) on the N=1024 ring network, so
@@ -53,9 +52,6 @@ constexpr int64_t kHistory = 12;
 constexpr int64_t kHalo = 2;       // STGCN: 1 conv hop + 1 fringe-degree hop
 constexpr int64_t kHidden = 16;
 constexpr int kClients = 4;
-// Closed loops per phase; a phase reports the median loop's req/s, so one
-// disturbed stretch of a short loop cannot decide a ratio.
-constexpr int kRepeats = 5;
 
 double MsSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
@@ -80,13 +76,12 @@ struct PhaseResult {
 };
 
 // Closed loop against the router: kClients threads, each submitting
-// back-to-back and waiting for every response. Sets *rps, appends each
-// latency to *latencies, and returns false if any request failed —
-// failures are fast, so counting them as served traffic would let a
-// broken fleet *beat* the throughput floor.
+// back-to-back and waiting for every response. Returns false if any
+// request failed — failures are fast, so counting them as served
+// traffic would let a broken fleet *beat* the throughput floor.
 bool RunLoad(serve::ForecastRouter* router, const T::Tensor& window,
-             int per_client, double* rps, std::vector<double>* latencies) {
-  std::vector<std::vector<double>> per_thread(kClients);
+             int per_client, double* rps, double* p50, double* p99) {
+  std::vector<std::vector<double>> latencies(kClients);
   std::vector<int64_t> failures(kClients, 0);
   std::vector<std::thread> threads;
   threads.reserve(kClients);
@@ -103,22 +98,23 @@ bool RunLoad(serve::ForecastRouter* router, const T::Tensor& window,
                        response.status.ToString().c_str());
           continue;
         }
-        per_thread[c].push_back(MsSince(sent));
+        latencies[c].push_back(MsSince(sent));
       }
     });
   }
   for (std::thread& t : threads) t.join();
   double wall_ms = MsSince(start);
-  int64_t served = 0;
+  std::vector<double> all;
   int64_t failed = 0;
   for (int c = 0; c < kClients; ++c) {
-    latencies->insert(latencies->end(), per_thread[c].begin(),
-                      per_thread[c].end());
-    served += static_cast<int64_t>(per_thread[c].size());
+    all.insert(all.end(), latencies[c].begin(), latencies[c].end());
     failed += failures[c];
   }
-  *rps = wall_ms > 0.0 ? 1000.0 * static_cast<double>(served) / wall_ms
-                       : 0.0;
+  *rps = wall_ms > 0.0
+             ? 1000.0 * static_cast<double>(all.size()) / wall_ms
+             : 0.0;
+  *p50 = Percentile(all, 50.0);
+  *p99 = Percentile(all, 99.0);
   return failed == 0;
 }
 
@@ -147,22 +143,12 @@ int RunPhaseInChild(int64_t shards, int per_client, int out_fd) {
   Rng rng(1);
   T::Tensor window =
       T::Tensor::Randn({kHistory, kNodes, 3}, &rng, 0.5f);
-  double rps = 0.0;
-  std::vector<double> warm_up;
-  if (!RunLoad(router.get(), window, std::max(2, per_client / 4), &rps,
-               &warm_up)) {  // warm the worker arenas
+  double rps = 0.0, p50 = 0.0, p99 = 0.0;
+  if (!RunLoad(router.get(), window, std::max(2, per_client / 4), &rps, &p50,
+               &p99)) {  // warm the worker arenas
     return 1;
   }
-  std::vector<double> rates, latencies;
-  for (int r = 0; r < kRepeats; ++r) {
-    if (!RunLoad(router.get(), window, per_client, &rps, &latencies)) {
-      return 1;
-    }
-    rates.push_back(rps);
-  }
-  rps = Percentile(rates, 50.0);
-  const double p50 = Percentile(latencies, 50.0);
-  const double p99 = Percentile(latencies, 99.0);
+  if (!RunLoad(router.get(), window, per_client, &rps, &p50, &p99)) return 1;
   char line[128];
   int len = std::snprintf(line, sizeof(line), "%.3f %.4f %.4f\n", rps, p50,
                           p99);
@@ -222,13 +208,14 @@ int main(int argc, char** argv) {
     }
   }
   RunProfile profile = GetRunProfile();
-  int per_client = profile == RunProfile::kFull ? 48 : 24;
+  int per_client =
+      profile == RunProfile::kTiny ? 8 : (profile == RunProfile::kQuick ? 24 : 48);
 
   std::printf("=== bench_shard (N=%lld, STGCN d=%lld, halo=%lld, "
-              "%d clients x %d requests x %d loops) ===\n",
+              "%d clients x %d requests) ===\n",
               static_cast<long long>(kNodes),
               static_cast<long long>(kHidden),
-              static_cast<long long>(kHalo), kClients, per_client, kRepeats);
+              static_cast<long long>(kHalo), kClients, per_client);
 
   struct PhaseSpec {
     const char* name;
@@ -271,7 +258,6 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  \"profile\": \"%s\",\n", RunProfileName(profile));
   std::fprintf(out, "  \"clients\": %d,\n", kClients);
   std::fprintf(out, "  \"requests_per_client\": %d,\n", per_client);
-  std::fprintf(out, "  \"repeats\": %d,\n", kRepeats);
   std::fprintf(out, "  \"x2_vs_single_throughput\": %.4f,\n", ratio_x2);
   std::fprintf(out, "  \"phases\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {

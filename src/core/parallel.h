@@ -2,9 +2,9 @@
 //
 // This repository runs two parallel axes that must not multiply:
 //
-//  * inter-engine / inter-request workers — std::threads owned by
-//    serve::ForecastEngine (one per EngineOptions::num_workers) and the
-//    ForecastRouter's stitcher pool;
+//  * inter-engine / inter-request workers — the std::threads serving
+//    serve::ForecastEngine queues (one per EngineOptions::num_workers;
+//    a ForecastRouter pools the workers of a sharded model's engines);
 //  * intra-op OpenMP teams — the `#pragma omp` regions inside the tensor
 //    kernels (GEMM, SpMM, elementwise ops).
 //

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <deque>
+#include <thread>
 #include <utility>
 
 #include "src/autograd/inference.h"
@@ -36,7 +38,104 @@ ModelFactory ZooFactory(const std::string& key,
   };
 }
 
+class ForecastEngine::Pool {
+ public:
+  explicit Pool(const std::vector<std::vector<int>>& pins) {
+    threads_.reserve(pins.size());
+    for (const std::vector<int>& cores : pins) {
+      threads_.emplace_back([this, cores] { WorkerLoop(cores); });
+    }
+  }
+  ~Pool() { Shutdown(); }
+  Pool(const Pool&) = delete;
+  Pool& operator=(const Pool&) = delete;
+
+  void Push(ForecastEngine* engine, Pending pending) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      jobs_.push_back(Job{engine, std::move(pending)});
+    }
+    cv_.notify_one();
+  }
+
+  /// Serves every queued job, then joins the workers. Idempotent.
+  void Shutdown() {
+    std::vector<std::thread> claimed;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stopping_ = true;
+      claimed.swap(threads_);
+    }
+    cv_.notify_all();
+    for (std::thread& worker : claimed) {
+      if (worker.joinable()) worker.join();
+    }
+  }
+
+ private:
+  struct Job {
+    ForecastEngine* engine = nullptr;
+    Pending pending;
+  };
+
+  void WorkerLoop(const std::vector<int>& cores) {
+    // Engine-to-core placement: pin before the first kernel so the lazily
+    // spawned OpenMP team inherits the mask. A failed pin is a
+    // performance event, not a correctness one — log and serve unpinned.
+    if (!cores.empty()) {
+      Status pinned = core::PinCurrentThread(cores);
+      if (!pinned.ok()) {
+        DYHSL_LOG(Warning) << "engine worker pin failed: "
+                           << pinned.ToString();
+      }
+    }
+    while (true) {
+      Job job;
+      {
+        std::unique_lock<std::mutex> lock(mu_);
+        cv_.wait(lock, [this] { return stopping_ || !jobs_.empty(); });
+        // Shutdown serves everything already queued before the exit.
+        if (jobs_.empty()) return;
+        job = std::move(jobs_.front());
+        jobs_.pop_front();
+      }
+      job.engine->Serve(std::move(job.pending));
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<Job> jobs_;
+  bool stopping_ = false;
+  std::vector<std::thread> threads_;
+};
+
 Result<std::unique_ptr<ForecastEngine>> ForecastEngine::Create(
+    const train::ForecastTask& task, const ModelFactory& factory,
+    const std::string& checkpoint_path, const EngineOptions& options) {
+  auto built = Build(task, factory, checkpoint_path, options);
+  if (!built.ok()) return built.status();
+  std::unique_ptr<ForecastEngine> engine = std::move(built).ValueOrDie();
+  engine->Attach(
+      NewPool(std::vector<std::vector<int>>(
+          static_cast<size_t>(options.num_workers), options.pin_cores)),
+      /*owned=*/true);
+  return engine;
+}
+
+std::shared_ptr<ForecastEngine::Pool> ForecastEngine::NewPool(
+    const std::vector<std::vector<int>>& pins) {
+  return std::make_shared<Pool>(pins);
+}
+
+void ForecastEngine::ShutdownPool(Pool* pool) { pool->Shutdown(); }
+
+void ForecastEngine::Attach(std::shared_ptr<Pool> pool, bool owned) {
+  pool_ = std::move(pool);
+  owns_pool_ = owned;
+}
+
+Result<std::unique_ptr<ForecastEngine>> ForecastEngine::Build(
     const train::ForecastTask& task, const ModelFactory& factory,
     const std::string& checkpoint_path, const EngineOptions& options) {
   if (options.num_workers < 1) {
@@ -78,9 +177,6 @@ Result<std::unique_ptr<ForecastEngine>> ForecastEngine::Create(
   // Build the inference plan once, after the weights reached their final
   // bytes: every 2-D weight is prepacked before the first request.
   engine->EnrollPrepack();
-  for (int64_t w = 0; w < options.num_workers; ++w) {
-    engine->workers_.emplace_back([raw = engine.get()] { raw->WorkerLoop(); });
-  }
   return engine;
 }
 
@@ -150,59 +246,87 @@ void ForecastEngine::AccumulatePrepackDelta(
 }
 
 void ForecastEngine::Shutdown() {
-  // Claim the worker set under the lock so concurrent Shutdown calls
-  // (or Shutdown racing the destructor) cannot double-join a thread.
-  std::vector<std::thread> claimed;
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
     stopping_ = true;
-    claimed.swap(workers_);
+    // Every request accepted before the flip is still served.
+    drained_.wait(lock, [this] { return unfinished_ == 0; });
   }
-  cv_.notify_all();
-  for (std::thread& worker : claimed) {
-    if (worker.joinable()) worker.join();
-  }
+  if (owns_pool_ && pool_ != nullptr) pool_->Shutdown();
 }
 
 std::future<ForecastResponse> ForecastEngine::Submit(ForecastRequest request) {
-  std::promise<ForecastResponse> promise;
-  std::future<ForecastResponse> future = promise.get_future();
-  Status valid = CheckWindow(request.window);
-  if (!valid.ok()) {
-    ForecastResponse response;
-    response.status = std::move(valid);
-    promise.set_value(std::move(response));
-    return future;
+  Pending pending;
+  pending.window = std::move(request.window);
+  std::future<ForecastResponse> future = pending.promise.get_future();
+  Enqueue(std::move(pending));
+  return future;
+}
+
+void ForecastEngine::SubmitThen(ForecastRequest request,
+                                ForecastCallback done) {
+  DYHSL_CHECK(done != nullptr);
+  Pending pending;
+  pending.window = std::move(request.window);
+  pending.done = std::move(done);
+  Enqueue(std::move(pending));
+}
+
+void ForecastEngine::Complete(Pending* pending, ForecastResponse response) {
+  if (pending->done != nullptr) {
+    pending->done(std::move(response));
+  } else {
+    pending->promise.set_value(std::move(response));
   }
-  {
+}
+
+void ForecastEngine::Enqueue(Pending pending) {
+  Status refused = CheckWindow(pending.window);
+  if (refused.ok()) {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {
-      ForecastResponse response;
-      response.status = Status::Unavailable("ForecastEngine is shut down");
-      promise.set_value(std::move(response));
-      return future;
-    }
-    if (options_.max_queue > 0 &&
-        static_cast<int64_t>(queue_.size()) >= options_.max_queue) {
+      refused = Status::Unavailable("ForecastEngine is shut down");
+    } else if (options_.max_queue > 0 && queued_ >= options_.max_queue) {
       // Admission control: shed load now rather than queueing past the
-      // point where every response is late. The future still resolves —
+      // point where every response is late. The request still completes —
       // callers always get a Status, never a broken promise.
       stats_.rejected += 1;
-      ForecastResponse response;
-      response.status = Status::Unavailable(
-          "queue full (" + std::to_string(queue_.size()) + " waiting, "
+      refused = Status::Unavailable(
+          "queue full (" + std::to_string(queued_) + " waiting, "
           "max_queue " + std::to_string(options_.max_queue) + ")");
-      promise.set_value(std::move(response));
-      return future;
+    } else {
+      // Pushed under mu_, so Shutdown's wait counts it.
+      queued_ += 1;
+      unfinished_ += 1;
+      pending.enqueued = Clock::now();
+      pool_->Push(this, std::move(pending));
+      return;
     }
-    Pending pending;
-    pending.window = std::move(request.window);
-    pending.promise = std::move(promise);
-    pending.enqueued = Clock::now();
-    queue_.push_back(std::move(pending));
   }
-  cv_.notify_one();
-  return future;
+  // Outside mu_: a callback must never run under the engine lock.
+  ForecastResponse response;
+  response.status = std::move(refused);
+  Complete(&pending, std::move(response));
+}
+
+void ForecastEngine::Serve(Pending pending) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    queued_ -= 1;
+    stats_.batches += 1;
+    stats_.requests += 1;
+  }
+  const double queue_micros = MicrosSince(pending.enqueued, Clock::now());
+  ForecastResponse response = ForecastOne(pending.window);
+  response.queue_micros = queue_micros;
+  Complete(&pending, std::move(response));
+  bool drained = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    unfinished_ -= 1;
+    drained = stopping_ && unfinished_ == 0;
+  }
+  if (drained) drained_.notify_all();
 }
 
 EngineStats ForecastEngine::Snapshot() const {
@@ -212,7 +336,7 @@ EngineStats ForecastEngine::Snapshot() const {
       tensor::PrepackCache::Instance().StatsFor(prepack_ptrs_);
   std::lock_guard<std::mutex> lock(mu_);
   EngineStats snapshot = stats_;
-  snapshot.queue_depth = static_cast<int64_t>(queue_.size());
+  snapshot.queue_depth = queued_;
   snapshot.prepack.panels = inventory.panels;
   snapshot.prepack.bytes = inventory.bytes;
   snapshot.prepack.invalidations = inventory.invalidations;
@@ -472,36 +596,6 @@ BatchForecastResponse ForecastEngine::ForecastFromStateBatch(
     stats_.batched_max = std::max(stats_.batched_max, b);
   }
   return response;
-}
-
-void ForecastEngine::WorkerLoop() {
-  // Engine-to-core placement: pin before the first kernel so the lazily
-  // spawned OpenMP team inherits the mask and the whole engine stays on
-  // its cores. A failed pin is a performance event, not a correctness
-  // one — log and serve unpinned.
-  if (!options_.pin_cores.empty()) {
-    Status pinned = core::PinCurrentThread(options_.pin_cores);
-    if (!pinned.ok()) {
-      DYHSL_LOG(Warning) << "engine worker pin failed: " << pinned.ToString();
-    }
-  }
-  while (true) {
-    Pending item;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      // Shutdown serves everything already queued before the exit.
-      if (queue_.empty()) return;
-      item = std::move(queue_.front());
-      queue_.pop_front();
-      stats_.batches += 1;
-      stats_.requests += 1;
-    }
-    const double queue_micros = MicrosSince(item.enqueued, Clock::now());
-    ForecastResponse response = ForecastOne(item.window);
-    response.queue_micros = queue_micros;
-    item.promise.set_value(std::move(response));
-  }
 }
 
 }  // namespace dyhsl::serve

@@ -8,15 +8,16 @@
 // the oldest request the moment one is waiting and serves it as its own
 // grad-free B = 1 forward — tape-less (autograd::InferenceModeGuard),
 // over a zero-copy view of the request's window, allocated from the
-// worker's warm Workspace arena — and fulfils that request's promise as
-// soon as its forward ends. Nothing waits for batch slots to fill: at
-// one thread per forward a packed DyHSL or STGCN batch costs no less
-// than its items run one by one (see README "Serving"; that basis is
-// measured at team 1 only), so packing is left to callers that already
-// hold several windows (SubmitBatch, and the batched warm carry of
-// ForecastFromStateBatch). DCRNN is the exception: its packed B = 4
-// forward costs ~0.87x of four B = 1 forwards, so DCRNN callers should
-// pack with SubmitBatch or serve through sessions rather than Submit.
+// worker's warm Workspace arena — and completes that request (its
+// future, or its SubmitThen callback) as soon as its forward ends.
+// Nothing waits for batch slots to fill: at one thread per forward a
+// packed DyHSL or STGCN batch costs no less than its items run one by
+// one (see README "Serving"; that basis is measured at team 1 only), so
+// packing is left to callers that already hold several windows
+// (SubmitBatch, and the batched warm carry of ForecastFromStateBatch).
+// DCRNN is the exception: its packed B = 4 forward costs ~0.87x of four
+// B = 1 forwards, so DCRNN callers should pack with SubmitBatch or serve
+// through sessions rather than Submit.
 //
 // Model forwards are read-only in inference mode, so any number of
 // workers may share the one model; every per-request quantity lives in
@@ -46,13 +47,11 @@
 #define DYHSL_SERVE_ENGINE_H_
 
 #include <condition_variable>
-#include <deque>
 #include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/core/status.h"
@@ -101,6 +100,11 @@ struct ForecastResponse {
   /// Wall time of the request's own forward.
   double compute_micros = 0.0;
 };
+
+/// \brief Completion hook of ForecastEngine::SubmitThen. Runs exactly
+/// once per request: on the worker thread that served it, or on the
+/// submitting thread when the request is refused up front.
+using ForecastCallback = std::function<void(ForecastResponse)>;
 
 /// \brief Response of the pre-packed batch fast paths (SubmitBatch /
 /// ForecastFromStateBatch): one status and one stacked forecast tensor
@@ -189,7 +193,8 @@ class ForecastEngine {
       const std::string& checkpoint_path = "",
       const EngineOptions& options = EngineOptions());
 
-  /// Drains the queue and joins the workers.
+  /// Serves every accepted request, then joins the workers (if the
+  /// engine owns them).
   ~ForecastEngine();
 
   ForecastEngine(const ForecastEngine&) = delete;
@@ -200,6 +205,14 @@ class ForecastEngine {
   /// same window). The future is always fulfilled — with a failed Status for malformed requests or
   /// an engine shutting down, never with a broken promise.
   std::future<ForecastResponse> Submit(ForecastRequest request);
+
+  /// \brief Submit with a completion callback instead of a future: the
+  /// serving worker hands the response straight to `done`, so a caller
+  /// that fans one request out to several engines (ForecastRouter) joins
+  /// the results without a thread of its own waiting on futures. Same
+  /// queue, validation and admission control as Submit; `done` must not
+  /// block, since it runs on the engine's worker.
+  void SubmitThen(ForecastRequest request, ForecastCallback done);
 
   /// \brief Synchronous streaming fast path: one grad-free forward over
   /// `window` (T, N, F) on the *calling* thread, skipping the queue. The
@@ -244,8 +257,10 @@ class ForecastEngine {
   /// @}
 
   /// \brief Stops accepting new requests, serves everything already
-  /// queued, and joins the worker threads. Requests made afterwards fail
-  /// with kUnavailable. Idempotent; also run by the destructor.
+  /// queued, and joins the worker threads (the shard engines of a router
+  /// share their model's workers, which the router joins). Requests made
+  /// afterwards fail with kUnavailable. Idempotent; also run by the
+  /// destructor.
   void Shutdown();
 
   const train::ForecastTask& task() const { return task_; }
@@ -272,17 +287,48 @@ class ForecastEngine {
  private:
   struct Pending {
     tensor::Tensor window;
+    /// The response goes to `done` when it is set, else to `promise`.
     std::promise<ForecastResponse> promise;
+    ForecastCallback done;
     std::chrono::steady_clock::time_point enqueued;
   };
+
+  /// The FIFO of accepted requests and the worker threads that serve
+  /// it. An engine from Create owns one; the shard engines of a sharded
+  /// model share one (ForecastRouter::AddShardedModel), so while any
+  /// shard of the model has a request waiting no worker of the model
+  /// idles, and a stalled or slower core cannot hold the other shards'
+  /// requests back.
+  class Pool;
+  friend class ForecastRouter;
 
   ForecastEngine(const train::ForecastTask& task,
                  std::unique_ptr<train::ForecastModel> model,
                  const EngineOptions& options);
 
-  /// Pops the oldest request, serves it through ForecastOne and
-  /// fulfils its promise; returns once stopping with the queue drained.
-  void WorkerLoop();
+  /// Create without a pool: validates `options`, builds the model, loads
+  /// the checkpoint and enrolls the inference plan. The engine serves
+  /// nothing queued until Attach gives it a pool.
+  static Result<std::unique_ptr<ForecastEngine>> Build(
+      const train::ForecastTask& task, const ModelFactory& factory,
+      const std::string& checkpoint_path, const EngineOptions& options);
+  /// A pool of one worker per entry of `pins`, each pinned to that core
+  /// set before its first kernel (unpinned when the set is empty).
+  static std::shared_ptr<Pool> NewPool(
+      const std::vector<std::vector<int>>& pins);
+  /// Pool::Shutdown for holders of the incomplete type (the router).
+  static void ShutdownPool(Pool* pool);
+  /// Sends this engine's queued requests to `pool`; an owned pool is
+  /// shut down by Shutdown, a shared one by whoever shares it.
+  void Attach(std::shared_ptr<Pool> pool, bool owned);
+  /// Validates and enqueues `pending` (Submit and SubmitThen), or
+  /// completes it at once with the refusal.
+  void Enqueue(Pending pending);
+  /// Hands `response` to the pending request's callback or promise.
+  static void Complete(Pending* pending, ForecastResponse response);
+  /// Serves one dequeued request through ForecastOne on the calling pool
+  /// worker and completes it.
+  void Serve(Pending pending);
   /// One grad-free forward of already validated (B, T, N, F) `windows`
   /// under the engine team size and the calling thread's warm arena,
   /// which is reset before returning. Returns the heap-backed (B, T', N)
@@ -316,12 +362,19 @@ class ForecastEngine {
   /// packed panels with them) in the destructor.
   std::vector<const float*> prepack_ptrs_;
 
+  std::shared_ptr<Pool> pool_;
+  bool owns_pool_ = false;
+
   mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Pending> queue_;
+  /// Signalled when the last accepted request completes after stopping_.
+  std::condition_variable drained_;
+  /// Accepted requests not yet picked up by a worker (admission control
+  /// and EngineStats::queue_depth), and accepted requests not yet
+  /// completed (Shutdown waits for 0).
+  int64_t queued_ = 0;
+  int64_t unfinished_ = 0;
   bool stopping_ = false;
   EngineStats stats_;
-  std::vector<std::thread> workers_;
 };
 
 }  // namespace dyhsl::serve

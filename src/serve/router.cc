@@ -63,12 +63,7 @@ Result<std::unique_ptr<ForecastRouter>> ForecastRouter::Create(
   if (options.thread_budget < 0) {
     return Status::InvalidArgument("RouterOptions.thread_budget must be >= 0");
   }
-  std::unique_ptr<ForecastRouter> router(new ForecastRouter(options));
-  for (int64_t s = 0; s < options.num_stitchers; ++s) {
-    router->stitchers_.emplace_back(
-        [raw = router.get()] { raw->StitcherLoop(); });
-  }
-  return router;
+  return std::unique_ptr<ForecastRouter>(new ForecastRouter(options));
 }
 
 ForecastRouter::ForecastRouter(const RouterOptions& options)
@@ -77,24 +72,17 @@ ForecastRouter::ForecastRouter(const RouterOptions& options)
 ForecastRouter::~ForecastRouter() { Shutdown(); }
 
 void ForecastRouter::Shutdown() {
-  // Stop accepting requests, then shut the engines down *first*: every
+  // Stop accepting requests, then shut the engines down: every
   // already-fanned-out request was accepted by its engines before
   // stopping_ flipped (Submit fans out under mu_), and Engine::Shutdown
-  // serves what its queue holds before it returns. The
-  // stitchers then drain the job queue against already-resolved futures —
-  // no in-flight promise is ever abandoned.
-  std::vector<std::thread> claimed;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopping_ = true;
-    claimed.swap(stitchers_);
-    for (auto& [name, entry] : models_) {
-      for (auto& engine : entry.engines) engine->Shutdown();
-    }
-  }
-  cv_.notify_all();
-  for (std::thread& stitcher : claimed) {
-    if (stitcher.joinable()) stitcher.join();
+  // serves what its queue holds before it returns, so the last shard of
+  // every sharded request still runs its join — no in-flight promise is
+  // ever abandoned.
+  std::lock_guard<std::mutex> lock(mu_);
+  stopping_ = true;
+  for (auto& [name, entry] : models_) {
+    for (auto& engine : entry.engines) engine->Shutdown();
+    if (entry.pool != nullptr) ForecastEngine::ShutdownPool(entry.pool.get());
   }
 }
 
@@ -215,21 +203,30 @@ Status ForecastRouter::AddShardedModel(const std::string& name,
   entry.horizon = task.horizon;
   entry.input_dim = task.input_dim;
   entry.sharded = true;
+  // Every shard engine brings its placed workers (pinned to its slice
+  // under kPinned) into one pool the model's shards share: a worker
+  // whose own shard has nothing waiting serves another shard's request.
+  std::vector<std::vector<int>> pins;
   for (int64_t s = 0; s < plan.num_shards(); ++s) {
     const graph::ShardSpec& shard = plan.shard(s);
     const std::string path =
         checkpoint_prefix.empty()
             ? std::string()
             : train::ShardCheckpointSet::ShardPath(checkpoint_prefix, s);
-    auto created = ForecastEngine::Create(
-        train::ShardTask(task, shard), factory, path,
-        PlaceEngineOptions(options, s, plan.num_shards()));
-    if (!created.ok()) return created.status();
+    const EngineOptions placed =
+        PlaceEngineOptions(options, s, plan.num_shards());
+    auto built = ForecastEngine::Build(train::ShardTask(task, shard), factory,
+                                       path, placed);
+    if (!built.ok()) return built.status();
+    pins.insert(pins.end(), static_cast<size_t>(placed.num_workers),
+                placed.pin_cores);
     entry.slice_pools.emplace_back(task.history * shard.num_local() *
                                    task.input_dim);
     entry.shards.push_back(shard);
-    entry.engines.push_back(std::move(created).ValueOrDie());
+    entry.engines.push_back(std::move(built).ValueOrDie());
   }
+  entry.pool = ForecastEngine::NewPool(pins);
+  for (auto& engine : entry.engines) engine->Attach(entry.pool, false);
   return AddEntry(name, std::move(entry));
 }
 
@@ -267,13 +264,69 @@ void GatherShardWindow(const tensor::Tensor& window,
 
 }  // namespace
 
-std::future<ForecastResponse> ForecastRouter::Submit(RouterRequest request) {
+// One sharded request in flight. Each shard's completion copies its
+// owned columns into `out` (disjoint per shard, so outside the lock); the
+// last shard to finish resolves the promise on its own worker thread.
+struct ForecastRouter::FanIn {
+  const ModelEntry* entry = nullptr;
   std::promise<ForecastResponse> promise;
-  std::future<ForecastResponse> future = promise.get_future();
-  auto fail = [&promise](Status status) {
+  ForecastResponse out;
+  std::mutex mu;
+  int64_t pending = 0;
+  /// Lowest shard index that failed, or -1; its Status fails the request.
+  int64_t failed_shard = -1;
+  Status failure;
+
+  void Join(size_t s, ForecastResponse shard_response) {
+    if (shard_response.status.ok()) {
+      const graph::ShardSpec& shard = entry->shards[s];
+      const tensor::Tensor& f = shard_response.forecast;  // (T', local)
+      DYHSL_CHECK_EQ(f.size(0), entry->horizon);
+      DYHSL_CHECK_EQ(f.size(1), shard.num_local());
+      // The owned block is contiguous inside the local id space, so
+      // dropping halo columns and scattering back to global order is one
+      // contiguous copy per step.
+      for (int64_t t = 0; t < entry->horizon; ++t) {
+        std::memcpy(out.forecast.data() + t * entry->num_nodes + shard.begin,
+                    f.data() + t * shard.num_local() + shard.owned_offset,
+                    static_cast<size_t>(shard.owned_count()) * sizeof(float));
+      }
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      if (!shard_response.status.ok() &&
+          (failed_shard < 0 || static_cast<int64_t>(s) < failed_shard)) {
+        failed_shard = static_cast<int64_t>(s);
+        failure = std::move(shard_response.status);
+      }
+      // The request's critical path: the slowest shard on every axis.
+      out.batch_size = std::max(out.batch_size, shard_response.batch_size);
+      out.queue_micros =
+          std::max(out.queue_micros, shard_response.queue_micros);
+      out.compute_micros =
+          std::max(out.compute_micros, shard_response.compute_micros);
+      if (--pending > 0) return;
+    }
+    if (failed_shard >= 0) {
+      // Per-request error surfacing: this request fails with the shard's
+      // Status (e.g. kUnavailable from admission control); every other
+      // request keeps its own fate.
+      ForecastResponse failed;
+      failed.status = std::move(failure);
+      promise.set_value(std::move(failed));
+    } else {
+      promise.set_value(std::move(out));
+    }
+  }
+};
+
+std::future<ForecastResponse> ForecastRouter::Submit(RouterRequest request) {
+  auto fail = [](Status status) {
+    std::promise<ForecastResponse> promise;
     ForecastResponse response;
     response.status = std::move(status);
     promise.set_value(std::move(response));
+    return promise.get_future();
   };
 
   // Phase 1, under the lock: resolve and validate. Entry pointers are
@@ -282,40 +335,35 @@ std::future<ForecastResponse> ForecastRouter::Submit(RouterRequest request) {
   ModelEntry* entry = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      fail(Status::Unavailable("ForecastRouter is shut down"));
-      return future;
-    }
+    if (stopping_) return fail(Status::Unavailable("ForecastRouter is shut down"));
     if (!request.model.empty()) {
       auto it = models_.find(request.model);
       if (it == models_.end()) {
         routing_errors_ += 1;
-        fail(Status::NotFound("no model '" + request.model + "' registered"));
-        return future;
+        return fail(
+            Status::NotFound("no model '" + request.model + "' registered"));
       }
       entry = &it->second;
     } else if (models_.size() == 1) {
       entry = &models_.begin()->second;
     } else {
       routing_errors_ += 1;
-      fail(Status::InvalidArgument(
+      return fail(Status::InvalidArgument(
           models_.empty() ? "no models registered"
                           : "request must name one of the " +
                                 std::to_string(models_.size()) +
                                 " registered models"));
-      return future;
     }
     const tensor::Shape expected = {entry->history, entry->num_nodes,
                                     entry->input_dim};
     if (!request.window.defined() || request.window.shape() != expected) {
       routing_errors_ += 1;
-      fail(Status::InvalidArgument(
+      return fail(Status::InvalidArgument(
           "request window shape " +
           (request.window.defined()
                ? tensor::ShapeToString(request.window.shape())
                : std::string("<undefined>")) +
           " != expected " + tensor::ShapeToString(expected)));
-      return future;
     }
     requests_ += 1;
   }
@@ -326,6 +374,7 @@ std::future<ForecastResponse> ForecastRouter::Submit(RouterRequest request) {
   // per-shard scratch pools and return there when the engines finish
   // with them, so steady-state routing allocates nothing.
   std::vector<tensor::Tensor> slices;
+  std::shared_ptr<FanIn> fan;
   if (entry->sharded) {
     slices.reserve(entry->shards.size());
     for (size_t s = 0; s < entry->shards.size(); ++s) {
@@ -334,94 +383,36 @@ std::future<ForecastResponse> ForecastRouter::Submit(RouterRequest request) {
           {entry->history, shard.num_local(), entry->input_dim}));
       GatherShardWindow(request.window, shard, &slices.back());
     }
+    fan = std::make_shared<FanIn>();
+    fan->entry = entry;
+    fan->pending = static_cast<int64_t>(entry->engines.size());
+    // Responses outlive any step scope the caller may hold.
+    tensor::WorkspaceBypass bypass;
+    fan->out.forecast = tensor::Tensor({entry->horizon, entry->num_nodes});
   }
 
-  // Phase 3, under the lock again: fan out and enqueue. Shutdown also
-  // takes mu_, so a job is either fully enqueued before the stitchers
-  // start draining or rejected here — a promise can never be stranded.
+  // Phase 3, under the lock again: fan out. Shutdown also takes mu_, so a
+  // request is either accepted by all of its engines before they drain or
+  // rejected here — a promise can never be stranded.
   std::lock_guard<std::mutex> lock(mu_);
   if (stopping_) {
     requests_ -= 1;  // counted in phase 1, never fanned out
-    fail(Status::Unavailable("ForecastRouter is shut down"));
-    return future;
+    return fail(Status::Unavailable("ForecastRouter is shut down"));
   }
-  StitchJob job;
-  job.entry = entry;
-  job.promise = std::move(promise);
-  job.shard_futures.reserve(entry->engines.size());
   if (!entry->sharded) {
-    job.shard_futures.push_back(
-        entry->engines[0]->Submit(ForecastRequest{std::move(request.window)}));
-  } else {
-    for (size_t s = 0; s < entry->engines.size(); ++s) {
-      job.shard_futures.push_back(
-          entry->engines[s]->Submit(ForecastRequest{std::move(slices[s])}));
-    }
+    // Single engine: the engine's response *is* the global response.
+    return entry->engines[0]->Submit(
+        ForecastRequest{std::move(request.window)});
   }
-  jobs_.push_back(std::move(job));
-  cv_.notify_one();
+  std::future<ForecastResponse> future = fan->promise.get_future();
+  for (size_t s = 0; s < entry->engines.size(); ++s) {
+    entry->engines[s]->SubmitThen(
+        ForecastRequest{std::move(slices[s])},
+        [fan, s](ForecastResponse response) {
+          fan->Join(s, std::move(response));
+        });
+  }
   return future;
-}
-
-void ForecastRouter::StitcherLoop() {
-  while (true) {
-    StitchJob job;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stopping_ || !jobs_.empty(); });
-      if (jobs_.empty()) {
-        if (stopping_) return;
-        continue;
-      }
-      job = std::move(jobs_.front());
-      jobs_.pop_front();
-    }
-    // Waiting on engine futures must happen outside the lock, or one slow
-    // shard would stall every Submit.
-    Stitch(&job);
-  }
-}
-
-void ForecastRouter::Stitch(StitchJob* job) {
-  const ModelEntry& entry = *job->entry;
-  if (!entry.sharded) {
-    // Single engine: the shard response *is* the global response.
-    job->promise.set_value(job->shard_futures[0].get());
-    return;
-  }
-  ForecastResponse out;
-  out.forecast = tensor::Tensor({entry.horizon, entry.num_nodes});
-  for (size_t s = 0; s < job->shard_futures.size(); ++s) {
-    ForecastResponse shard_response = job->shard_futures[s].get();
-    if (!shard_response.status.ok()) {
-      // Per-request error surfacing: this request fails with the shard's
-      // Status (e.g. kUnavailable from admission control); every other
-      // request keeps its own fate.
-      ForecastResponse failed;
-      failed.status = std::move(shard_response.status);
-      job->promise.set_value(std::move(failed));
-      return;
-    }
-    const graph::ShardSpec& shard = entry.shards[s];
-    const tensor::Tensor& f = shard_response.forecast;  // (T', local)
-    DYHSL_CHECK_EQ(f.size(0), entry.horizon);
-    DYHSL_CHECK_EQ(f.size(1), shard.num_local());
-    const int64_t owned = shard.owned_count();
-    // The owned block is contiguous inside the local id space, so
-    // dropping halo columns and scattering back to global order is one
-    // contiguous copy per step.
-    for (int64_t t = 0; t < entry.horizon; ++t) {
-      std::memcpy(out.forecast.data() + t * entry.num_nodes + shard.begin,
-                  f.data() + t * shard.num_local() + shard.owned_offset,
-                  static_cast<size_t>(owned) * sizeof(float));
-    }
-    // The request's critical path: the slowest shard on every axis.
-    out.batch_size = std::max(out.batch_size, shard_response.batch_size);
-    out.queue_micros = std::max(out.queue_micros, shard_response.queue_micros);
-    out.compute_micros =
-        std::max(out.compute_micros, shard_response.compute_micros);
-  }
-  job->promise.set_value(std::move(out));
 }
 
 std::vector<std::string> ForecastRouter::ModelNames() const {

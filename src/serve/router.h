@@ -26,22 +26,20 @@
 //  * kInvalidArgument: the request, name or options are malformed; not
 //    retryable until the caller fixes them.
 //
-// Stitching happens on a small pool of router threads that wait on the
-// shard futures in submission order; per-request work there is a couple
-// of column copies, so the pool never becomes the bottleneck before the
-// engines do.
+// The router runs no threads of its own. A sharded request's shards
+// complete through ForecastEngine::SubmitThen: each shard's worker copies
+// its owned columns into the global forecast, and the last one to finish
+// resolves the request's future — no thread waits on shard futures, and
+// a response reaches its caller with one cross-thread wakeup.
 
 #ifndef DYHSL_SERVE_ROUTER_H_
 #define DYHSL_SERVE_ROUTER_H_
 
-#include <condition_variable>
-#include <deque>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/core/status.h"
@@ -172,7 +170,9 @@ enum class Placement {
 /// \brief Threading knobs for the router itself (engine knobs live in
 /// EngineOptions, passed per model).
 struct RouterOptions {
-  /// Threads stitching shard responses into global forecasts.
+  /// Accepted for existing callers and still validated (>= 1), but
+  /// unused: the router has no stitcher threads (the last shard to
+  /// finish stitches its request).
   int64_t num_stitchers = 2;
   /// Engine-to-core placement policy applied at AddModel /
   /// AddShardedModel time (registration order is placement order).
@@ -222,8 +222,8 @@ class ForecastRouter {
   /// shard's Status) arrive as a failed ForecastResponse::status.
   std::future<ForecastResponse> Submit(RouterRequest request);
 
-  /// \brief Stops accepting requests, stitches everything in flight, and
-  /// shuts down every engine (draining their queues). A Submit made
+  /// \brief Stops accepting requests and shuts down every engine,
+  /// draining their queues, so everything in flight is still answered. A Submit made
   /// afterwards fails with kUnavailable. Idempotent; also run by the
   /// destructor.
   void Shutdown();
@@ -256,6 +256,10 @@ class ForecastRouter {
     bool sharded = false;
     /// Shard specs (one identity-like spec for unsharded models).
     std::vector<graph::ShardSpec> shards;
+    /// The worker pool a sharded model's engines share (null for
+    /// unsharded models, whose engine owns its workers). Declared before
+    /// `engines`, so it outlives them.
+    std::shared_ptr<ForecastEngine::Pool> pool;
     std::vector<std::unique_ptr<ForecastEngine>> engines;
     /// Per-shard gather scratch pools (sharded models only): Submit
     /// acquires each request's (T, L, F) slices here instead of
@@ -263,11 +267,7 @@ class ForecastRouter {
     std::vector<ScratchPool> slice_pools;
   };
 
-  struct StitchJob {
-    ModelEntry* entry = nullptr;
-    std::vector<std::future<ForecastResponse>> shard_futures;
-    std::promise<ForecastResponse> promise;
-  };
+  struct FanIn;
 
   explicit ForecastRouter(const RouterOptions& options);
 
@@ -282,22 +282,16 @@ class ForecastRouter {
                                    int64_t num_engines) const;
 
   Status AddEntry(const std::string& name, ModelEntry entry);
-  void StitcherLoop();
-  /// Waits on the job's shard futures and fulfills its promise.
-  static void Stitch(StitchJob* job);
 
   RouterOptions options_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   /// Registered models; pointers into the map stay valid (std::map nodes
-  /// are stable) for jobs in flight.
+  /// are stable) for requests in flight.
   std::map<std::string, ModelEntry> models_;
-  std::deque<StitchJob> jobs_;
   bool stopping_ = false;
   int64_t requests_ = 0;
   int64_t routing_errors_ = 0;
-  std::vector<std::thread> stitchers_;
 };
 
 }  // namespace dyhsl::serve

@@ -387,6 +387,42 @@ TEST(ForecastEngineTest, SubmitAfterShutdownFails) {
   EXPECT_EQ(sessions.Open("s0", open).code(), StatusCode::kUnavailable);
 }
 
+TEST(ForecastEngineTest, SubmitThenHandsTheResponseToItsCallback) {
+  train::ForecastTask task = RingForecastTask(8, 12);
+  auto engine =
+      std::move(ForecastEngine::Create(task, TinyConfig())).ValueOrDie();
+  T::Tensor window = RandomWindow(task, 3);
+  const ForecastResponse expected =
+      engine->Submit(ForecastRequest{window.Clone()}).get();
+  ASSERT_TRUE(expected.status.ok()) << expected.status.ToString();
+
+  std::promise<ForecastResponse> served;
+  engine->SubmitThen(ForecastRequest{window.Clone()},
+                     [&served](ForecastResponse response) {
+                       served.set_value(std::move(response));
+                     });
+  ForecastResponse response = served.get_future().get();
+  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  EXPECT_EQ(response.batch_size, 1);
+  EXPECT_TENSOR_EQ(response.forecast, expected.forecast);
+
+  // A refusal completes on the submitting thread, before SubmitThen
+  // returns: a malformed window, then an engine that is shut down.
+  int calls = 0;
+  Status refused;
+  auto record = [&](ForecastResponse r) {
+    calls += 1;
+    refused = r.status;
+  };
+  engine->SubmitThen(ForecastRequest{T::Tensor({2, 2})}, record);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+  engine->Shutdown();
+  engine->SubmitThen(ForecastRequest{window.Clone()}, record);
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(refused.code(), StatusCode::kUnavailable);
+}
+
 TEST(ForecastEngineTest, CreateValidatesMaxQueue) {
   train::ForecastTask task = RingForecastTask(8, 12);
   EngineOptions bad;

@@ -4,6 +4,7 @@
 // forecasts over 2- and 4-way partitioned N=1024 networks matching the
 // unsharded engine element-wise within 1e-5 for graph-operator models.
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -535,6 +536,83 @@ TEST(ForecastRouterTest, ShutdownDrainsEveryShard) {
   ForecastResponse after =
       router->Submit(RouterRequest{"m", RandomWindow(task, 9)}).get();
   EXPECT_FALSE(after.status.ok());
+}
+
+// Returns zeros; its first forward blocks until `release` is ready and
+// sets `entered` when it starts.
+class GatedFirstForwardModel : public train::ForecastModel {
+ public:
+  GatedFirstForwardModel(const train::ForecastTask& task,
+                         std::promise<void>* entered,
+                         std::shared_future<void> release)
+      : horizon_(task.horizon),
+        num_nodes_(task.num_nodes),
+        entered_(entered),
+        release_(std::move(release)) {}
+
+  autograd::Variable Forward(const T::Tensor& x, bool) override {
+    if (!started_.exchange(true)) {
+      entered_->set_value();
+      release_.wait();
+    }
+    return autograd::Variable(
+        T::Tensor::Zeros({x.size(0), horizon_, num_nodes_}));
+  }
+  std::vector<autograd::Variable> Parameters() const override { return {}; }
+  int64_t ParameterCount() const override { return 0; }
+  std::string name() const override { return "Gated"; }
+
+ private:
+  int64_t horizon_;
+  int64_t num_nodes_;
+  std::promise<void>* entered_;
+  std::shared_future<void> release_;
+  std::atomic<bool> started_{false};
+};
+
+TEST(ForecastRouterTest, IdleShardWorkerServesAnotherShardsRequests) {
+  // Shard 0's first forward stalls its worker. The model's other worker
+  // must serve every later request, shard 0's half included, instead of
+  // leaving it queued behind the stalled forward.
+  train::ForecastTask task = RingForecastTask(16);
+  auto router = MakeRouter();
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  int built = 0;
+  ModelFactory factory = [&](const train::ForecastTask& t)
+      -> std::unique_ptr<train::ForecastModel> {
+    if (built++ == 0) {
+      return std::make_unique<GatedFirstForwardModel>(t, &entered, released);
+    }
+    return std::make_unique<testing::SlowForecastModel>(
+        t, std::chrono::milliseconds(0));
+  };
+  ASSERT_TRUE(router
+                  ->AddShardedModel(
+                      "m", task, graph::ShardPlan::Build(task.spatial_adj, 2, 1),
+                      factory)
+                  .ok());
+  std::future<ForecastResponse> stalled =
+      router->Submit(RouterRequest{"m", RandomWindow(task, 1)});
+  entered.get_future().wait();
+  std::vector<std::future<ForecastResponse>> later;
+  for (int i = 0; i < 3; ++i) {
+    later.push_back(router->Submit(RouterRequest{"m", RandomWindow(task, 2)}));
+  }
+  std::vector<std::future_status> waited;
+  for (auto& future : later) {
+    waited.push_back(future.wait_for(std::chrono::seconds(30)));
+  }
+  const std::future_status first = stalled.wait_for(std::chrono::seconds(0));
+  release.set_value();  // before any assertion, so a failure cannot hang
+  for (size_t i = 0; i < later.size(); ++i) {
+    EXPECT_EQ(waited[i], std::future_status::ready)
+        << "request " << i << " waited behind another request's stalled shard";
+    EXPECT_TRUE(later[i].get().status.ok());
+  }
+  EXPECT_EQ(first, std::future_status::timeout);
+  EXPECT_TRUE(stalled.get().status.ok());
 }
 
 TEST(ForecastRouterTest, ShardUnavailableSurfacesPerRequest) {
