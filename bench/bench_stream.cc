@@ -36,7 +36,7 @@
 // gains little from batching):
 //
 //  * Sequential: per tick, B x Append then B x Forecast — one engine
-//    forward per session.
+//    forward per session (each call a batch of one).
 //  * Batched: per tick, one AppendMany (one batched cell step for the
 //    whole warm fleet) then one ForecastBatch (one (B, ...) forward).
 //

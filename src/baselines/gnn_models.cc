@@ -133,7 +133,7 @@ Variable Dcrnn::CellStep(const Variable& x_t, const Variable& h) const {
     // same SigmoidArray/TanhArray kernels and the same per-element
     // operation order as the taped ops below, minus the Slice / Concat /
     // Neg temporaries the tape materializes. Every serving-side caller
-    // (Forward under the engine's guard, StreamForecast, the batched
+    // (Forward under the engine's guard, the resync replay, the batched
     // carry) shares this path, so the cross-path equality contracts
     // (warm vs windowed, B = 1 batch vs sequential) are unaffected.
     const tensor::Tensor& xv = x_t.value();
@@ -231,7 +231,8 @@ Variable Dcrnn::Forward(const tensor::Tensor& x, bool training) {
 // Warm-state streaming: the carried state is exactly what Forward's
 // encoder holds at batch 1 — h after one CellStep per tick, plus the
 // decoder seed (flow channel of the newest frame). Every method runs
-// tape-less and heap-pins the carried tensors, so states are cheap value
+// tape-less under the caller's inference guard (the serving engine holds
+// it) and heap-pins the carried tensors, so states are cheap value
 // holders that survive per-step workspace resets on any thread.
 struct Dcrnn::DcrnnStreamState : public train::StreamState {
   Variable h;     // (1, N, H); zeros until the first tick
@@ -241,32 +242,10 @@ struct Dcrnn::DcrnnStreamState : public train::StreamState {
 
 std::unique_ptr<train::StreamState> Dcrnn::MakeStreamState() const {
   auto state = std::make_unique<DcrnnStreamState>();
-  autograd::InferenceModeGuard no_grad;
   tensor::WorkspaceBypass bypass;
   state->h =
       Variable(tensor::Tensor::Zeros({1, task_.num_nodes, hidden_dim_}));
   return state;
-}
-
-void Dcrnn::StreamStep(train::StreamState* state,
-                       const tensor::Tensor& frame) const {
-  auto* s = static_cast<DcrnnStreamState*>(state);
-  const int64_t n = task_.num_nodes;
-  const int64_t f = task_.input_dim;
-  DYHSL_CHECK(frame.shape() == (tensor::Shape{n, f}));
-  autograd::InferenceModeGuard no_grad;
-  // Reshape shares the caller's storage (e.g. a ring frame) — CellStep
-  // only reads it, and shared storage disables the in-place fast paths.
-  Variable x_t(frame.Reshape({1, n, f}));
-  Variable h_new = CellStep(x_t, s->h);
-  s->h = Variable(HeapClone(h_new.value()));
-  // Decoder seed: the flow channel of the newest frame (what Forward
-  // slices from the last window step).
-  tensor::WorkspaceBypass bypass;
-  tensor::Tensor prev({1, n, 1});
-  for (int64_t i = 0; i < n; ++i) prev.data()[i] = frame.data()[i * f];
-  s->prev = Variable(std::move(prev));
-  s->ticks += 1;
 }
 
 void Dcrnn::ResyncState(train::StreamState* state,
@@ -276,9 +255,9 @@ void Dcrnn::ResyncState(train::StreamState* state,
   const int64_t n = task_.num_nodes;
   const int64_t f = task_.input_dim;
   DYHSL_CHECK(window.shape() == (tensor::Shape{t_in, n, f}));
-  autograd::InferenceModeGuard no_grad;
+  DYHSL_CHECK(autograd::InferenceModeEnabled());
   // Cold replay from zeros — bit-identical to Forward's encoder loop, so
-  // the next StreamForecast matches the windowed reference exactly.
+  // the next forecast matches the windowed reference exactly.
   Variable h(tensor::Tensor::Zeros({1, n, hidden_dim_}));
   for (int64_t t = 0; t < t_in; ++t) {
     Variable x_t(window.Alias(t * n * f, {1, n, f}));
@@ -292,30 +271,6 @@ void Dcrnn::ResyncState(train::StreamState* state,
   s->prev = Variable(std::move(prev));
 }
 
-tensor::Tensor Dcrnn::StreamForecast(const train::StreamState& state) const {
-  const auto& s = static_cast<const DcrnnStreamState&>(state);
-  DYHSL_CHECK(s.prev.value().defined());
-  const int64_t n = task_.num_nodes;
-  autograd::InferenceModeGuard no_grad;
-  // Forward's decoder, verbatim, from a private copy of the carried
-  // state — forecasting must not advance the session.
-  Variable h = s.h;
-  Variable prev = s.prev;
-  Variable pad(tensor::Tensor::Zeros({1, n, task_.input_dim - 1}));
-  std::vector<Variable> steps;
-  for (int64_t t = 0; t < task_.horizon; ++t) {
-    Variable x_t = ag::Concat({prev, pad}, 2);
-    h = CellStep(x_t, h);
-    prev = readout_.Forward(h);
-    steps.push_back(prev);
-  }
-  Variable out = ag::Concat(steps, 2);  // (1, N, T')
-  out = ag::TransposePerm(out, {0, 2, 1});
-  out = train::Descale(out, task_.scaler_mean, task_.scaler_std);
-  T::Tensor forecast = HeapClone(out.value());
-  return forecast.Reshape({task_.horizon, n});
-}
-
 void Dcrnn::AdvanceStateBatch(const std::vector<train::StreamState*>& states,
                               const tensor::Tensor& frames) const {
   const int64_t b = static_cast<int64_t>(states.size());
@@ -323,11 +278,12 @@ void Dcrnn::AdvanceStateBatch(const std::vector<train::StreamState*>& states,
   const int64_t n = task_.num_nodes;
   const int64_t f = task_.input_dim;
   DYHSL_CHECK(frames.shape() == (tensor::Shape{b, n, f}));
-  autograd::InferenceModeGuard no_grad;
+  DYHSL_CHECK(autograd::InferenceModeEnabled());
   // Stack the carried hidden states into (B, N, H) and advance all B
-  // sessions with one batched DCGRU step. CellStep runs each batch item
-  // through the same row-wise accumulation order as at B = 1, so the
-  // unstacked states are bit-identical to B sequential StreamSteps.
+  // sessions with one batched DCGRU step — at B = 1 exactly one step of
+  // Forward's encoder loop. CellStep runs each batch item through the
+  // same row-wise accumulation order as at B = 1, so the unstacked
+  // states are bit-identical to B one-session steps.
   const int64_t state_numel = n * hidden_dim_;
   T::Tensor h({b, n, hidden_dim_});
   for (int64_t i = 0; i < b; ++i) {
@@ -356,8 +312,8 @@ tensor::Tensor Dcrnn::ForecastFromStateBatch(
     const std::vector<const train::StreamState*>& states) const {
   const int64_t b = static_cast<int64_t>(states.size());
   DYHSL_CHECK_GT(b, 0);
+  DYHSL_CHECK(autograd::InferenceModeEnabled());
   const int64_t n = task_.num_nodes;
-  autograd::InferenceModeGuard no_grad;
   // Forward's decoder over the stacked (B, N, H) states: one batched
   // rollout instead of B sequential ones. Reads private copies, mutates
   // no session state.

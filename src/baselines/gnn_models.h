@@ -76,10 +76,10 @@ class Stgcn : public GnnModelBase {
 /// K-step bidirectional diffusion convolutions; encoder-decoder rollout.
 ///
 /// Also the repository's reference RecurrentStreamModel: the encoder
-/// state is carried across ticks (StreamStep == one CellStep,
-/// bit-identical to Forward's encoder loop at B = 1), so a streaming
+/// state is carried across ticks (AdvanceStateBatch at B = 1 == one
+/// CellStep, bit-identical to Forward's encoder loop), so a streaming
 /// session serves a forecast with only the T'-step decoder
-/// (StreamForecast) instead of re-encoding the full window.
+/// (ForecastFromStateBatch) instead of re-encoding the full window.
 class Dcrnn : public GnnModelBase, public train::RecurrentStreamModel {
  public:
   Dcrnn(const train::ForecastTask& task, int64_t hidden_dim,
@@ -90,16 +90,14 @@ class Dcrnn : public GnnModelBase, public train::RecurrentStreamModel {
   /// \name Warm-state streaming (src/train/streaming.h)
   /// @{
   std::unique_ptr<train::StreamState> MakeStreamState() const override;
-  void StreamStep(train::StreamState* state,
-                  const tensor::Tensor& frame) const override;
   void ResyncState(train::StreamState* state,
                    const tensor::Tensor& window) const override;
-  tensor::Tensor StreamForecast(const train::StreamState& state) const override;
   /// Batched carry: stacks B per-session hidden states into (B, N, H)
   /// and runs one batched cell step (one decoder rollout) instead of B
   /// sequential ones. CellStep processes each batch item with the same
   /// accumulation order as at B = 1, so per-session results match the
-  /// sequential methods bit-identically.
+  /// batch-of-one results bit-identically. All three run under the
+  /// caller's autograd::InferenceModeGuard (checked).
   void AdvanceStateBatch(const std::vector<train::StreamState*>& states,
                          const tensor::Tensor& frames) const override;
   tensor::Tensor ForecastFromStateBatch(

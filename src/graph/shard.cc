@@ -1,6 +1,7 @@
 #include "src/graph/shard.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "src/core/check.h"
 
@@ -111,6 +112,44 @@ tensor::CsrMatrix InducedSubgraph(const tensor::CsrMatrix& adjacency,
   return tensor::CsrMatrix::FromTriplets(shard.num_local(),
                                          shard.num_local(),
                                          std::move(triplets));
+}
+
+void GatherLocalNodes(const ShardSpec& shard, const tensor::Tensor& global,
+                      tensor::Tensor* local) {
+  const int64_t n = global.size(global.dim() - 2);
+  const int64_t f = global.size(global.dim() - 1);
+  const int64_t l = shard.num_local();
+  const int64_t steps = global.numel() / (n * f);
+  DYHSL_CHECK_EQ(local->numel(), steps * l * f);
+  const int64_t owned = shard.owned_count();
+  const int64_t offset = shard.owned_offset;
+  const size_t node_bytes = static_cast<size_t>(f) * sizeof(float);
+  for (int64_t t = 0; t < steps; ++t) {
+    const float* src = global.data() + t * n * f;
+    float* dst = local->data() + t * l * f;
+    for (int64_t j = 0; j < offset; ++j) {
+      std::memcpy(dst + j * f, src + shard.locals[j] * f, node_bytes);
+    }
+    std::memcpy(dst + offset * f, src + shard.begin * f,
+                static_cast<size_t>(owned) * node_bytes);
+    for (int64_t j = offset + owned; j < l; ++j) {
+      std::memcpy(dst + j * f, src + shard.locals[j] * f, node_bytes);
+    }
+  }
+}
+
+void StitchOwnedColumns(const ShardSpec& shard, const tensor::Tensor& local,
+                        tensor::Tensor* global) {
+  const int64_t steps = global->size(0);
+  const int64_t n = global->size(1);
+  const int64_t l = shard.num_local();
+  DYHSL_CHECK_EQ(local.size(0), steps);
+  DYHSL_CHECK_EQ(local.size(1), l);
+  for (int64_t t = 0; t < steps; ++t) {
+    std::memcpy(global->data() + t * n + shard.begin,
+                local.data() + t * l + shard.owned_offset,
+                static_cast<size_t>(shard.owned_count()) * sizeof(float));
+  }
 }
 
 autograd::SparseConstant ShardTemporalOperator(

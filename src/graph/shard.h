@@ -31,6 +31,7 @@
 #include "src/autograd/sparse.h"
 #include "src/graph/temporal_graph.h"
 #include "src/tensor/sparse.h"
+#include "src/tensor/tensor.h"
 
 namespace dyhsl::graph {
 
@@ -85,6 +86,21 @@ class ShardPlan {
   int64_t halo_hops_ = 0;
   std::vector<ShardSpec> shards_;
 };
+
+/// \brief Gathers the shard's local nodes out of a global (..., N, F)
+/// tensor into the (..., num_local, F) `local`, in local id order: the
+/// owned block is one contiguous copy per leading index, the halo nodes
+/// around it follow one node at a time.
+void GatherLocalNodes(const ShardSpec& shard, const tensor::Tensor& global,
+                      tensor::Tensor* local);
+
+/// \brief Stitches a shard's (T', num_local) output into the global
+/// (T', N) `global`: the owned columns land in [begin, end), the halo
+/// columns are dropped — one contiguous copy per step. Shards own
+/// disjoint ranges, so concurrent stitches of distinct shards into one
+/// `global` do not race.
+void StitchOwnedColumns(const ShardSpec& shard, const tensor::Tensor& local,
+                        tensor::Tensor* global);
 
 /// \brief Induced subgraph of `adjacency` over the shard's local nodes:
 /// keeps every edge whose endpoints are both local, with node ids remapped

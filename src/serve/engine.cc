@@ -23,7 +23,65 @@ double MicrosSince(Clock::time_point start, Clock::time_point now) {
   return std::chrono::duration<double, std::micro>(now - start).count();
 }
 
+// The calling thread's warm inference arena, shared by every engine the
+// thread serves: queue workers and session threads alike run
+// allocation-free once it has grown to their largest model call.
+tensor::Workspace* ThreadArena() {
+  thread_local tensor::Workspace arena;
+  return &arena;
+}
+
+// Heap-backed copy of a model result: responses outlive the call, so they
+// must not pin (or be recycled with) an arena slab.
+tensor::Tensor HeapCopy(const tensor::Tensor& result) {
+  tensor::Tensor copy;
+  {
+    tensor::WorkspaceBypass bypass;
+    copy = tensor::Tensor(result.shape());
+  }
+  std::memcpy(copy.data(), result.data(),
+              static_cast<size_t>(result.numel()) * sizeof(float));
+  return copy;
+}
+
 }  // namespace
+
+// The one preamble of every model call. Every call runs under the same
+// team size — GEMM is bit-deterministic per thread count, so ForecastNow,
+// SubmitBatch and the state calls reproduce the queue path exactly — and
+// tape-less, with prepacked-weight lookups, allocating from the calling
+// thread's warm arena. Tensors the call allocates must die before the
+// scope does (results are HeapCopy'd out): leaving resets the arena and
+// adds the thread's prepack hit/miss growth into this engine's stats —
+// exact per-engine attribution even when one thread serves many engines.
+class ForecastEngine::InferenceScope {
+ public:
+  explicit InferenceScope(ForecastEngine* engine)
+      : engine_(engine),
+        prepack_before_(tensor::PrepackCache::ThreadCounters()),
+        team_(engine->worker_team_),
+        workspace_(ThreadArena()) {}
+
+  ~InferenceScope() {
+    ThreadArena()->Reset();
+    const tensor::PrepackCache::Stats now =
+        tensor::PrepackCache::ThreadCounters();
+    std::lock_guard<std::mutex> lock(engine_->mu_);
+    engine_->stats_.prepack.hits += now.hits - prepack_before_.hits;
+    engine_->stats_.prepack.misses += now.misses - prepack_before_.misses;
+  }
+
+  InferenceScope(const InferenceScope&) = delete;
+  InferenceScope& operator=(const InferenceScope&) = delete;
+
+ private:
+  ForecastEngine* engine_;
+  tensor::PrepackCache::Stats prepack_before_;
+  core::TeamScope team_;
+  autograd::InferenceModeGuard no_grad_;
+  tensor::PrepackLookupScope prepack_;
+  tensor::WorkspaceScope workspace_;
+};
 
 ModelFactory DyHslFactory(const models::DyHslConfig& config) {
   return [config](const train::ForecastTask& task) {
@@ -236,15 +294,6 @@ void ForecastEngine::EnrollPrepack() {
   enroll(module->NamedConstants());
 }
 
-void ForecastEngine::AccumulatePrepackDelta(
-    const tensor::PrepackCache::Stats& before) {
-  const tensor::PrepackCache::Stats now =
-      tensor::PrepackCache::ThreadCounters();
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_.prepack.hits += now.hits - before.hits;
-  stats_.prepack.misses += now.misses - before.misses;
-}
-
 void ForecastEngine::Shutdown() {
   {
     std::unique_lock<std::mutex> lock(mu_);
@@ -343,6 +392,12 @@ EngineStats ForecastEngine::Snapshot() const {
   return snapshot;
 }
 
+Status ForecastEngine::CheckServing() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return stopping_ ? Status::Unavailable("ForecastEngine is shut down")
+                   : Status::OK();
+}
+
 Status ForecastEngine::CheckWindow(const tensor::Tensor& window) const {
   const tensor::Shape expected = {task_.history, task_.num_nodes,
                                   task_.input_dim};
@@ -355,34 +410,10 @@ Status ForecastEngine::CheckWindow(const tensor::Tensor& window) const {
 }
 
 tensor::Tensor ForecastEngine::ForwardGradFree(const tensor::Tensor& windows) {
-  const tensor::PrepackCache::Stats pp_before =
-      tensor::PrepackCache::ThreadCounters();
-  // Every caller runs under the same team size: GEMM is bit-deterministic
-  // per thread count, so ForecastNow reproduces the queue path exactly.
-  core::TeamScope team(worker_team_);
-  autograd::InferenceModeGuard no_grad;
-  tensor::PrepackLookupScope prepack;
-  // One warm arena per thread — queue workers and session threads alike
-  // run allocation-free once it has grown to their largest forward.
-  thread_local tensor::Workspace workspace;
-  tensor::Tensor forecasts;
-  {
-    tensor::WorkspaceScope scope(&workspace);
-    autograd::Variable pred = model_->Forward(windows, /*training=*/false);
-    const tensor::Tensor& p = pred.value();  // (B, T', N)
-    DYHSL_CHECK_EQ(p.size(0), windows.size(0));
-    {
-      // Responses outlive this call: keep them off the arena so they
-      // cannot pin a slab.
-      tensor::WorkspaceBypass bypass;
-      forecasts = tensor::Tensor(p.shape());
-    }
-    std::memcpy(forecasts.data(), p.data(),
-                static_cast<size_t>(p.numel()) * sizeof(float));
-  }
-  workspace.Reset();
-  AccumulatePrepackDelta(pp_before);
-  return forecasts;
+  InferenceScope scope(this);
+  autograd::Variable pred = model_->Forward(windows, /*training=*/false);
+  DYHSL_CHECK_EQ(pred.value().size(0), windows.size(0));
+  return HeapCopy(pred.value());  // (B, T', N)
 }
 
 ForecastResponse ForecastEngine::ForecastOne(const tensor::Tensor& window) {
@@ -402,14 +433,8 @@ ForecastResponse ForecastEngine::ForecastOne(const tensor::Tensor& window) {
 ForecastResponse ForecastEngine::ForecastNow(const tensor::Tensor& window) {
   ForecastResponse response;
   response.status = CheckWindow(window);
+  if (response.status.ok()) response.status = CheckServing();
   if (!response.status.ok()) return response;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      response.status = Status::Unavailable("ForecastEngine is shut down");
-      return response;
-    }
-  }
   response = ForecastOne(window);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -434,28 +459,13 @@ BatchForecastResponse ForecastEngine::SubmitBatch(
         std::to_string(task_.input_dim) + ")");
     return response;
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      response.status = Status::Unavailable("ForecastEngine is shut down");
-      return response;
-    }
-  }
-  const int64_t b = windows.size(0);
+  response.status = CheckServing();
+  if (!response.status.ok()) return response;
   const Clock::time_point started = Clock::now();
   // The batch is already packed (possibly sharing ring storage at
   // B = 1) — one forward, no queue, no per-request repacking.
   response.forecasts = ForwardGradFree(windows);
-  response.batch_size = b;
-  response.compute_micros = MicrosSince(started, Clock::now());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.requests += b;
-    stats_.streamed += b;
-    stats_.batched_submits += 1;
-    stats_.batched_requests += b;
-    stats_.batched_max = std::max(stats_.batched_max, b);
-  }
+  CountBatch(&response, started);
   return response;
 }
 
@@ -464,70 +474,11 @@ std::unique_ptr<train::StreamState> ForecastEngine::NewStreamState() const {
   return streaming_->MakeStreamState();
 }
 
-void ForecastEngine::AdvanceState(train::StreamState* state,
-                                  const tensor::Tensor& frame) {
-  DYHSL_CHECK(streaming_ != nullptr);
-  const tensor::PrepackCache::Stats pp_before =
-      tensor::PrepackCache::ThreadCounters();
-  core::TeamScope team(worker_team_);
-  tensor::PrepackLookupScope prepack;
-  thread_local tensor::Workspace workspace;
-  {
-    tensor::WorkspaceScope scope(&workspace);
-    streaming_->StreamStep(state, frame);
-  }
-  workspace.Reset();
-  AccumulatePrepackDelta(pp_before);
-}
-
 void ForecastEngine::ResyncState(train::StreamState* state,
                                  const tensor::Tensor& window) {
   DYHSL_CHECK(streaming_ != nullptr);
-  const tensor::PrepackCache::Stats pp_before =
-      tensor::PrepackCache::ThreadCounters();
-  core::TeamScope team(worker_team_);
-  tensor::PrepackLookupScope prepack;
-  thread_local tensor::Workspace workspace;
-  {
-    tensor::WorkspaceScope scope(&workspace);
-    streaming_->ResyncState(state, window);
-  }
-  workspace.Reset();
-  AccumulatePrepackDelta(pp_before);
-}
-
-ForecastResponse ForecastEngine::ForecastFromState(
-    const train::StreamState& state) {
-  DYHSL_CHECK(streaming_ != nullptr);
-  ForecastResponse response;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      response.status = Status::Unavailable("ForecastEngine is shut down");
-      return response;
-    }
-  }
-  const Clock::time_point started = Clock::now();
-  const tensor::PrepackCache::Stats pp_before =
-      tensor::PrepackCache::ThreadCounters();
-  core::TeamScope team(worker_team_);
-  tensor::PrepackLookupScope prepack;
-  thread_local tensor::Workspace workspace;
-  {
-    tensor::WorkspaceScope scope(&workspace);
-    // StreamForecast heap-pins its result, so it survives the Reset.
-    response.forecast = streaming_->StreamForecast(state);
-  }
-  workspace.Reset();
-  response.batch_size = 1;
-  response.compute_micros = MicrosSince(started, Clock::now());
-  AccumulatePrepackDelta(pp_before);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.requests += 1;
-    stats_.streamed += 1;
-  }
-  return response;
+  InferenceScope scope(this);
+  streaming_->ResyncState(state, window);
 }
 
 void ForecastEngine::AdvanceStateBatch(
@@ -535,17 +486,8 @@ void ForecastEngine::AdvanceStateBatch(
     const tensor::Tensor& frames) {
   DYHSL_CHECK(streaming_ != nullptr);
   if (states.empty()) return;
-  const tensor::PrepackCache::Stats pp_before =
-      tensor::PrepackCache::ThreadCounters();
-  core::TeamScope team(worker_team_);
-  tensor::PrepackLookupScope prepack;
-  thread_local tensor::Workspace workspace;
-  {
-    tensor::WorkspaceScope scope(&workspace);
-    streaming_->AdvanceStateBatch(states, frames);
-  }
-  workspace.Reset();
-  AccumulatePrepackDelta(pp_before);
+  InferenceScope scope(this);
+  streaming_->AdvanceStateBatch(states, frames);
 }
 
 BatchForecastResponse ForecastEngine::ForecastFromStateBatch(
@@ -556,46 +498,32 @@ BatchForecastResponse ForecastEngine::ForecastFromStateBatch(
     response.status = Status::InvalidArgument("empty stream-state batch");
     return response;
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      response.status = Status::Unavailable("ForecastEngine is shut down");
-      return response;
-    }
-  }
-  const int64_t b = static_cast<int64_t>(states.size());
+  response.status = CheckServing();
+  if (!response.status.ok()) return response;
   const Clock::time_point started = Clock::now();
-  const tensor::PrepackCache::Stats pp_before =
-      tensor::PrepackCache::ThreadCounters();
-  core::TeamScope team(worker_team_);
-  tensor::PrepackLookupScope prepack;
-  thread_local tensor::Workspace workspace;
   {
-    tensor::WorkspaceScope scope(&workspace);
     // One stacked decoder rollout; the model's result lives in the
-    // arena, so copy it into the heap-backed response before the reset.
-    tensor::Tensor stacked = streaming_->ForecastFromStateBatch(states);
-    DYHSL_CHECK_EQ(stacked.size(0), b);
-    {
-      tensor::WorkspaceBypass bypass;
-      response.forecasts = tensor::Tensor(stacked.shape());
-    }
-    std::memcpy(response.forecasts.data(), stacked.data(),
-                static_cast<size_t>(stacked.numel()) * sizeof(float));
+    // arena, so it is copied onto the heap before the scope resets it.
+    InferenceScope scope(this);
+    response.forecasts = HeapCopy(streaming_->ForecastFromStateBatch(states));
   }
-  workspace.Reset();
-  response.batch_size = b;
-  response.compute_micros = MicrosSince(started, Clock::now());
-  AccumulatePrepackDelta(pp_before);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.requests += b;
-    stats_.streamed += b;
-    stats_.batched_submits += 1;
-    stats_.batched_requests += b;
-    stats_.batched_max = std::max(stats_.batched_max, b);
-  }
+  DYHSL_CHECK_EQ(response.forecasts.size(0),
+                 static_cast<int64_t>(states.size()));
+  CountBatch(&response, started);
   return response;
+}
+
+void ForecastEngine::CountBatch(BatchForecastResponse* response,
+                                Clock::time_point started) {
+  const int64_t b = response->forecasts.size(0);
+  response->batch_size = b;
+  response->compute_micros = MicrosSince(started, Clock::now());
+  std::lock_guard<std::mutex> lock(mu_);
+  stats_.requests += b;
+  stats_.streamed += b;
+  stats_.batched_submits += 1;
+  stats_.batched_requests += b;
+  stats_.batched_max = std::max(stats_.batched_max, b);
 }
 
 }  // namespace dyhsl::serve

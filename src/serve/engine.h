@@ -46,6 +46,7 @@
 #ifndef DYHSL_SERVE_ENGINE_H_
 #define DYHSL_SERVE_ENGINE_H_
 
+#include <chrono>
 #include <condition_variable>
 #include <functional>
 #include <future>
@@ -92,7 +93,8 @@ struct ForecastResponse {
   /// Raw-flow forecast (T', N).
   tensor::Tensor forecast;
   /// Windows in the forward that served the request: 1 from Submit and
-  /// ForecastNow (SessionManager::ForecastBatch reports its pack size).
+  /// ForecastNow (SessionManager::Forecast/ForecastBatch report their
+  /// pack size).
   int64_t batch_size = 0;
   /// Time from enqueue to the start of the request's forward (0 for
   /// ForecastNow, which skips the queue).
@@ -154,8 +156,9 @@ struct EngineStats {
   int64_t rejected = 0;
   /// Requests waiting at snapshot time (not monotonic).
   int64_t queue_depth = 0;
-  /// Requests served through the synchronous streaming fast paths
-  /// (ForecastNow / ForecastFromState), counted in `requests` too.
+  /// Requests served on the calling thread instead of the queue:
+  /// ForecastNow, SubmitBatch and ForecastFromStateBatch items (counted in
+  /// `requests` too). Every session forecast lands here.
   int64_t streamed = 0;
   /// Pre-packed batch fast-path calls (SubmitBatch and the batched warm
   /// forecasts), the requests they carried (counted in `requests` and
@@ -236,20 +239,24 @@ class ForecastEngine {
   /// \name Warm recurrent-state serving
   ///
   /// Available when the model implements train::RecurrentStreamModel
-  /// (supports_streaming()); the non-Forecast calls abort otherwise.
-  /// All run on the calling thread under the engine's worker team size —
-  /// a ResyncState followed by ForecastFromState is bit-identical to
-  /// ForecastNow over the same window.
+  /// (supports_streaming()); the calls abort otherwise. All run on the
+  /// calling thread through the same preamble as ForecastNow — a
+  /// ResyncState followed by a ForecastFromStateBatch of that one state is
+  /// bit-identical to ForecastNow over the same window. A single session
+  /// advances as a batch of one.
+  ///
+  /// ResyncState and AdvanceStateBatch return nothing and touch only the
+  /// caller-owned states (the model is read-only), so they keep working
+  /// after Shutdown; ForecastFromStateBatch, which serves a forecast,
+  /// fails with kUnavailable then, like ForecastNow and SubmitBatch.
   /// @{
   bool supports_streaming() const { return streaming_ != nullptr; }
   std::unique_ptr<train::StreamState> NewStreamState() const;
-  void AdvanceState(train::StreamState* state, const tensor::Tensor& frame);
   void ResyncState(train::StreamState* state, const tensor::Tensor& window);
-  ForecastResponse ForecastFromState(const train::StreamState& state);
   /// Batched warm carry: one stacked cell step / decoder rollout for B
   /// sessions ready at the same tick (train::RecurrentStreamModel's
-  /// batched methods, run under the engine team with a warm arena).
-  /// `frames` is the (B, N, F) stack pairing frames[i] with states[i].
+  /// batched methods). `frames` is the (B, N, F) stack pairing frames[i]
+  /// with states[i].
   void AdvanceStateBatch(const std::vector<train::StreamState*>& states,
                          const tensor::Tensor& frames);
   BatchForecastResponse ForecastFromStateBatch(
@@ -300,6 +307,9 @@ class ForecastEngine {
   /// idles, and a stalled or slower core cannot hold the other shards'
   /// requests back.
   class Pool;
+  /// RAII preamble of every model call (team size, inference mode,
+  /// prepack lookup, the thread's warm arena); see engine.cc.
+  class InferenceScope;
   friend class ForecastRouter;
 
   ForecastEngine(const train::ForecastTask& task,
@@ -329,10 +339,9 @@ class ForecastEngine {
   /// Serves one dequeued request through ForecastOne on the calling pool
   /// worker and completes it.
   void Serve(Pending pending);
-  /// One grad-free forward of already validated (B, T, N, F) `windows`
-  /// under the engine team size and the calling thread's warm arena,
-  /// which is reset before returning. Returns the heap-backed (B, T', N)
-  /// forecasts; touches no counter but the prepack deltas.
+  /// One forward of already validated (B, T, N, F) `windows` under the
+  /// InferenceScope. Returns the heap-backed (B, T', N) forecasts;
+  /// touches no counter but the prepack deltas.
   tensor::Tensor ForwardGradFree(const tensor::Tensor& windows);
   /// The B = 1 forward behind both ForecastNow and the queue workers:
   /// ForwardGradFree over a zero-copy (1, T, N, F) view of `window`.
@@ -340,14 +349,17 @@ class ForecastEngine {
   ForecastResponse ForecastOne(const tensor::Tensor& window);
   /// InvalidArgument unless `window` is defined with shape (T, N, F).
   Status CheckWindow(const tensor::Tensor& window) const;
+  /// Unavailable once Shutdown has begun: the gate of every synchronous
+  /// forecast call.
+  Status CheckServing() const;
+  /// Fills the batch size and compute time of a served batch `response`
+  /// timed from `started`, and counts it in the stats.
+  void CountBatch(BatchForecastResponse* response,
+                  std::chrono::steady_clock::time_point started);
   /// Enrolls every 2-D parameter/constant of the model in the process
   /// PrepackCache (called once at Create, after the checkpoint load) and
   /// remembers the pointers for stats attribution and Release.
   void EnrollPrepack();
-  /// Adds this thread's prepack hit/miss growth since `before` (sampled
-  /// at the start of a serving call) into stats_.prepack — exact
-  /// per-engine attribution even when one thread serves many engines.
-  void AccumulatePrepackDelta(const tensor::PrepackCache::Stats& before);
 
   train::ForecastTask task_;
   EngineOptions options_;

@@ -1,7 +1,6 @@
 #include "src/serve/router.h"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "src/core/check.h"
@@ -230,40 +229,6 @@ Status ForecastRouter::AddShardedModel(const std::string& name,
   return AddEntry(name, std::move(entry));
 }
 
-namespace {
-
-// Gathers one shard's local columns of a global (T, N, F) window into the
-// (T, L, F) slice `out` (a pooled scratch buffer): the owned block is one
-// contiguous copy per step, the halo columns (before and after it) follow
-// one node at a time.
-void GatherShardWindow(const tensor::Tensor& window,
-                       const graph::ShardSpec& shard, tensor::Tensor* out) {
-  const int64_t t_steps = window.size(0);
-  const int64_t n = window.size(1);
-  const int64_t f = window.size(2);
-  const int64_t local = shard.num_local();
-  const int64_t owned = shard.owned_count();
-  const int64_t offset = shard.owned_offset;
-  const float* src = window.data();
-  float* dst = out->data();
-  for (int64_t t = 0; t < t_steps; ++t) {
-    const float* src_t = src + t * n * f;
-    float* dst_t = dst + t * local * f;
-    for (int64_t j = 0; j < offset; ++j) {
-      std::memcpy(dst_t + j * f, src_t + shard.locals[j] * f,
-                  static_cast<size_t>(f) * sizeof(float));
-    }
-    std::memcpy(dst_t + offset * f, src_t + shard.begin * f,
-                static_cast<size_t>(owned * f) * sizeof(float));
-    for (int64_t j = offset + owned; j < local; ++j) {
-      std::memcpy(dst_t + j * f, src_t + shard.locals[j] * f,
-                  static_cast<size_t>(f) * sizeof(float));
-    }
-  }
-}
-
-}  // namespace
-
 // One sharded request in flight. Each shard's completion copies its
 // owned columns into `out` (disjoint per shard, so outside the lock); the
 // last shard to finish resolves the promise on its own worker thread.
@@ -279,18 +244,8 @@ struct ForecastRouter::FanIn {
 
   void Join(size_t s, ForecastResponse shard_response) {
     if (shard_response.status.ok()) {
-      const graph::ShardSpec& shard = entry->shards[s];
-      const tensor::Tensor& f = shard_response.forecast;  // (T', local)
-      DYHSL_CHECK_EQ(f.size(0), entry->horizon);
-      DYHSL_CHECK_EQ(f.size(1), shard.num_local());
-      // The owned block is contiguous inside the local id space, so
-      // dropping halo columns and scattering back to global order is one
-      // contiguous copy per step.
-      for (int64_t t = 0; t < entry->horizon; ++t) {
-        std::memcpy(out.forecast.data() + t * entry->num_nodes + shard.begin,
-                    f.data() + t * shard.num_local() + shard.owned_offset,
-                    static_cast<size_t>(shard.owned_count()) * sizeof(float));
-      }
+      graph::StitchOwnedColumns(entry->shards[s], shard_response.forecast,
+                                &out.forecast);
     }
     {
       std::lock_guard<std::mutex> lock(mu);
@@ -381,7 +336,7 @@ std::future<ForecastResponse> ForecastRouter::Submit(RouterRequest request) {
       const graph::ShardSpec& shard = entry->shards[s];
       slices.push_back(entry->slice_pools[s].Acquire(
           {entry->history, shard.num_local(), entry->input_dim}));
-      GatherShardWindow(request.window, shard, &slices.back());
+      graph::GatherLocalNodes(shard, request.window, &slices.back());
     }
     fan = std::make_shared<FanIn>();
     fan->entry = entry;

@@ -20,6 +20,13 @@ int64_t NowNs() {
       .count();
 }
 
+// The calling thread's scratch for the frame and window stacks handed to
+// the engines: slabs recycle at the batch high-water mark across ticks.
+tensor::Workspace* PackArena() {
+  thread_local tensor::Workspace arena;
+  return &arena;
+}
+
 }  // namespace
 
 /// One open session. `mu` serializes Append against Forecast (a Push
@@ -205,31 +212,7 @@ Status SessionManager::Open(const std::string& session_id,
 
 Status SessionManager::Append(const std::string& session_id, int64_t tick,
                               const tensor::Tensor& raw_flow) {
-  std::shared_ptr<Session> s = Find(session_id);
-  if (s == nullptr) {
-    return Status::NotFound("no open session '" + session_id + "'");
-  }
-  std::lock_guard<std::mutex> lock(s->mu);
-  Status ingested = IngestFrameLocked(s.get(), tick, raw_flow);
-  if (!ingested.ok()) return ingested;
-
-  if (s->options.warm_state) {
-    // One encoder cell step per tick — the whole point of the warm path:
-    // Forecast later runs only the decoder. A tick whose resync cadence
-    // fires skips the step: the ring rebuild overwrites the carried
-    // state completely, so advance-then-resync and resync-alone land on
-    // the same state (and AppendMany masks resync members the same way).
-    const StreamRoute& route = s->route;
-    if (!MaybeResyncLocked(s.get())) {
-      for (size_t k = 0; k < route.engines.size(); ++k) {
-        const tensor::Tensor& frame =
-            route.sharded ? s->shard_frames[k] : s->staging;
-        route.engines[k]->AdvanceState(s->states[k].get(), frame);
-      }
-      s->since_resync += 1;
-    }
-  }
-  return Status::OK();
+  return AppendMany({session_id}, tick, {raw_flow})[0];
 }
 
 Status SessionManager::IngestFrameLocked(Session* s, int64_t tick,
@@ -277,13 +260,9 @@ Status SessionManager::IngestFrameLocked(Session* s, int64_t tick,
     s->rings[0].Push(staged);
   } else {
     for (size_t k = 0; k < route.shards->size(); ++k) {
-      const graph::ShardSpec& shard = (*route.shards)[k];
-      float* frame = s->shard_frames[k].data();
-      for (int64_t j = 0; j < shard.num_local(); ++j) {
-        std::memcpy(frame + j * f, staged + shard.locals[j] * f,
-                    static_cast<size_t>(f) * sizeof(float));
-      }
-      s->rings[k].Push(frame);
+      graph::GatherLocalNodes((*route.shards)[k], s->staging,
+                              &s->shard_frames[k]);
+      s->rings[k].Push(s->shard_frames[k].data());
     }
   }
 
@@ -386,10 +365,8 @@ std::vector<Status> SessionManager::AppendMany(
     warm_groups[s->route.model].push_back(s);
   }
   if (!warm_groups.empty()) {
-    // Pack scratch lives in a thread-local arena whose slabs recycle at
-    // the batch high-water mark across ticks.
-    thread_local tensor::Workspace pack_arena;
-    tensor::WorkspaceScope scope(&pack_arena);
+    tensor::Workspace* pack_arena = PackArena();
+    tensor::WorkspaceScope scope(pack_arena);
     for (auto& group : warm_groups) {
       std::vector<Session*>& members = group.second;
       const StreamRoute& route = members[0]->route;
@@ -405,7 +382,7 @@ std::vector<Status> SessionManager::AppendMany(
       }
       for (Session* s : members) s->since_resync += 1;
       frames.clear();
-      pack_arena.Reset();
+      pack_arena->Reset();
     }
   }
 
@@ -416,64 +393,7 @@ std::vector<Status> SessionManager::AppendMany(
 }
 
 ForecastResponse SessionManager::Forecast(const std::string& session_id) {
-  ForecastResponse out;
-  std::shared_ptr<Session> s = Find(session_id);
-  if (s == nullptr) {
-    out.status = Status::NotFound("no open session '" + session_id + "'");
-    return out;
-  }
-  std::lock_guard<std::mutex> lock(s->mu);
-  const StreamRoute& route = s->route;
-  if (!s->rings[0].full()) {
-    out.status = Status::Unavailable(
-        "session has " + std::to_string(s->rings[0].count()) + " of " +
-        std::to_string(route.history) + " ticks buffered");
-    return out;
-  }
-
-  const bool warm = s->options.warm_state;
-  if (!route.sharded) {
-    out = warm ? route.engines[0]->ForecastFromState(*s->states[0])
-               : route.engines[0]->ForecastNow(s->rings[0].Window());
-  } else {
-    // Stitch shard forecasts exactly like the router: the owned block is
-    // contiguous in local id order, so dropping halos is one contiguous
-    // copy per horizon step. Shards run sequentially on the calling
-    // thread (the session fast path is a latency path, not a throughput
-    // path), so compute_micros sums over shards.
-    {
-      tensor::WorkspaceBypass bypass;
-      out.forecast = tensor::Tensor({route.horizon, route.num_nodes});
-    }
-    out.batch_size = 1;
-    for (size_t k = 0; k < route.engines.size(); ++k) {
-      ForecastResponse shard_response =
-          warm ? route.engines[k]->ForecastFromState(*s->states[k])
-               : route.engines[k]->ForecastNow(s->rings[k].Window());
-      if (!shard_response.status.ok()) {
-        ForecastResponse failed;
-        failed.status = std::move(shard_response.status);
-        return failed;
-      }
-      const graph::ShardSpec& shard = (*route.shards)[k];
-      const tensor::Tensor& fc = shard_response.forecast;  // (T', local)
-      DYHSL_CHECK_EQ(fc.size(0), route.horizon);
-      DYHSL_CHECK_EQ(fc.size(1), shard.num_local());
-      const int64_t owned = shard.owned_count();
-      for (int64_t t = 0; t < route.horizon; ++t) {
-        std::memcpy(
-            out.forecast.data() + t * route.num_nodes + shard.begin,
-            fc.data() + t * shard.num_local() + shard.owned_offset,
-            static_cast<size_t>(owned) * sizeof(float));
-      }
-      out.compute_micros += shard_response.compute_micros;
-    }
-  }
-  if (out.status.ok()) {
-    s->forecasts += 1;
-    forecasts_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return out;
+  return std::move(ForecastBatch({session_id})[0]);
 }
 
 std::vector<ForecastResponse> SessionManager::ForecastBatch(
@@ -534,8 +454,8 @@ std::vector<ForecastResponse> SessionManager::ForecastPinned(
     active[i] = true;
   }
   // Hold every distinct session's mutex across the batched compute so
-  // each response is a consistent snapshot of that session's window —
-  // the same serialization a per-session Forecast gives.
+  // each response is a consistent snapshot of that session's window: a
+  // concurrent Append of a member waits for the forecast.
   for (auto& entry : distinct) entry.first->mu.lock();
 
   // Group the ready sessions per (model, warm-path). Warm and windowed
@@ -556,10 +476,8 @@ std::vector<ForecastResponse> SessionManager::ForecastPinned(
   }
 
   {
-    // Window packing scratch: thread-local arena, slabs recycled at the
-    // batch high-water mark across ticks.
-    thread_local tensor::Workspace pack_arena;
-    tensor::WorkspaceScope scope(&pack_arena);
+    tensor::Workspace* pack_arena = PackArena();
+    tensor::WorkspaceScope scope(pack_arena);
     for (auto& group : groups) {
       const bool warm = group.first.second;
       const std::vector<size_t>& idxs = group.second;
@@ -601,7 +519,7 @@ std::vector<ForecastResponse> SessionManager::ForecastPinned(
       }
 
       // Scatter the (B, T', L) shard outputs back into per-session heap
-      // responses, dropping halos exactly like the sequential path.
+      // responses, dropping halos exactly like the router's stitch.
       for (size_t j = 0; j < idxs.size(); ++j) {
         const size_t i = idxs[j];
         ForecastResponse& r = out[i];
@@ -624,26 +542,20 @@ std::vector<ForecastResponse> SessionManager::ForecastPinned(
         } else {
           for (size_t k = 0; k < route.engines.size(); ++k) {
             const graph::ShardSpec& shard = (*route.shards)[k];
-            const tensor::Tensor& fc = per_shard[k].forecasts;  // (B, T', L)
             const int64_t local = shard.num_local();
-            DYHSL_CHECK_EQ(fc.size(1), route.horizon);
-            DYHSL_CHECK_EQ(fc.size(2), local);
-            const int64_t owned = shard.owned_count();
-            for (int64_t t = 0; t < route.horizon; ++t) {
-              std::memcpy(
-                  r.forecast.data() + t * route.num_nodes + shard.begin,
-                  fc.data() +
-                      (static_cast<int64_t>(j) * route.horizon + t) * local +
-                      shard.owned_offset,
-                  static_cast<size_t>(owned) * sizeof(float));
-            }
+            const tensor::Tensor& fc = per_shard[k].forecasts;  // (B, T', L)
+            graph::StitchOwnedColumns(
+                shard,
+                fc.Alias(static_cast<int64_t>(j) * route.horizon * local,
+                         {route.horizon, local}),
+                &r.forecast);
           }
         }
         pinned[i]->forecasts += 1;
         forecasts_.fetch_add(1, std::memory_order_relaxed);
       }
       RecordBatch(route.model, b);
-      pack_arena.Reset();
+      pack_arena->Reset();
     }
   }
 

@@ -21,18 +21,20 @@
 //    the session stays on its last consistent state.
 //  * Forecast() serves from the hot window with zero window assembly:
 //    each ring's contiguous (T, L, F) view feeds the shard engine's
-//    synchronous ForecastNow fast path on the calling thread (no queue,
-//    no window copy), and the shard forecasts are
-//    stitched into the global (T', N) exactly like the router does.
+//    synchronous SubmitBatch as a batch of one on the calling thread (no
+//    queue, no window copy), and the shard forecasts are stitched into
+//    the global (T', N) exactly like the router does.
+//  * Append() and Forecast() are AppendMany() and ForecastBatch() of one
+//    session: a single serving path, whatever the batch size.
 //
 // Exactness. A default (windowed) session forecast is bit-identical to
 // submitting the same window through ForecastRouter::Submit: the ring
 // view holds the same floats MakeInput would produce, and ForecastNow
 // runs under the engine's worker team size. With
 // SessionOptions::warm_state (models implementing
-// train::RecurrentStreamModel), Append additionally advances a carried
-// encoder state by one cell step and Forecast runs only the T'-step
-// decoder; the carry equals a cold encoder pass over *every* tick since
+// train::RecurrentStreamModel), an Append additionally advances a
+// carried encoder state by one cell step and a Forecast runs only the
+// T'-step decoder; the carry equals a cold encoder pass over *every* tick since
 // the session opened (bit-identical by construction), and is therefore
 // drift-bounded relative to the last-T-window reference — it remembers
 // what the window forgot. resync_every bounds that drift by periodically
@@ -134,8 +136,8 @@ struct SessionStats {
 /// \brief Batch-scheduler occupancy counters: how efficiently the
 /// cross-session path is packing. One "batched forecast" is one group
 /// forward — all sessions of one (model, warm-path) group served by a
-/// single ForecastBatch/ForecastAll call — so the mean occupancy is
-/// batch_size_sum / batched_forecasts.
+/// single ForecastBatch/ForecastAll call, or the one session of a
+/// Forecast — so the mean occupancy is batch_size_sum / batched_forecasts.
 struct SessionBatchStats {
   int64_t batched_forecasts = 0;
   /// Sessions served across those group forwards.
@@ -184,7 +186,7 @@ class SessionManager {
   /// \brief Ingests one tick: `raw_flow` is the (N,) raw readings at
   /// absolute tick `tick`, which must be exactly the session's next
   /// expected tick — duplicates, reorders and gaps are rejected with
-  /// kInvalidArgument without touching the window.
+  /// kInvalidArgument without touching the window. AppendMany of one.
   Status Append(const std::string& session_id, int64_t tick,
                 const tensor::Tensor& raw_flow);
 
@@ -204,8 +206,9 @@ class SessionManager {
                                  const std::vector<tensor::Tensor>& raw_flows);
 
   /// \brief Serves a forecast from the session's current window. Fails
-  /// with kUnavailable until `history` ticks have been appended. The
-  /// response's forecast is heap-backed, valid after the session dies.
+  /// with kUnavailable until `history` ticks have been appended, or once
+  /// the router is shut down. The response's forecast is heap-backed,
+  /// valid after the session dies. ForecastBatch of one.
   ForecastResponse Forecast(const std::string& session_id);
 
   /// \brief Cross-session batched forecasting: groups the ready sessions
@@ -215,9 +218,9 @@ class SessionManager {
   /// (group, shard), and scatters the (T', N) responses back per session.
   /// Responses align with session_ids and are heap-backed. Error
   /// isolation: an unknown or not-yet-full session fails only itself; an
-  /// engine failure fails only that group's members. Forecasts are
-  /// bit-identical to per-session Forecast for windowed sessions (and
-  /// any group of size 1) and match within 1e-5 for batched warm carry.
+  /// engine failure fails only that group's members. Each forecast is
+  /// bit-identical to the session's own Forecast (its group of one) for
+  /// windowed sessions and within 1e-5 of it for batched warm carry.
   /// Duplicate ids are rejected with kInvalidArgument.
   std::vector<ForecastResponse> ForecastBatch(
       const std::vector<std::string>& session_ids);
@@ -247,8 +250,8 @@ class SessionManager {
   void EvictLocked();
   /// Under s->mu: validates and ingests one tick frame — feature
   /// staging, ring pushes, rolling stats, tick accounting — everything
-  /// except the warm-state advance, which Append runs per session and
-  /// AppendMany runs batched across sessions.
+  /// except the warm-state advance, which AppendMany runs batched across
+  /// sessions.
   Status IngestFrameLocked(Session* s, int64_t tick,
                            const tensor::Tensor& raw_flow);
   /// Under s->mu: rebuilds warm state from the full ring if the resync

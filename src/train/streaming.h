@@ -10,14 +10,18 @@
 // with a dynamic_cast and routes warm-state sessions through it.
 //
 // Exactness contract (asserted in stream_test):
-//  * StreamStep applied to every tick since the session opened is
-//    bit-identical to a cold Forward over the same full stream — the
+//  * A state advanced (as a batch of one) by every tick since the session
+//    opened is bit-identical to a cold Forward over the same full stream — the
 //    carry IS the encoder, not an approximation of it.
 //  * Relative to the *windowed* reference (a cold Forward over only the
 //    last T ticks), carried state is drift-bounded: it remembers ticks
 //    the window has forgotten. ResyncState rebuilds the state from a
 //    window, after which the next forecast is bit-identical to the
 //    windowed reference; SessionOptions::resync_every sets the cadence.
+//  * A single session is a batch of one: at B = 1 the batched methods
+//    are bit-identical to the per-session computation (one cell step,
+//    one decoder rollout of Forward); for B > 1 each item is within 1e-5
+//    of its B = 1 result.
 
 #ifndef DYHSL_TRAIN_STREAMING_H_
 #define DYHSL_TRAIN_STREAMING_H_
@@ -43,6 +47,9 @@ class StreamState {
 /// and engine workers); the mutable part is the StreamState. State
 /// tensors are heap-backed by contract, so states survive the per-step
 /// Workspace resets of whatever arena the calling thread has installed.
+/// The state-advancing and forecasting methods run under the caller's
+/// autograd::InferenceModeGuard (serve::ForecastEngine's preamble holds
+/// one); implementations do not install their own.
 class RecurrentStreamModel {
  public:
   virtual ~RecurrentStreamModel() = default;
@@ -51,40 +58,33 @@ class RecurrentStreamModel {
   /// (zero hidden state, no decoder seed).
   virtual std::unique_ptr<StreamState> MakeStreamState() const = 0;
 
-  /// \brief Advances the encoder by one tick. `frame` is (N, F) in the
-  /// MakeInput feature layout (scaled flow, time-of-day, day-of-week).
-  virtual void StreamStep(StreamState* state,
-                          const tensor::Tensor& frame) const = 0;
-
   /// \brief Rebuilds the state by cold-replaying a full (T, N, F)
   /// window from zeros — afterwards the state matches what Forward's
   /// encoder would hold, bit-identically.
   virtual void ResyncState(StreamState* state,
                            const tensor::Tensor& window) const = 0;
 
-  /// \brief Decoder-only rollout from the current state: raw-flow
-  /// forecast (T', N). Does not advance or mutate `state` (each call
-  /// rolls a private copy of the hidden state).
-  virtual tensor::Tensor StreamForecast(const StreamState& state) const = 0;
-
   /// \name Cross-session batching
   ///
-  /// The batched forms amortize one cell step / decoder rollout across B
-  /// sessions that are ready at the same tick: an implementation stacks
-  /// per-session state into (B, N, d) and runs one batched step (DCRNN).
-  /// Contract: per-session results equal the sequential methods —
-  /// bit-identically at B == 1, and within 1e-5 for B > 1 (the stacked
+  /// One cell step / decoder rollout serves B sessions that are ready at
+  /// the same tick: an implementation stacks per-session state into
+  /// (B, N, d) and runs one batched step (DCRNN). Contract: at B == 1 the
+  /// result is bit-identical to the per-session computation (one encoder
+  /// cell step of Forward; Forward's decoder from the state), and for
+  /// B > 1 each item is within 1e-5 of its B == 1 result (the stacked
   /// kernels process each batch item with the same accumulation order,
   /// so implementations are typically bit-identical too).
   /// @{
 
   /// \brief Advances states[i] by one tick using frames slice i, where
-  /// `frames` is the (B, frame_shape...) stack of per-session frames.
+  /// `frames` is the (B, N, F) stack of per-session frames in the
+  /// MakeInput feature layout (scaled flow, time-of-day, day-of-week).
   virtual void AdvanceStateBatch(const std::vector<StreamState*>& states,
                                  const tensor::Tensor& frames) const = 0;
 
   /// \brief Decoder-only rollout for every state: stacked raw-flow
-  /// forecasts (B, T', N). Mutates no state. The result is allocated
+  /// forecasts (B, T', N). Mutates no state (each call rolls private
+  /// copies of the hidden states). The result is allocated
   /// through the caller's current allocation path (arena inside a
   /// WorkspaceScope) — copy it out before any reset.
   virtual tensor::Tensor ForecastFromStateBatch(

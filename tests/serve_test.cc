@@ -11,6 +11,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,8 +23,11 @@
 #include "src/serve/router.h"
 #include "src/serve/session.h"
 #include "src/tensor/ops.h"
+#include "src/tensor/prepack.h"
+#include "src/tensor/workspace.h"
 #include "src/train/checkpoint.h"
 #include "src/train/model_zoo.h"
+#include "src/train/streaming.h"
 #include "src/train/trainer.h"
 #include "tests/testing_utils.h"
 
@@ -385,6 +389,172 @@ TEST(ForecastEngineTest, SubmitAfterShutdownFails) {
   SessionOptions open;
   open.model = "dyhsl";
   EXPECT_EQ(sessions.Open("s0", open).code(), StatusCode::kUnavailable);
+}
+
+// Every forecast call of a shut-down engine answers kUnavailable — the
+// synchronous ones and the sessions already open on it, windowed and
+// warm alike. The state calls return nothing and touch only the
+// caller's state, so they keep working.
+TEST(ForecastEngineTest, ForecastCallsAfterShutdownFail) {
+  train::ForecastTask task = RingForecastTask(8, 12);
+  auto router = std::move(ForecastRouter::Create()).ValueOrDie();
+  train::ZooConfig zoo;
+  zoo.hidden_dim = 8;
+  ASSERT_TRUE(router->AddModel("dcrnn", task, ZooFactory("DCRNN", zoo)).ok());
+  ForecastEngine* engine = router->RouteFor("dcrnn").ValueOrDie().engines[0];
+  SessionManager sessions(router.get());
+  SessionOptions warm;
+  warm.warm_state = true;
+  ASSERT_TRUE(sessions.Open("windowed", SessionOptions()).ok());
+  ASSERT_TRUE(sessions.Open("warm", warm).ok());
+  Rng rng(5);
+  for (int64_t t = 0; t < task.history; ++t) {
+    T::Tensor raw = T::Tensor::Randn({task.num_nodes}, &rng, 1.0f);
+    for (const Status& s :
+         sessions.AppendMany({"windowed", "warm"}, t, {raw, raw})) {
+      ASSERT_TRUE(s.ok()) << s.ToString();
+    }
+  }
+  const T::Tensor window = RandomWindow(task, 2);
+  std::unique_ptr<train::StreamState> state = engine->NewStreamState();
+  engine->ResyncState(state.get(), window);
+  ASSERT_TRUE(engine->ForecastNow(window).status.ok());
+  ASSERT_TRUE(engine->ForecastFromStateBatch({state.get()}).status.ok());
+  for (const char* id : {"windowed", "warm"}) {
+    ForecastResponse r = sessions.Forecast(id);
+    ASSERT_TRUE(r.status.ok()) << id << ": " << r.status.ToString();
+  }
+
+  router->Shutdown();
+  EXPECT_EQ(engine->ForecastNow(window).status.code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(engine->ForecastFromStateBatch({state.get()}).status.code(),
+            StatusCode::kUnavailable);
+  for (const char* id : {"windowed", "warm"}) {
+    EXPECT_EQ(sessions.Forecast(id).status.code(), StatusCode::kUnavailable)
+        << id;
+  }
+  std::vector<ForecastResponse> both =
+      sessions.ForecastBatch({"windowed", "warm"});
+  EXPECT_EQ(both[0].status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(both[1].status.code(), StatusCode::kUnavailable);
+  // Ingest and the warm carry still advance the sessions' own state.
+  T::Tensor raw = T::Tensor::Randn({task.num_nodes}, &rng, 1.0f);
+  EXPECT_TRUE(sessions.Append("warm", task.history, raw).ok());
+  engine->ResyncState(state.get(), window);
+  engine->AdvanceStateBatch(
+      {state.get()},
+      window.Alias(0, {1, task.num_nodes, task.input_dim}));
+}
+
+// The serving context each model call ran under.
+struct CallContext {
+  bool inference = false;
+  bool prepack = false;
+  int team = 0;
+  const T::Workspace* arena = nullptr;
+};
+
+// A window and recurrent-state model whose every method records the
+// context the engine called it under, and returns zeros.
+class ContextProbeModel : public train::ForecastModel,
+                          public train::RecurrentStreamModel {
+ public:
+  explicit ContextProbeModel(const train::ForecastTask& task) : task_(task) {}
+
+  autograd::Variable Forward(const T::Tensor& x, bool training) override {
+    (void)training;
+    Record("Forward");
+    return autograd::Variable(
+        T::Tensor::Zeros({x.size(0), task_.horizon, task_.num_nodes}));
+  }
+  std::vector<autograd::Variable> Parameters() const override { return {}; }
+  int64_t ParameterCount() const override { return 0; }
+  std::string name() const override { return "probe"; }
+
+  std::unique_ptr<train::StreamState> MakeStreamState() const override {
+    return std::make_unique<train::StreamState>();
+  }
+  void ResyncState(train::StreamState* state,
+                   const T::Tensor& window) const override {
+    (void)state;
+    (void)window;
+    Record("ResyncState");
+  }
+  void AdvanceStateBatch(const std::vector<train::StreamState*>& states,
+                         const T::Tensor& frames) const override {
+    (void)states;
+    (void)frames;
+    Record("AdvanceStateBatch");
+  }
+  T::Tensor ForecastFromStateBatch(
+      const std::vector<const train::StreamState*>& states) const override {
+    Record("ForecastFromStateBatch");
+    return T::Tensor::Zeros({static_cast<int64_t>(states.size()),
+                             task_.horizon, task_.num_nodes});
+  }
+
+  const std::vector<std::pair<std::string, CallContext>>& calls() const {
+    return calls_;
+  }
+
+ private:
+  void Record(const char* method) const {
+    calls_.emplace_back(
+        method, CallContext{autograd::InferenceModeEnabled(),
+                            T::PrepackLookupActive(), core::TeamThreads(),
+                            T::Workspace::Current()});
+  }
+
+  train::ForecastTask task_;
+  mutable std::vector<std::pair<std::string, CallContext>> calls_;
+};
+
+TEST(ForecastEngineTest, EveryModelCallRunsUnderTheEngineScopes) {
+  train::ForecastTask task = RingForecastTask(6, 12);
+  ContextProbeModel* probe = nullptr;
+  ModelFactory factory = [&probe](const train::ForecastTask& t) {
+    auto model = std::make_unique<ContextProbeModel>(t);
+    probe = model.get();
+    return std::unique_ptr<train::ForecastModel>(std::move(model));
+  };
+  EngineOptions options;
+  options.team_size = 3;  // distinct from any default team of this thread
+  auto engine = std::move(ForecastEngine::Create(task, factory, "", options))
+                    .ValueOrDie();
+  ASSERT_NE(probe, nullptr);
+  ASSERT_TRUE(engine->supports_streaming());
+
+  const T::Tensor window = RandomWindow(task, 4);
+  std::unique_ptr<train::StreamState> state = engine->NewStreamState();
+  ASSERT_TRUE(engine->ForecastNow(window).status.ok());
+  ASSERT_TRUE(engine
+                  ->SubmitBatch(window.Reshape({1, task.history,
+                                                task.num_nodes,
+                                                task.input_dim}))
+                  .status.ok());
+  engine->ResyncState(state.get(), window);
+  engine->AdvanceStateBatch(
+      {state.get()}, window.Alias(0, {1, task.num_nodes, task.input_dim}));
+  BatchForecastResponse warm = engine->ForecastFromStateBatch({state.get()});
+  ASSERT_TRUE(warm.status.ok()) << warm.status.ToString();
+  EXPECT_EQ(warm.forecasts.shape(), (T::Shape{1, 12, 6}));
+
+  // Outside the calls the thread holds none of the scopes.
+  EXPECT_FALSE(autograd::InferenceModeEnabled());
+  EXPECT_FALSE(T::PrepackLookupActive());
+  EXPECT_EQ(T::Workspace::Current(), nullptr);
+
+  const auto& calls = probe->calls();
+  ASSERT_EQ(calls.size(), 5u);
+  const T::Workspace* arena = calls[0].second.arena;
+  EXPECT_NE(arena, nullptr);
+  for (const auto& [method, seen] : calls) {
+    EXPECT_TRUE(seen.inference) << method;
+    EXPECT_TRUE(seen.prepack) << method;
+    EXPECT_EQ(seen.team, engine->team_size()) << method;
+    EXPECT_EQ(seen.arena, arena) << method << ": one warm arena per thread";
+  }
 }
 
 TEST(ForecastEngineTest, SubmitThenHandsTheResponseToItsCallback) {

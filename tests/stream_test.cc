@@ -221,7 +221,7 @@ TEST(StreamSessionTest, ShardedSessionMatchesShardedRouterSubmit) {
 // ------------------------------------------------- Warm-state streaming --
 
 TEST(StreamSessionTest, WarmCarryIsBitIdenticalToColdEncoderOverAllTicks) {
-  // The carry contract: StreamStep over every tick since open equals a
+  // The carry contract: one carried cell step per tick since open equals a
   // cold encoder pass over the whole stream. Checked by comparing a warm
   // DCRNN session fed S ticks against a *cold* session of a history=S
   // DCRNN built from the same seed (parameter init does not depend on
@@ -813,9 +813,12 @@ TEST(StreamSessionTest, ForecastBatchMatchesPerSessionForecastAcrossModels) {
     reference.emplace(id, r.forecast);
   }
   // Batched over a shuffled order: bit-identical per session, sharded
-  // models included.
+  // models included. Each reference Forecast above is itself a group of
+  // one, so the counters below are deltas around this one call.
   std::mt19937 gen(99);
   std::shuffle(ids.begin(), ids.end(), gen);
+  const SessionManagerStats before = manager.Stats();
+  const RouterStats rbefore = router->Stats();
   std::vector<ForecastResponse> batched = manager.ForecastBatch(ids);
   ASSERT_EQ(batched.size(), ids.size());
   for (size_t i = 0; i < ids.size(); ++i) {
@@ -827,15 +830,19 @@ TEST(StreamSessionTest, ForecastBatchMatchesPerSessionForecastAcrossModels) {
 
   // Occupancy: two model groups of three sessions each.
   SessionManagerStats stats = manager.Stats();
-  EXPECT_EQ(stats.batch.batched_forecasts, 2);
-  EXPECT_EQ(stats.batch.batch_size_sum, 6);
+  EXPECT_EQ(stats.batch.batched_forecasts - before.batch.batched_forecasts,
+            2);
+  EXPECT_EQ(stats.batch.batch_size_sum - before.batch.batch_size_sum, 6);
   EXPECT_EQ(stats.batch.batch_size_max, 3);
-  EXPECT_EQ(stats.batch_by_model.at("stgcn").batch_size_sum, 3);
+  EXPECT_EQ(stats.batch_by_model.at("stgcn").batch_size_sum -
+                before.batch_by_model.at("stgcn").batch_size_sum,
+            3);
   EXPECT_EQ(stats.batch_by_model.at("stgcn2").batch_size_max, 3);
   // The engine-side view surfaces through the router totals: one
   // SubmitBatch on the unsharded engine, one per stgcn2 shard.
   RouterStats rstats = router->Stats();
-  EXPECT_EQ(rstats.total.batched_submits, 1 + plan.num_shards());
+  EXPECT_EQ(rstats.total.batched_submits - rbefore.total.batched_submits,
+            1 + plan.num_shards());
   EXPECT_EQ(rstats.total.batched_max, 3);
 }
 
@@ -851,13 +858,14 @@ TEST(StreamSessionTest, BatchedWarmCarryMatchesSequentialWithinTolerance) {
   // "a*" advances per-session, "b*" through tick-barrier AppendMany (one
   // batched cell step per tick, resync members masked out).
   const int kFleet = 3;
+  const int64_t kResyncEvery = 7;
   std::vector<std::string> seq_ids;
   std::vector<std::string> batch_ids;
   for (int i = 0; i < kFleet; ++i) {
     SessionOptions warm;
     warm.model = "dcrnn";
     warm.warm_state = true;
-    warm.resync_every = 7;
+    warm.resync_every = kResyncEvery;
     ASSERT_TRUE(manager.Open("a" + std::to_string(i), warm).ok());
     ASSERT_TRUE(manager.Open("b" + std::to_string(i), warm).ok());
     seq_ids.push_back("a" + std::to_string(i));
@@ -902,11 +910,37 @@ TEST(StreamSessionTest, BatchedWarmCarryMatchesSequentialWithinTolerance) {
     EXPECT_EQ(batched[i].batch_size, kFleet);
     EXPECT_TRUE(TensorNear(batched[i].forecast, twin[i].forecast, warm_atol));
   }
-  // A one-member warm group decodes bit-identically to Forecast.
-  std::vector<ForecastResponse> solo =
-      manager.ForecastBatch({seq_ids[0]});
-  ASSERT_TRUE(solo[0].status.ok());
-  EXPECT_TRUE(TensorEq(solo[0].forecast, sequential[0].forecast));
+  // A one-member warm group decodes bit-identically to a cold forward
+  // over the ring window right after a resync tick (the rebuild is the
+  // cold encoder pass over that window).
+  const int64_t resyncs = manager.SessionInfo(seq_ids[0]).ValueOrDie().resyncs;
+  data::TickStream more(ds.traffic(), task.history + 9,
+                        task.history + 9 + kResyncEvery);
+  for (; !more.Done(); more.Advance()) {
+    ASSERT_TRUE(manager.Append(seq_ids[0], more.tick(), more.Frame()).ok());
+    if (manager.SessionInfo(seq_ids[0]).ValueOrDie().resyncs > resyncs) break;
+  }
+  ASSERT_FALSE(more.Done()) << "no resync within one cadence";
+  std::vector<ForecastResponse> solo = manager.ForecastBatch({seq_ids[0]});
+  ASSERT_TRUE(solo[0].status.ok()) << solo[0].status.ToString();
+  EXPECT_EQ(solo[0].batch_size, 1);
+  auto route = router->RouteFor("dcrnn");
+  ASSERT_TRUE(route.ok()) << route.status().ToString();
+  ForecastEngine* engine = route.ValueOrDie().engines[0];
+  T::Tensor window = ds.MakeInput(more.tick() + 1 - task.history);
+  T::Tensor cold;
+  {
+    // The engine's team size: GEMM is bit-deterministic per team.
+    core::TeamScope team(engine->team_size());
+    autograd::InferenceModeGuard no_grad;
+    cold = engine->mutable_model()
+               ->Forward(window.Reshape({1, task.history, task.num_nodes,
+                                         task.input_dim}),
+                         /*training=*/false)
+               .value();
+  }
+  EXPECT_TRUE(
+      TensorEq(solo[0].forecast, cold.Reshape({task.horizon, task.num_nodes})));
 }
 
 TEST(StreamSessionTest, ForecastBatchIsolatesPerSessionErrors) {
