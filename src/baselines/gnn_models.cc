@@ -52,15 +52,6 @@ Variable StepSlice(const Variable& x, int64_t t) {
                      {x.size(0), x.size(2), x.size(3)});
 }
 
-// Heap-backed deep copy: carried stream state must survive the arena
-// resets of whatever WorkspaceScope the serving thread has installed.
-T::Tensor HeapClone(const T::Tensor& t) {
-  T::WorkspaceBypass bypass;
-  T::Tensor copy(t.shape());
-  copy.CopyDataFrom(t);
-  return copy;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------- Stgcn --
@@ -203,14 +194,20 @@ Variable Dcrnn::CellStep(const Variable& x_t, const Variable& h) const {
   return ag::Add(ag::Mul(z, h), ag::Mul(one_minus_z, c));
 }
 
+Variable Dcrnn::Encode(const Variable& input) const {
+  Variable h(tensor::Tensor::Zeros({input.size(0), input.size(2),
+                                    hidden_dim_}));
+  for (int64_t t = 0; t < input.size(1); ++t) {
+    h = CellStep(StepSlice(input, t), h);
+  }
+  return h;
+}
+
 Variable Dcrnn::Forward(const tensor::Tensor& x, bool training) {
   (void)training;
   Variable input(x);
   int64_t batch = x.size(0), n = task_.num_nodes;
-  Variable h(tensor::Tensor::Zeros({batch, n, hidden_dim_}));
-  for (int64_t t = 0; t < task_.history; ++t) {
-    h = CellStep(StepSlice(input, t), h);
-  }
+  Variable h = Encode(input);
   // Decoder: feed back own (scaled) predictions; extra input channels are 0.
   Variable prev = ag::Reshape(
       ag::Slice(StepSlice(input, task_.history - 1), 2, 0, 1),
@@ -237,7 +234,6 @@ Variable Dcrnn::Forward(const tensor::Tensor& x, bool training) {
 struct Dcrnn::DcrnnStreamState : public train::StreamState {
   Variable h;     // (1, N, H); zeros until the first tick
   Variable prev;  // (1, N, 1) decoder seed; undefined until the first tick
-  int64_t ticks = 0;
 };
 
 std::unique_ptr<train::StreamState> Dcrnn::MakeStreamState() const {
@@ -248,27 +244,42 @@ std::unique_ptr<train::StreamState> Dcrnn::MakeStreamState() const {
   return state;
 }
 
-void Dcrnn::ResyncState(train::StreamState* state,
-                        const tensor::Tensor& window) const {
-  auto* s = static_cast<DcrnnStreamState*>(state);
+void Dcrnn::StoreStates(const std::vector<train::StreamState*>& states,
+                        const T::Tensor& h, const float* newest,
+                        int64_t stride) const {
+  const int64_t n = task_.num_nodes;
+  const int64_t f = task_.input_dim;
+  const int64_t state_numel = n * hidden_dim_;
+  const int64_t b = static_cast<int64_t>(states.size());
+  T::WorkspaceBypass bypass;  // carried state must survive arena resets
+  for (int64_t i = 0; i < b; ++i) {
+    auto* s = static_cast<DcrnnStreamState*>(states[i]);
+    T::Tensor hi({1, n, hidden_dim_});
+    std::memcpy(hi.data(), h.data() + i * state_numel,
+                static_cast<size_t>(state_numel) * sizeof(float));
+    s->h = Variable(std::move(hi));
+    T::Tensor prev({1, n, 1});
+    const float* frame = newest + i * stride;
+    for (int64_t j = 0; j < n; ++j) prev.data()[j] = frame[j * f];
+    s->prev = Variable(std::move(prev));
+  }
+}
+
+void Dcrnn::ResyncStateBatch(const std::vector<train::StreamState*>& states,
+                             const tensor::Tensor& windows) const {
+  const int64_t b = static_cast<int64_t>(states.size());
+  if (b == 0) return;
   const int64_t t_in = task_.history;
   const int64_t n = task_.num_nodes;
   const int64_t f = task_.input_dim;
-  DYHSL_CHECK(window.shape() == (tensor::Shape{t_in, n, f}));
+  DYHSL_CHECK(windows.shape() == (tensor::Shape{b, t_in, n, f}));
   DYHSL_CHECK(autograd::InferenceModeEnabled());
-  // Cold replay from zeros — bit-identical to Forward's encoder loop, so
-  // the next forecast matches the windowed reference exactly.
-  Variable h(tensor::Tensor::Zeros({1, n, hidden_dim_}));
-  for (int64_t t = 0; t < t_in; ++t) {
-    Variable x_t(window.Alias(t * n * f, {1, n, f}));
-    h = CellStep(x_t, h);
-  }
-  s->h = Variable(HeapClone(h.value()));
-  tensor::WorkspaceBypass bypass;
-  tensor::Tensor prev({1, n, 1});
-  const float* last = window.data() + (t_in - 1) * n * f;
-  for (int64_t i = 0; i < n; ++i) prev.data()[i] = last[i * f];
-  s->prev = Variable(std::move(prev));
+  // One stacked cold replay from zeros — Forward's own encoder over the
+  // B windows, so at B = 1 the next forecast matches the windowed
+  // reference exactly, and each item keeps its B = 1 accumulation order.
+  Variable h = Encode(Variable(windows));
+  StoreStates(states, h.value(), windows.data() + (t_in - 1) * n * f,
+              t_in * n * f);
 }
 
 void Dcrnn::AdvanceStateBatch(const std::vector<train::StreamState*>& states,
@@ -292,20 +303,7 @@ void Dcrnn::AdvanceStateBatch(const std::vector<train::StreamState*>& states,
                 static_cast<size_t>(state_numel) * sizeof(float));
   }
   Variable h_new = CellStep(Variable(frames), Variable(h));
-  const T::Tensor& hv = h_new.value();  // (B, N, H)
-  T::WorkspaceBypass bypass;  // carried state must survive arena resets
-  for (int64_t i = 0; i < b; ++i) {
-    auto* s = static_cast<DcrnnStreamState*>(states[i]);
-    T::Tensor hi({1, n, hidden_dim_});
-    std::memcpy(hi.data(), hv.data() + i * state_numel,
-                static_cast<size_t>(state_numel) * sizeof(float));
-    s->h = Variable(std::move(hi));
-    T::Tensor prev({1, n, 1});
-    const float* frame = frames.data() + i * n * f;
-    for (int64_t j = 0; j < n; ++j) prev.data()[j] = frame[j * f];
-    s->prev = Variable(std::move(prev));
-    s->ticks += 1;
-  }
+  StoreStates(states, h_new.value(), frames.data(), n * f);
 }
 
 tensor::Tensor Dcrnn::ForecastFromStateBatch(

@@ -90,14 +90,15 @@ class Dcrnn : public GnnModelBase, public train::RecurrentStreamModel {
   /// \name Warm-state streaming (src/train/streaming.h)
   /// @{
   std::unique_ptr<train::StreamState> MakeStreamState() const override;
-  void ResyncState(train::StreamState* state,
-                   const tensor::Tensor& window) const override;
   /// Batched carry: stacks B per-session hidden states into (B, N, H)
-  /// and runs one batched cell step (one decoder rollout) instead of B
-  /// sequential ones. CellStep processes each batch item with the same
-  /// accumulation order as at B = 1, so per-session results match the
-  /// batch-of-one results bit-identically. All three run under the
-  /// caller's autograd::InferenceModeGuard (checked).
+  /// and runs one batched cell step (one cold T-step replay, one
+  /// decoder rollout) instead of B sequential ones. CellStep processes
+  /// each batch item with the same accumulation order as at B = 1, so
+  /// per-session results match the batch-of-one results bit-identically.
+  /// All three run under the caller's autograd::InferenceModeGuard
+  /// (checked).
+  void ResyncStateBatch(const std::vector<train::StreamState*>& states,
+                        const tensor::Tensor& windows) const override;
   void AdvanceStateBatch(const std::vector<train::StreamState*>& states,
                          const tensor::Tensor& frames) const override;
   tensor::Tensor ForecastFromStateBatch(
@@ -108,6 +109,15 @@ class Dcrnn : public GnnModelBase, public train::RecurrentStreamModel {
   struct DcrnnStreamState;
 
   Variable CellStep(const Variable& x_t, const Variable& h) const;
+  /// The encoder: one CellStep per step of the (B, T, N, F) `input`
+  /// from a zero state; returns the final hidden state (B, N, H).
+  Variable Encode(const Variable& input) const;
+  /// Stores a batched step into the sessions' heap-backed states: hidden
+  /// row i of `h` (B, N, H), and as decoder seed the flow channel of the
+  /// (N, F) frame at `newest + i * stride`.
+  void StoreStates(const std::vector<train::StreamState*>& states,
+                   const tensor::Tensor& h, const float* newest,
+                   int64_t stride) const;
 
   int64_t hidden_dim_;
   autograd::SparseConstant fw_;

@@ -474,11 +474,13 @@ std::unique_ptr<train::StreamState> ForecastEngine::NewStreamState() const {
   return streaming_->MakeStreamState();
 }
 
-void ForecastEngine::ResyncState(train::StreamState* state,
-                                 const tensor::Tensor& window) {
+void ForecastEngine::ResyncStateBatch(
+    const std::vector<train::StreamState*>& states,
+    const tensor::Tensor& windows) {
   DYHSL_CHECK(streaming_ != nullptr);
+  if (states.empty()) return;
   InferenceScope scope(this);
-  streaming_->ResyncState(state, window);
+  streaming_->ResyncStateBatch(states, windows);
 }
 
 void ForecastEngine::AdvanceStateBatch(

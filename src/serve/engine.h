@@ -241,18 +241,25 @@ class ForecastEngine {
   /// Available when the model implements train::RecurrentStreamModel
   /// (supports_streaming()); the calls abort otherwise. All run on the
   /// calling thread through the same preamble as ForecastNow — a
-  /// ResyncState followed by a ForecastFromStateBatch of that one state is
-  /// bit-identical to ForecastNow over the same window. A single session
-  /// advances as a batch of one.
+  /// ResyncStateBatch followed by a ForecastFromStateBatch of that one
+  /// state is bit-identical to ForecastNow over the same window. Every
+  /// call is batched: a single session resyncs or advances as a batch of
+  /// one, and a session tick runs one batched resync and one batched
+  /// advance per engine.
   ///
-  /// ResyncState and AdvanceStateBatch return nothing and touch only the
-  /// caller-owned states (the model is read-only), so they keep working
-  /// after Shutdown; ForecastFromStateBatch, which serves a forecast,
-  /// fails with kUnavailable then, like ForecastNow and SubmitBatch.
+  /// ResyncStateBatch and AdvanceStateBatch return nothing and touch only
+  /// the caller-owned states (the model is read-only), so they keep
+  /// working after Shutdown; ForecastFromStateBatch, which serves a
+  /// forecast, fails with kUnavailable then, like ForecastNow and
+  /// SubmitBatch.
   /// @{
   bool supports_streaming() const { return streaming_ != nullptr; }
   std::unique_ptr<train::StreamState> NewStreamState() const;
-  void ResyncState(train::StreamState* state, const tensor::Tensor& window);
+  /// Batched cold replay: rebuilds states[i] from window i of the
+  /// (B, T, N, F) stack `windows` (the layout SubmitBatch takes) in one
+  /// stacked encoder pass.
+  void ResyncStateBatch(const std::vector<train::StreamState*>& states,
+                        const tensor::Tensor& windows);
   /// Batched warm carry: one stacked cell step / decoder rollout for B
   /// sessions ready at the same tick (train::RecurrentStreamModel's
   /// batched methods). `frames` is the (B, N, F) stack pairing frames[i]

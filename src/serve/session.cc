@@ -299,14 +299,10 @@ Status SessionManager::IngestFrameLocked(Session* s, int64_t tick,
   return Status::OK();
 }
 
-bool SessionManager::MaybeResyncLocked(Session* s) {
+bool SessionManager::ResyncDueLocked(Session* s) {
   if (s->options.resync_every <= 0 || !s->rings[0].full() ||
       s->since_resync + 1 < s->options.resync_every) {
     return false;
-  }
-  const StreamRoute& route = s->route;
-  for (size_t k = 0; k < route.engines.size(); ++k) {
-    route.engines[k]->ResyncState(s->states[k].get(), s->rings[k].Window());
   }
   s->since_resync = 0;
   s->resyncs += 1;
@@ -353,35 +349,52 @@ std::vector<Status> SessionManager::AppendMany(
     statuses[i] = IngestFrameLocked(pinned[i].get(), tick, raw_flows[i]);
   }
 
-  // Phase 2: warm carry. Members whose resync cadence fires this tick
-  // rebuild from the ring and are masked out; the rest of each model's
-  // sessions advance in ONE batched cell step per engine.
-  std::map<std::string, std::vector<Session*>> warm_groups;
+  // Phase 2: warm carry. Per model, members whose resync cadence fires
+  // this tick rebuild from their ring windows in ONE batched cold replay
+  // per engine; the rest advance in ONE batched cell step per engine.
+  struct WarmGroup {
+    std::vector<Session*> advance;
+    std::vector<Session*> resync;
+  };
+  std::map<std::string, WarmGroup> warm_groups;
   for (size_t i = 0; i < n; ++i) {
     if (pinned[i] == nullptr || !statuses[i].ok()) continue;
     Session* s = pinned[i].get();
     if (!s->options.warm_state) continue;
-    if (MaybeResyncLocked(s)) continue;
-    warm_groups[s->route.model].push_back(s);
+    WarmGroup& group = warm_groups[s->route.model];
+    (ResyncDueLocked(s) ? group.resync : group.advance).push_back(s);
   }
   if (!warm_groups.empty()) {
     tensor::Workspace* pack_arena = PackArena();
     tensor::WorkspaceScope scope(pack_arena);
-    for (auto& group : warm_groups) {
-      std::vector<Session*>& members = group.second;
-      const StreamRoute& route = members[0]->route;
-      std::vector<train::StreamState*> states(members.size());
-      std::vector<tensor::Tensor> frames(members.size());
+    std::vector<train::StreamState*> states;
+    std::vector<tensor::Tensor> stack;
+    for (const auto& entry : warm_groups) {
+      const WarmGroup& group = entry.second;
+      const StreamRoute& route =
+          (group.advance.empty() ? group.resync : group.advance)[0]->route;
       for (size_t k = 0; k < route.engines.size(); ++k) {
-        for (size_t m = 0; m < members.size(); ++m) {
-          states[m] = members[m]->states[k].get();
-          frames[m] =
-              route.sharded ? members[m]->shard_frames[k] : members[m]->staging;
+        if (!group.advance.empty()) {
+          states.clear();
+          stack.clear();
+          for (Session* s : group.advance) {
+            states.push_back(s->states[k].get());
+            stack.push_back(route.sharded ? s->shard_frames[k] : s->staging);
+          }
+          route.engines[k]->AdvanceStateBatch(states,
+                                              tensor::PackBatch(stack));
         }
-        route.engines[k]->AdvanceStateBatch(states, tensor::PackBatch(frames));
+        if (!group.resync.empty()) {
+          states.clear();
+          stack.clear();
+          for (Session* s : group.resync) {
+            states.push_back(s->states[k].get());
+            stack.push_back(s->rings[k].Window());
+          }
+          route.engines[k]->ResyncStateBatch(states, tensor::PackBatch(stack));
+        }
       }
-      for (Session* s : members) s->since_resync += 1;
-      frames.clear();
+      for (Session* s : group.advance) s->since_resync += 1;
       pack_arena->Reset();
     }
   }

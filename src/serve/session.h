@@ -195,10 +195,11 @@ class SessionManager {
   /// validation and error isolation match Append (statuses align with
   /// session_ids; one bad session fails only itself), but warm sessions
   /// of the same model advance their carried state in ONE batched cell
-  /// step per engine instead of one step per session. A session whose
-  /// resync cadence fires this tick is masked out of the warm batch and
-  /// rebuilt from its ring instead (the rebuild overwrites the carried
-  /// state completely, so the result equals advance-then-resync).
+  /// step per engine instead of one step per session. Sessions whose
+  /// resync cadence fires this tick are masked out of that step and
+  /// rebuilt from their rings instead, together, in ONE batched cold
+  /// replay per engine (the rebuild overwrites the carried state
+  /// completely, so the result equals advance-then-resync).
   /// Duplicate ids within one call are rejected with kInvalidArgument —
   /// a session cannot ingest the same tick twice.
   std::vector<Status> AppendMany(const std::vector<std::string>& session_ids,
@@ -254,11 +255,11 @@ class SessionManager {
   /// sessions.
   Status IngestFrameLocked(Session* s, int64_t tick,
                            const tensor::Tensor& raw_flow);
-  /// Under s->mu: rebuilds warm state from the full ring if the resync
-  /// cadence fires this tick. True means the session resynced and must
-  /// be masked out of (or skip) this tick's encoder advance — safe
-  /// because the rebuild overwrites the carried state completely.
-  static bool MaybeResyncLocked(Session* s);
+  /// Under s->mu: whether the resync cadence fires this tick, counting
+  /// the resync when it does. A due session joins this tick's batched
+  /// replay instead of its encoder advance — safe because the rebuild
+  /// overwrites the carried state completely.
+  static bool ResyncDueLocked(Session* s);
   /// ForecastBatch over already-pinned sessions (nullptr = unknown id).
   std::vector<ForecastResponse> ForecastPinned(
       const std::vector<std::string>& session_ids,

@@ -15,9 +15,13 @@
 //    carry IS the encoder, not an approximation of it.
 //  * Relative to the *windowed* reference (a cold Forward over only the
 //    last T ticks), carried state is drift-bounded: it remembers ticks
-//    the window has forgotten. ResyncState rebuilds the state from a
-//    window, after which the next forecast is bit-identical to the
-//    windowed reference; SessionOptions::resync_every sets the cadence.
+//    the window has forgotten. A resync rebuilds the state by a cold
+//    replay of the window, after which the next forecast is bit-identical
+//    to the windowed reference; SessionOptions::resync_every sets the
+//    cadence. Resyncs are batched like every other state call: at B = 1
+//    the replay is Forward's encoder over that window, and for DCRNN a
+//    B > 1 replay is bit-identical per session too (measured, not only
+//    within tolerance).
 //  * A single session is a batch of one: at B = 1 the batched methods
 //    are bit-identical to the per-session computation (one cell step,
 //    one decoder rollout of Forward); for B > 1 each item is within 1e-5
@@ -58,16 +62,10 @@ class RecurrentStreamModel {
   /// (zero hidden state, no decoder seed).
   virtual std::unique_ptr<StreamState> MakeStreamState() const = 0;
 
-  /// \brief Rebuilds the state by cold-replaying a full (T, N, F)
-  /// window from zeros — afterwards the state matches what Forward's
-  /// encoder would hold, bit-identically.
-  virtual void ResyncState(StreamState* state,
-                           const tensor::Tensor& window) const = 0;
-
   /// \name Cross-session batching
   ///
-  /// One cell step / decoder rollout serves B sessions that are ready at
-  /// the same tick: an implementation stacks per-session state into
+  /// One cell step / replay / decoder rollout serves B sessions that are
+  /// ready at the same tick: an implementation stacks per-session state into
   /// (B, N, d) and runs one batched step (DCRNN). Contract: at B == 1 the
   /// result is bit-identical to the per-session computation (one encoder
   /// cell step of Forward; Forward's decoder from the state), and for
@@ -75,6 +73,13 @@ class RecurrentStreamModel {
   /// kernels process each batch item with the same accumulation order,
   /// so implementations are typically bit-identical too).
   /// @{
+
+  /// \brief Rebuilds states[i] by cold-replaying window slice i from
+  /// zeros, where `windows` is the (B, T, N, F) stack SubmitBatch also
+  /// takes — afterwards each state holds what Forward's encoder would
+  /// hold over that window, bit-identically at B == 1.
+  virtual void ResyncStateBatch(const std::vector<StreamState*>& states,
+                                const tensor::Tensor& windows) const = 0;
 
   /// \brief Advances states[i] by one tick using frames slice i, where
   /// `frames` is the (B, N, F) stack of per-session frames in the

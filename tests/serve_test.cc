@@ -417,7 +417,9 @@ TEST(ForecastEngineTest, ForecastCallsAfterShutdownFail) {
   }
   const T::Tensor window = RandomWindow(task, 2);
   std::unique_ptr<train::StreamState> state = engine->NewStreamState();
-  engine->ResyncState(state.get(), window);
+  engine->ResyncStateBatch(
+      {state.get()},
+      window.Reshape({1, task.history, task.num_nodes, task.input_dim}));
   ASSERT_TRUE(engine->ForecastNow(window).status.ok());
   ASSERT_TRUE(engine->ForecastFromStateBatch({state.get()}).status.ok());
   for (const char* id : {"windowed", "warm"}) {
@@ -441,7 +443,9 @@ TEST(ForecastEngineTest, ForecastCallsAfterShutdownFail) {
   // Ingest and the warm carry still advance the sessions' own state.
   T::Tensor raw = T::Tensor::Randn({task.num_nodes}, &rng, 1.0f);
   EXPECT_TRUE(sessions.Append("warm", task.history, raw).ok());
-  engine->ResyncState(state.get(), window);
+  engine->ResyncStateBatch(
+      {state.get()},
+      window.Reshape({1, task.history, task.num_nodes, task.input_dim}));
   engine->AdvanceStateBatch(
       {state.get()},
       window.Alias(0, {1, task.num_nodes, task.input_dim}));
@@ -475,11 +479,11 @@ class ContextProbeModel : public train::ForecastModel,
   std::unique_ptr<train::StreamState> MakeStreamState() const override {
     return std::make_unique<train::StreamState>();
   }
-  void ResyncState(train::StreamState* state,
-                   const T::Tensor& window) const override {
-    (void)state;
-    (void)window;
-    Record("ResyncState");
+  void ResyncStateBatch(const std::vector<train::StreamState*>& states,
+                        const T::Tensor& windows) const override {
+    (void)states;
+    (void)windows;
+    Record("ResyncStateBatch");
   }
   void AdvanceStateBatch(const std::vector<train::StreamState*>& states,
                          const T::Tensor& frames) const override {
@@ -533,7 +537,9 @@ TEST(ForecastEngineTest, EveryModelCallRunsUnderTheEngineScopes) {
                                                 task.num_nodes,
                                                 task.input_dim}))
                   .status.ok());
-  engine->ResyncState(state.get(), window);
+  engine->ResyncStateBatch(
+      {state.get()},
+      window.Reshape({1, task.history, task.num_nodes, task.input_dim}));
   engine->AdvanceStateBatch(
       {state.get()}, window.Alias(0, {1, task.num_nodes, task.input_dim}));
   BatchForecastResponse warm = engine->ForecastFromStateBatch({state.get()});

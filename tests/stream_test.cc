@@ -943,6 +943,146 @@ TEST(StreamSessionTest, BatchedWarmCarryMatchesSequentialWithinTolerance) {
       TensorEq(solo[0].forecast, cold.Reshape({task.horizon, task.num_nodes})));
 }
 
+// The (T, N, F) ring window of a session opened at tick 0 and fed the
+// series shifted by `offset` rows, after tick `first + T - 1`: the flow
+// channel of rows first + offset.., the calendar of ticks first...
+T::Tensor ShiftedWindow(const data::TrafficDataset& ds, int64_t first,
+                        int64_t offset) {
+  T::Tensor window = ds.MakeInput(first + offset);
+  const T::Tensor calendar = ds.MakeInput(first);
+  const int64_t f = window.size(2);
+  for (int64_t r = 0; r < window.size(0) * window.size(1); ++r) {
+    for (int64_t c = 1; c < f; ++c) {
+      window.data()[r * f + c] = calendar.data()[r * f + c];
+    }
+  }
+  return window;
+}
+
+TEST(StreamSessionTest, BatchedResyncIsExactPerSession) {
+  // Four warm sessions, each fed the series from its own offset, whose
+  // cadence fires in the same AppendMany tick: one batched cold replay
+  // rebuilds all four, while a fifth warm session without a cadence
+  // advances in the same tick. Right after it, each resynced session's
+  // one-member forecast equals a cold forward over its own ring window
+  // bit for bit: the stacked replay keeps every member's rows and its
+  // B = 1 accumulation order.
+  const data::TrafficDataset& ds = SharedDataset();
+  train::ForecastTask task = train::ForecastTask::FromDataset(ds);
+  auto router = std::move(ForecastRouter::Create()).ValueOrDie();
+  ASSERT_TRUE(
+      router->AddModel("dcrnn", task, ZooFactory("DCRNN", TinyZoo())).ok());
+  SessionManager manager(router.get());
+
+  const std::vector<int64_t> offsets = {0, 5, 17, 40, 9};
+  const size_t kResynced = 4;
+  std::vector<std::string> ids;
+  std::vector<data::TickStream> feeds;
+  for (size_t i = 0; i < offsets.size(); ++i) {
+    SessionOptions warm;
+    warm.model = "dcrnn";
+    warm.warm_state = true;
+    warm.resync_every = i < kResynced ? 4 : 0;
+    ids.push_back("s" + std::to_string(i));
+    ASSERT_TRUE(manager.Open(ids.back(), warm).ok());
+    feeds.emplace_back(ds.traffic(), offsets[i]);
+  }
+  int64_t tick = 0;
+  for (; manager.SessionInfo(ids[0]).ValueOrDie().resyncs < 2; ++tick) {
+    ASSERT_LT(tick, 2 * task.history) << "the cadence never fired twice";
+    std::vector<T::Tensor> frames;
+    for (data::TickStream& feed : feeds) {
+      frames.push_back(feed.Frame());
+      feed.Advance();
+    }
+    for (const Status& s : manager.AppendMany(ids, tick, frames)) {
+      ASSERT_TRUE(s.ok()) << s.ToString();
+    }
+  }
+  for (size_t i = 0; i < offsets.size(); ++i) {
+    EXPECT_EQ(manager.SessionInfo(ids[i]).ValueOrDie().resyncs,
+              i < kResynced ? 2 : 0)
+        << ids[i];
+  }
+
+  ForecastEngine* engine = router->RouteFor("dcrnn").ValueOrDie().engines[0];
+  const int64_t first = tick - task.history;
+  for (size_t i = 0; i < kResynced; ++i) {
+    std::vector<ForecastResponse> solo = manager.ForecastBatch({ids[i]});
+    ASSERT_TRUE(solo[0].status.ok()) << solo[0].status.ToString();
+    EXPECT_EQ(solo[0].batch_size, 1);
+    T::Tensor window = ShiftedWindow(ds, first, offsets[i]);
+    T::Tensor cold;
+    {
+      // The engine's team size: GEMM is bit-deterministic per team.
+      core::TeamScope team(engine->team_size());
+      autograd::InferenceModeGuard no_grad;
+      cold = engine->mutable_model()
+                 ->Forward(window.Reshape({1, task.history, task.num_nodes,
+                                           task.input_dim}),
+                           /*training=*/false)
+                 .value();
+    }
+    EXPECT_TRUE(TensorEq(solo[0].forecast,
+                         cold.Reshape({task.horizon, task.num_nodes})))
+        << ids[i];
+  }
+}
+
+TEST(StreamSessionTest, ShardedWarmRouteResyncsPerShardEngine) {
+  // Two warm sessions on a 2-shard DCRNN route whose cadence fires in one
+  // AppendMany tick: each shard engine rebuilds both from their
+  // shard-local rings in one batched replay. Right after that tick each
+  // warm forecast equals the windowed session on the same route and feed.
+  const data::TrafficDataset& ds = SharedDataset();
+  train::ForecastTask task = train::ForecastTask::FromDataset(ds);
+  graph::ShardPlan plan = graph::ShardPlan::Build(task.spatial_adj, 2, 1);
+  auto router = std::move(ForecastRouter::Create()).ValueOrDie();
+  ASSERT_TRUE(router
+                  ->AddShardedModel("dcrnn2", task, plan,
+                                    ZooFactory("DCRNN", TinyZoo()))
+                  .ok());
+  SessionManager manager(router.get());
+
+  const std::vector<int64_t> offsets = {0, 23};
+  std::vector<std::string> ids;
+  std::vector<data::TickStream> feeds;
+  for (size_t i = 0; i < offsets.size(); ++i) {
+    SessionOptions warm;
+    warm.model = "dcrnn2";
+    warm.warm_state = true;
+    warm.resync_every = 5;
+    SessionOptions windowed;
+    windowed.model = "dcrnn2";
+    ASSERT_TRUE(manager.Open("w" + std::to_string(i), warm).ok());
+    ASSERT_TRUE(manager.Open("c" + std::to_string(i), windowed).ok());
+    ids.push_back("w" + std::to_string(i));
+    ids.push_back("c" + std::to_string(i));
+    feeds.emplace_back(ds.traffic(), offsets[i]);
+  }
+  int64_t tick = 0;
+  for (; manager.SessionInfo("w0").ValueOrDie().resyncs < 2; ++tick) {
+    ASSERT_LT(tick, 2 * task.history) << "the cadence never fired twice";
+    std::vector<T::Tensor> frames;
+    for (data::TickStream& feed : feeds) {
+      frames.push_back(feed.Frame());
+      frames.push_back(feed.Frame());
+      feed.Advance();
+    }
+    for (const Status& s : manager.AppendMany(ids, tick, frames)) {
+      ASSERT_TRUE(s.ok()) << s.ToString();
+    }
+  }
+  EXPECT_EQ(manager.SessionInfo("w1").ValueOrDie().resyncs, 2);
+  for (size_t i = 0; i < offsets.size(); ++i) {
+    ForecastResponse warm = manager.Forecast("w" + std::to_string(i));
+    ForecastResponse windowed = manager.Forecast("c" + std::to_string(i));
+    ASSERT_TRUE(warm.status.ok()) << warm.status.ToString();
+    ASSERT_TRUE(windowed.status.ok()) << windowed.status.ToString();
+    EXPECT_TRUE(TensorEq(warm.forecast, windowed.forecast)) << "w" << i;
+  }
+}
+
 TEST(StreamSessionTest, ForecastBatchIsolatesPerSessionErrors) {
   const data::TrafficDataset& ds = SharedDataset();
   train::ForecastTask task = train::ForecastTask::FromDataset(ds);
