@@ -97,21 +97,26 @@ std::shared_ptr<SessionManager::Session> SessionManager::Find(
   return session;
 }
 
+int64_t SessionManager::EvictExpiredLocked() {
+  if (options_.ttl_ms <= 0) return 0;
+  const int64_t cutoff = NowNs() - options_.ttl_ms * 1'000'000;
+  int64_t evicted = 0;
+  for (auto it = sessions_.begin(); it != sessions_.end();) {
+    if (it->second->last_touch_ns.load(std::memory_order_relaxed) < cutoff) {
+      it = sessions_.erase(it);
+      ++evicted;
+    } else {
+      ++it;
+    }
+  }
+  evicted_ttl_.fetch_add(evicted, std::memory_order_relaxed);
+  return evicted;
+}
+
 void SessionManager::EvictLocked() {
   // TTL first: an expired session should not survive just because it is
   // also the LRU candidate someone else would have paid for.
-  if (options_.ttl_ms > 0) {
-    const int64_t cutoff = NowNs() - options_.ttl_ms * 1'000'000;
-    for (auto it = sessions_.begin(); it != sessions_.end();) {
-      if (it->second->last_touch_ns.load(std::memory_order_relaxed) <
-          cutoff) {
-        it = sessions_.erase(it);
-        evicted_ttl_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        ++it;
-      }
-    }
-  }
+  EvictExpiredLocked();
   while (options_.max_sessions > 0 &&
          static_cast<int64_t>(sessions_.size()) >= options_.max_sessions) {
     auto victim = sessions_.begin();
@@ -603,19 +608,8 @@ Status SessionManager::Close(const std::string& session_id) {
 }
 
 int64_t SessionManager::EvictExpired() {
-  if (options_.ttl_ms <= 0) return 0;
   std::lock_guard<std::mutex> lock(mu_);
-  const int64_t before = evicted_ttl_.load(std::memory_order_relaxed);
-  const int64_t cutoff = NowNs() - options_.ttl_ms * 1'000'000;
-  for (auto it = sessions_.begin(); it != sessions_.end();) {
-    if (it->second->last_touch_ns.load(std::memory_order_relaxed) < cutoff) {
-      it = sessions_.erase(it);
-      evicted_ttl_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      ++it;
-    }
-  }
-  return evicted_ttl_.load(std::memory_order_relaxed) - before;
+  return EvictExpiredLocked();
 }
 
 Result<SessionStats> SessionManager::SessionInfo(

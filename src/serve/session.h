@@ -247,6 +247,8 @@ class SessionManager {
   /// Looks up and pins a session (nullptr if unknown), stamping its
   /// LRU/TTL recency.
   std::shared_ptr<Session> Find(const std::string& session_id) const;
+  /// Under mu_: erases the sessions idle past ttl_ms; returns how many.
+  int64_t EvictExpiredLocked();
   /// Under mu_: TTL sweep + LRU eviction down to max_sessions - 1.
   void EvictLocked();
   /// Under s->mu: validates and ingests one tick frame — feature

@@ -10,10 +10,6 @@
 #include "src/tensor/simd.h"
 #include "src/tensor/workspace.h"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #ifdef __AVX512F__
 #include <immintrin.h>
 #endif
@@ -38,48 +34,25 @@ constexpr int64_t kKc = 240;  // K panel: B panel of kKc x kNr stays in L1
 // Multiply-add count below which the OpenMP fork/join overhead dominates.
 constexpr int64_t kParallelCutoff = 1 << 15;
 
-// Stand-in rows for the padded lanes of a row-group tail: the packed path
-// zero-pads rows past mb, so the direct path points their row pointers at
-// zeros — same values, same (unused) accumulator lanes.
+// Stand-in rows for the padded lanes of a row-group tail: PackA zero-pads
+// rows past mb, so a no-trans A read in place points their row pointers
+// at zeros — same values, same (unused) accumulator lanes.
 alignas(64) constexpr float kZeroRow[kKc] = {};
 
 int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
 
-// Fallback B-packing buffer for threads with no active WorkspaceScope: a
-// thread-local vector, reused across calls so steady-state GEMMs perform
-// no allocation at all. When a scope *is* installed (training steps, eval
-// batches, serve workers), packing memory comes from the step arena
-// instead — see the PackPlan below — so it is recycled with everything
-// else at Reset() and stays cache-warm. The small-size path also routes
-// its pack here: it is serial by construction, so the scratch is private
-// to the call and skipping the arena plan saves the per-call allocation
-// that dominates tiny GEMMs.
-std::vector<float>* TlsBPack() {
-  static thread_local std::vector<float> b_pack;
-  return &b_pack;
+// The calling thread's B-pack scratch, at least `floats` long. It only
+// grows, so steady-state GEMMs allocate nothing. One buffer per thread is
+// enough: a call packs either one shared B on the calling thread or one B
+// per task on the thread running that task, never both, and no GEMM runs
+// inside another on the same thread.
+float* BPackScratch(int64_t floats) {
+  static thread_local std::vector<float> scratch;
+  if (static_cast<int64_t>(scratch.size()) < floats) {
+    scratch.resize(static_cast<size_t>(floats));
+  }
+  return scratch.data();
 }
-
-int64_t ThreadNum() {
-#ifdef _OPENMP
-  return omp_get_thread_num();
-#else
-  return 0;
-#endif
-}
-
-// B-packing buffer layout for one BatchedGemmInto call. With an active
-// Workspace the whole plan is one arena allocation sized for the largest
-// K panel (the shared pack first, then one per-OpenMP-thread task
-// region); the handle drops at end of call, which the arena's LIFO
-// reclaim rewinds immediately. Without a workspace, the shared pack falls
-// back to a local vector and task packs to the thread-local TlsBPack.
-struct PackPlan {
-  std::shared_ptr<float[]> arena;   // single arena block (may be null)
-  float* shared_b = nullptr;
-  float* tasks = nullptr;           // num_threads x task_b_floats floats
-  int64_t task_b_floats = 0;
-  std::vector<float> fallback_b;    // shared pack when no workspace
-};
 
 // Packs op(A) rows [i0, i0+mb) x panel columns [p0, p0+kb) into kMr-row
 // groups: out[g * kb * kMr + p * kMr + r] = op(A)[i0 + g*kMr + r][p0 + p].
@@ -289,16 +262,37 @@ struct BlockSink {
   }
 };
 
-// Apack panel * Bpack panel over kb steps into one tile. Both panels are
-// contiguous, so every inner loop is unit-stride.
-void MicroKernel(int64_t kb, const float* __restrict__ ap,
-                 const float* __restrict__ bp, const TileSink& out) {
+// op(A) for one kMr-row group of one K panel, read where it lies: lane r
+// of K step p is row[r][p * stride]. That covers every layout the kernels
+// see, each reading exactly the value PackA would stage at
+// ap[p * kMr + r]:
+//  * packed panels (prepacked A, or the staged trans-A tail):
+//    row[r] = ap + r, stride kMr;
+//  * trans-A in place, where one K step's lanes are one row of A:
+//    row[r] = a + p0 * lda + i + r, stride lda;
+//  * no-trans A in place: row[r] = a + (i + r) * lda + p0, stride 1, with
+//    padded tail lanes pointing at kZeroRow.
+struct ARows {
+  const float* row[kMr];
+  int64_t stride;
+};
+
+// One B panel over kb steps into one tile. Two accumulators per row
+// (even/odd K steps): 12 independent FMA chains hide the FMA latency that
+// 6 alone cannot (latency 4-5 x throughput 2 wants ~10 in flight). The
+// per-element reduction order is fixed (evens in order, odds in order,
+// one final add), so results are deterministic and the same for every A
+// layout.
+void MicroKernel(int64_t kb, const ARows& a, const float* __restrict__ bp,
+                 const TileSink& out) {
   static_assert(kMr == 6, "accumulator rows are unrolled by hand");
-  // Two accumulators per row (even/odd K steps): 12 independent FMA
-  // chains hide the FMA latency that 6 alone cannot (latency 4-5 x
-  // throughput 2 wants ~10 in flight). The per-element reduction order
-  // is fixed (evens in order, odds in order, one final add), so results
-  // stay deterministic and identical across taped/grad-free calls.
+  const float* a0 = a.row[0];
+  const float* a1 = a.row[1];
+  const float* a2 = a.row[2];
+  const float* a3 = a.row[3];
+  const float* a4 = a.row[4];
+  const float* a5 = a.row[5];
+  const int64_t s = a.stride;
   Vec c0 = {0.0f}, c1 = {0.0f}, c2 = {0.0f};
   Vec c3 = {0.0f}, c4 = {0.0f}, c5 = {0.0f};
   Vec d0 = {0.0f}, d1 = {0.0f}, d2 = {0.0f};
@@ -306,32 +300,32 @@ void MicroKernel(int64_t kb, const float* __restrict__ ap,
   int64_t p = 0;
   for (; p + 1 < kb; p += 2) {
     const Vec b0 = *reinterpret_cast<const VecU*>(bp + p * kNr);
-    const float* aq = ap + p * kMr;
+    const int64_t q = p * s;
     // scalar op vector splats the scalar lane-wise (vbroadcastss + FMA).
-    c0 += aq[0] * b0;
-    c1 += aq[1] * b0;
-    c2 += aq[2] * b0;
-    c3 += aq[3] * b0;
-    c4 += aq[4] * b0;
-    c5 += aq[5] * b0;
+    c0 += a0[q] * b0;
+    c1 += a1[q] * b0;
+    c2 += a2[q] * b0;
+    c3 += a3[q] * b0;
+    c4 += a4[q] * b0;
+    c5 += a5[q] * b0;
     const Vec b1 = *reinterpret_cast<const VecU*>(bp + (p + 1) * kNr);
-    const float* ar = aq + kMr;
-    d0 += ar[0] * b1;
-    d1 += ar[1] * b1;
-    d2 += ar[2] * b1;
-    d3 += ar[3] * b1;
-    d4 += ar[4] * b1;
-    d5 += ar[5] * b1;
+    const int64_t q1 = q + s;
+    d0 += a0[q1] * b1;
+    d1 += a1[q1] * b1;
+    d2 += a2[q1] * b1;
+    d3 += a3[q1] * b1;
+    d4 += a4[q1] * b1;
+    d5 += a5[q1] * b1;
   }
   if (p < kb) {
     const Vec b0 = *reinterpret_cast<const VecU*>(bp + p * kNr);
-    const float* aq = ap + p * kMr;
-    c0 += aq[0] * b0;
-    c1 += aq[1] * b0;
-    c2 += aq[2] * b0;
-    c3 += aq[3] * b0;
-    c4 += aq[4] * b0;
-    c5 += aq[5] * b0;
+    const int64_t q = p * s;
+    c0 += a0[q] * b0;
+    c1 += a1[q] * b0;
+    c2 += a2[q] * b0;
+    c3 += a3[q] * b0;
+    c4 += a4[q] * b0;
+    c5 += a5[q] * b0;
   }
   out.Tile(c0 + d0, c1 + d1, c2 + d2, c3 + d3, c4 + d4, c5 + d5);
 }
@@ -339,13 +333,19 @@ void MicroKernel(int64_t kb, const float* __restrict__ ap,
 // Two adjacent B panels per pass: every A broadcast feeds two FMAs, and
 // the per-call fixed cost (accumulator init, write-back) is amortized
 // over twice the work. out0/out1 receive the tiles of panels j and j+1.
-// Each output element still accumulates sequentially over p, so results
-// are deterministic for a fixed shape.
-void MicroKernel2(int64_t kb, const float* __restrict__ ap,
-                  const float* __restrict__ bp0,
+// Each output element accumulates sequentially over p, so results are
+// deterministic for a fixed shape.
+void MicroKernel2(int64_t kb, const ARows& a, const float* __restrict__ bp0,
                   const float* __restrict__ bp1, const TileSink& out0,
                   const TileSink& out1) {
   static_assert(kMr == 6, "accumulator rows are unrolled by hand");
+  const float* r0 = a.row[0];
+  const float* r1 = a.row[1];
+  const float* r2 = a.row[2];
+  const float* r3 = a.row[3];
+  const float* r4 = a.row[4];
+  const float* r5 = a.row[5];
+  const int64_t s = a.stride;
   Vec c0 = {0.0f}, c1 = {0.0f}, c2 = {0.0f};
   Vec c3 = {0.0f}, c4 = {0.0f}, c5 = {0.0f};
   Vec d0 = {0.0f}, d1 = {0.0f}, d2 = {0.0f};
@@ -353,9 +353,9 @@ void MicroKernel2(int64_t kb, const float* __restrict__ ap,
   for (int64_t p = 0; p < kb; ++p) {
     const Vec b0 = *reinterpret_cast<const VecU*>(bp0 + p * kNr);
     const Vec b1 = *reinterpret_cast<const VecU*>(bp1 + p * kNr);
-    const float* aq = ap + p * kMr;
-    const float a0 = aq[0], a1 = aq[1], a2 = aq[2];
-    const float a3 = aq[3], a4 = aq[4], a5 = aq[5];
+    const int64_t q = p * s;
+    const float a0 = r0[q], a1 = r1[q], a2 = r2[q];
+    const float a3 = r3[q], a4 = r4[q], a5 = r5[q];
     c0 += a0 * b0;
     d0 += a0 * b1;
     c1 += a1 * b0;
@@ -373,275 +373,60 @@ void MicroKernel2(int64_t kb, const float* __restrict__ ap,
   out1.Tile(d0, d1, d2, d3, d4, d5);
 }
 
-// Direct-A variants: op(A) is consumed through per-row pointers (already
-// offset to the K panel) instead of a packed panel. ar[r][p] reads the
-// exact value PackA would have staged at ap[p * kMr + r], and the
-// accumulation order replays MicroKernel's even/odd dual-accumulator
-// schedule per element, so results are bit-identical to the packed path.
-// Only valid for !trans_a, where op(A) rows are unit-stride in memory.
-void MicroKernelDirectA(int64_t kb, const float* const* ar,
-                        const float* __restrict__ bp, const TileSink& out) {
-  static_assert(kMr == 6, "accumulator rows are unrolled by hand");
-  Vec c0 = {0.0f}, c1 = {0.0f}, c2 = {0.0f};
-  Vec c3 = {0.0f}, c4 = {0.0f}, c5 = {0.0f};
-  Vec d0 = {0.0f}, d1 = {0.0f}, d2 = {0.0f};
-  Vec d3 = {0.0f}, d4 = {0.0f}, d5 = {0.0f};
-  const float* a0 = ar[0];
-  const float* a1 = ar[1];
-  const float* a2 = ar[2];
-  const float* a3 = ar[3];
-  const float* a4 = ar[4];
-  const float* a5 = ar[5];
-  int64_t p = 0;
-  for (; p + 1 < kb; p += 2) {
-    const Vec b0 = *reinterpret_cast<const VecU*>(bp + p * kNr);
-    c0 += a0[p] * b0;
-    c1 += a1[p] * b0;
-    c2 += a2[p] * b0;
-    c3 += a3[p] * b0;
-    c4 += a4[p] * b0;
-    c5 += a5[p] * b0;
-    const Vec b1 = *reinterpret_cast<const VecU*>(bp + (p + 1) * kNr);
-    d0 += a0[p + 1] * b1;
-    d1 += a1[p + 1] * b1;
-    d2 += a2[p + 1] * b1;
-    d3 += a3[p + 1] * b1;
-    d4 += a4[p + 1] * b1;
-    d5 += a5[p + 1] * b1;
-  }
-  if (p < kb) {
-    const Vec b0 = *reinterpret_cast<const VecU*>(bp + p * kNr);
-    c0 += a0[p] * b0;
-    c1 += a1[p] * b0;
-    c2 += a2[p] * b0;
-    c3 += a3[p] * b0;
-    c4 += a4[p] * b0;
-    c5 += a5[p] * b0;
-  }
-  out.Tile(c0 + d0, c1 + d1, c2 + d2, c3 + d3, c4 + d4, c5 + d5);
-}
-
-// Direct-A twin of MicroKernel2: two B panels per pass, sequential
-// accumulation over p — the same per-element order as the packed kernel.
-void MicroKernelDirectA2(int64_t kb, const float* const* ar,
-                         const float* __restrict__ bp0,
-                         const float* __restrict__ bp1, const TileSink& out0,
-                         const TileSink& out1) {
-  static_assert(kMr == 6, "accumulator rows are unrolled by hand");
-  Vec c0 = {0.0f}, c1 = {0.0f}, c2 = {0.0f};
-  Vec c3 = {0.0f}, c4 = {0.0f}, c5 = {0.0f};
-  Vec d0 = {0.0f}, d1 = {0.0f}, d2 = {0.0f};
-  Vec d3 = {0.0f}, d4 = {0.0f}, d5 = {0.0f};
-  const float* r0 = ar[0];
-  const float* r1 = ar[1];
-  const float* r2 = ar[2];
-  const float* r3 = ar[3];
-  const float* r4 = ar[4];
-  const float* r5 = ar[5];
-  for (int64_t p = 0; p < kb; ++p) {
-    const Vec b0 = *reinterpret_cast<const VecU*>(bp0 + p * kNr);
-    const Vec b1 = *reinterpret_cast<const VecU*>(bp1 + p * kNr);
-    const float a0 = r0[p], a1 = r1[p], a2 = r2[p];
-    const float a3 = r3[p], a4 = r4[p], a5 = r5[p];
-    c0 += a0 * b0;
-    d0 += a0 * b1;
-    c1 += a1 * b0;
-    d1 += a1 * b1;
-    c2 += a2 * b0;
-    d2 += a2 * b1;
-    c3 += a3 * b0;
-    d3 += a3 * b1;
-    c4 += a4 * b0;
-    d4 += a4 * b1;
-    c5 += a5 * b0;
-    d5 += a5 * b1;
-  }
-  out0.Tile(c0, c1, c2, c3, c4, c5);
-  out1.Tile(d0, d1, d2, d3, d4, d5);
-}
-
-// Strided twins for trans_a: op(A)[i0+r][p0+p] = a[(p0+p)*lda + i0+r], so
-// the kMr lanes of one K step are contiguous in memory — the exact layout
-// PackA stages at ap[p * kMr + r], just with row stride lda instead of
-// kMr. These are MicroKernel/MicroKernel2 verbatim with `aq` advancing by
-// `astr` per step, so every output element sees the identical even/odd
-// accumulation schedule and results match the packed path bit for bit.
-void MicroKernelDirectAT(int64_t kb, const float* __restrict__ a0,
-                         int64_t astr, const float* __restrict__ bp,
-                         const TileSink& out) {
-  static_assert(kMr == 6, "accumulator rows are unrolled by hand");
-  Vec c0 = {0.0f}, c1 = {0.0f}, c2 = {0.0f};
-  Vec c3 = {0.0f}, c4 = {0.0f}, c5 = {0.0f};
-  Vec d0 = {0.0f}, d1 = {0.0f}, d2 = {0.0f};
-  Vec d3 = {0.0f}, d4 = {0.0f}, d5 = {0.0f};
-  int64_t p = 0;
-  for (; p + 1 < kb; p += 2) {
-    const Vec b0 = *reinterpret_cast<const VecU*>(bp + p * kNr);
-    const float* aq = a0 + p * astr;
-    c0 += aq[0] * b0;
-    c1 += aq[1] * b0;
-    c2 += aq[2] * b0;
-    c3 += aq[3] * b0;
-    c4 += aq[4] * b0;
-    c5 += aq[5] * b0;
-    const Vec b1 = *reinterpret_cast<const VecU*>(bp + (p + 1) * kNr);
-    const float* ar = aq + astr;
-    d0 += ar[0] * b1;
-    d1 += ar[1] * b1;
-    d2 += ar[2] * b1;
-    d3 += ar[3] * b1;
-    d4 += ar[4] * b1;
-    d5 += ar[5] * b1;
-  }
-  if (p < kb) {
-    const Vec b0 = *reinterpret_cast<const VecU*>(bp + p * kNr);
-    const float* aq = a0 + p * astr;
-    c0 += aq[0] * b0;
-    c1 += aq[1] * b0;
-    c2 += aq[2] * b0;
-    c3 += aq[3] * b0;
-    c4 += aq[4] * b0;
-    c5 += aq[5] * b0;
-  }
-  out.Tile(c0 + d0, c1 + d1, c2 + d2, c3 + d3, c4 + d4, c5 + d5);
-}
-
-void MicroKernelDirectAT2(int64_t kb, const float* __restrict__ a0,
-                          int64_t astr, const float* __restrict__ bp0,
-                          const float* __restrict__ bp1, const TileSink& out0,
-                          const TileSink& out1) {
-  static_assert(kMr == 6, "accumulator rows are unrolled by hand");
-  Vec c0 = {0.0f}, c1 = {0.0f}, c2 = {0.0f};
-  Vec c3 = {0.0f}, c4 = {0.0f}, c5 = {0.0f};
-  Vec d0 = {0.0f}, d1 = {0.0f}, d2 = {0.0f};
-  Vec d3 = {0.0f}, d4 = {0.0f}, d5 = {0.0f};
-  for (int64_t p = 0; p < kb; ++p) {
-    const Vec b0 = *reinterpret_cast<const VecU*>(bp0 + p * kNr);
-    const Vec b1 = *reinterpret_cast<const VecU*>(bp1 + p * kNr);
-    const float* aq = a0 + p * astr;
-    const float a0v = aq[0], a1v = aq[1], a2v = aq[2];
-    const float a3v = aq[3], a4v = aq[4], a5v = aq[5];
-    c0 += a0v * b0;
-    d0 += a0v * b1;
-    c1 += a1v * b0;
-    d1 += a1v * b1;
-    c2 += a2v * b0;
-    d2 += a2v * b1;
-    c3 += a3v * b0;
-    d3 += a3v * b1;
-    c4 += a4v * b0;
-    d4 += a4v * b1;
-    c5 += a5v * b0;
-    d5 += a5v * b1;
-  }
-  out0.Tile(c0, c1, c2, c3, c4, c5);
-  out1.Tile(d0, d1, d2, d3, d4, d5);
-}
-
-// C block rows [i0, i0+mb): all panels of one packed A block against the
-// packed B panels of the current K panel. Panels are consumed in pairs
-// (MicroKernel2 shares every A broadcast across two panels); a lone
-// trailing panel falls back to the single-panel kernel.
-void ComputeBlock(const float* a_pack, const float* b_pack, int64_t mb,
-                  int64_t n, int64_t kb, const BlockSink& out) {
-  int64_t panels = CeilDiv(n, kNr);
-  int64_t groups = CeilDiv(mb, kMr);
-  for (int64_t jp = 0; jp < panels; jp += 2) {
-    const bool pair = jp + 1 < panels;
-    const float* bp0 = b_pack + jp * kb * kNr;
-    int64_t j0 = jp * kNr;
-    int64_t nr0 = std::min<int64_t>(kNr, n - j0);
-    int64_t nr1 = pair ? std::min<int64_t>(kNr, n - (j0 + kNr)) : 0;
-    for (int64_t g = 0; g < groups; ++g) {
-      const float* ap = a_pack + g * kb * kMr;
-      int64_t mr = std::min<int64_t>(kMr, mb - g * kMr);
-      const TileSink t0 = out.Tile(g, j0, mr, nr0);
-      if (pair) {
-        MicroKernel2(kb, ap, bp0, bp0 + kb * kNr, t0,
-                     out.Tile(g, j0 + kNr, mr, nr1));
-      } else {
-        MicroKernel(kb, ap, bp0, t0);
-      }
-    }
-  }
-}
-
-// Direct-A twin of ComputeBlock: op(A) rows [i0, i0+mb) are consumed in
-// place through row pointers (no PackA anywhere), panel columns starting
-// at p0. Tail row groups point their padded lanes at kZeroRow — the same
-// zeros PackA would stage — and the jp pairing matches ComputeBlock
-// exactly, so every output element sees an identical accumulation order.
-void ComputeBlockDirectA(const float* a, int64_t lda, int64_t i0, int64_t p0,
-                         const float* b_pack, int64_t mb, int64_t n,
-                         int64_t kb, const BlockSink& out) {
-  int64_t panels = CeilDiv(n, kNr);
-  int64_t groups = CeilDiv(mb, kMr);
-  for (int64_t jp = 0; jp < panels; jp += 2) {
-    const bool pair = jp + 1 < panels;
-    const float* bp0 = b_pack + jp * kb * kNr;
-    int64_t j0 = jp * kNr;
-    int64_t nr0 = std::min<int64_t>(kNr, n - j0);
-    int64_t nr1 = pair ? std::min<int64_t>(kNr, n - (j0 + kNr)) : 0;
-    for (int64_t g = 0; g < groups; ++g) {
-      int64_t mr = std::min<int64_t>(kMr, mb - g * kMr);
-      const float* arows[kMr];
-      for (int64_t r = 0; r < mr; ++r) {
-        arows[r] = a + (i0 + g * kMr + r) * lda + p0;
-      }
-      for (int64_t r = mr; r < kMr; ++r) arows[r] = kZeroRow;
-      const TileSink t0 = out.Tile(g, j0, mr, nr0);
-      if (pair) {
-        MicroKernelDirectA2(kb, arows, bp0, bp0 + kb * kNr, t0,
-                            out.Tile(g, j0 + kNr, mr, nr1));
-      } else {
-        MicroKernelDirectA(kb, arows, bp0, t0);
-      }
-    }
-  }
-}
-
-// Direct twin of ComputeBlock for trans_a: op(A)'s kMr lanes of one K step
-// are contiguous in memory (one row of A), so the strided micro-kernels
-// read them in place with row stride lda — no PackA for any full row
-// group. Only the tail group (mr < kMr), whose padded lanes would read
-// past the matrix edge, is staged through PackA into a stack buffer; it
-// then runs the ordinary packed kernels. The jp pairing and per-element
-// accumulation order match ComputeBlock exactly, so results are
-// bit-identical to the packed path.
-void ComputeBlockDirectAT(const float* a, int64_t lda, int64_t i0, int64_t p0,
-                          const float* b_pack, int64_t mb, int64_t n,
-                          int64_t kb, const BlockSink& out) {
-  int64_t panels = CeilDiv(n, kNr);
-  int64_t groups = CeilDiv(mb, kMr);
+// C rows [i0, i0 + mb) of one batch item over the K panel [p0, p0 + kb):
+// every kMr-row group against the packed B panels, panels outer and
+// groups inner. Panels go in pairs (MicroKernel2); a lone trailing panel
+// takes MicroKernel. op(A) comes from `a_pack`, the block's packed
+// panels, when set, and is read in place from `a` otherwise. In place, a
+// trans-A tail group (mr < kMr) would read its padded lanes past the
+// matrix edge, so that one group is staged through PackA and read as
+// packed.
+void ComputeBlock(const float* a, int64_t lda, bool trans_a,
+                  const float* a_pack, int64_t i0, int64_t p0,
+                  const float* b_pack, int64_t mb, int64_t n, int64_t kb,
+                  const BlockSink& out) {
+  const int64_t panels = CeilDiv(n, kNr);
+  const int64_t groups = CeilDiv(mb, kMr);
   const int64_t tail_rows = mb - (groups - 1) * kMr;
-  float tail_pack[kMr * kKc];  // one staged row group, zero-padded lanes
-  if (tail_rows < kMr) {
+  float tail_pack[kMr * kKc];
+  const bool stage_tail = a_pack == nullptr && trans_a && tail_rows < kMr;
+  if (stage_tail) {
     PackA(a, lda, /*trans=*/true, i0 + (groups - 1) * kMr, tail_rows, p0, kb,
           tail_pack);
   }
+  auto group_rows = [&](int64_t g, int64_t mr) {
+    ARows rows;
+    if (a_pack != nullptr || (stage_tail && g == groups - 1)) {
+      const float* ap = a_pack != nullptr ? a_pack + g * kb * kMr : tail_pack;
+      for (int64_t r = 0; r < kMr; ++r) rows.row[r] = ap + r;
+      rows.stride = kMr;
+    } else if (trans_a) {
+      const float* lane0 = a + p0 * lda + i0 + g * kMr;
+      for (int64_t r = 0; r < kMr; ++r) rows.row[r] = lane0 + r;
+      rows.stride = lda;
+    } else {
+      for (int64_t r = 0; r < kMr; ++r) {
+        rows.row[r] = r < mr ? a + (i0 + g * kMr + r) * lda + p0 : kZeroRow;
+      }
+      rows.stride = 1;
+    }
+    return rows;
+  };
   for (int64_t jp = 0; jp < panels; jp += 2) {
     const bool pair = jp + 1 < panels;
     const float* bp0 = b_pack + jp * kb * kNr;
-    int64_t j0 = jp * kNr;
-    int64_t nr0 = std::min<int64_t>(kNr, n - j0);
-    int64_t nr1 = pair ? std::min<int64_t>(kNr, n - (j0 + kNr)) : 0;
+    const int64_t j0 = jp * kNr;
+    const int64_t nr0 = std::min<int64_t>(kNr, n - j0);
+    const int64_t nr1 = pair ? std::min<int64_t>(kNr, n - (j0 + kNr)) : 0;
     for (int64_t g = 0; g < groups; ++g) {
-      int64_t mr = std::min<int64_t>(kMr, mb - g * kMr);
-      const bool tail = mr < kMr;
-      // op(A)[i0+g*kMr+r][p0+p] = a[(p0+p)*lda + i0+g*kMr+r].
-      const float* a0 = a + p0 * lda + i0 + g * kMr;
+      const int64_t mr = std::min<int64_t>(kMr, mb - g * kMr);
+      const ARows rows = group_rows(g, mr);
       const TileSink t0 = out.Tile(g, j0, mr, nr0);
       if (pair) {
-        const TileSink t1 = out.Tile(g, j0 + kNr, mr, nr1);
-        if (tail) {
-          MicroKernel2(kb, tail_pack, bp0, bp0 + kb * kNr, t0, t1);
-        } else {
-          MicroKernelDirectAT2(kb, a0, lda, bp0, bp0 + kb * kNr, t0, t1);
-        }
-      } else if (tail) {
-        MicroKernel(kb, tail_pack, bp0, t0);
+        MicroKernel2(kb, rows, bp0, bp0 + kb * kNr, t0,
+                     out.Tile(g, j0 + kNr, mr, nr1));
       } else {
-        MicroKernelDirectAT(kb, a0, lda, bp0, t0);
+        MicroKernel(kb, rows, bp0, t0);
       }
     }
   }
@@ -751,55 +536,26 @@ void BatchedGemmPrepackedInto(int64_t batch, bool trans_a, bool trans_b,
     DYHSL_CHECK_EQ(pre_a->mn(), m);
   }
   const bool shared_b = b_stride == 0;
-  // A is never packed here. Without prepacked panels the kernels read
-  // op(A) in place: direct-A for !trans_a, where op(A) rows are
-  // unit-stride in memory, and direct-AT for trans_a, where op(A)'s row
-  // lanes of one K step are contiguous (a row of A) and only the row tail
-  // group stages through PackA (see ComputeBlockDirectAT). Profiling shows
-  // the activation side is ~90% of grad-free packing time, so this is the
-  // main lever.
+  // A is never packed here: ComputeBlock reads op(A) in place unless the
+  // caller supplies prepacked panels. Profiling shows the activation side
+  // is ~90% of grad-free packing time, so this is the main lever.
   const int64_t ic_blocks = CeilDiv(m, kMc);
-  const int64_t panels = CeilDiv(n, kNr);
   const int64_t kb_max = std::min<int64_t>(kKc, k);
+  // One packed B: every column panel of the largest K panel.
+  const int64_t b_floats = CeilDiv(n, kNr) * kb_max * kNr;
   // Small-size path: the call runs serial either way — below the parallel
   // cutoff, or the calling thread's team budget is one (a pinned engine
-  // worker) — so skip the arena plan and the OpenMP region and stage the
-  // B pack in the thread-local scratch.
+  // worker) — so it skips the OpenMP region.
   const int avail_team = core::TeamThreads();
   const bool small =
       avail_team == 1 || batch * m * n * kb_max <= kParallelCutoff;
-
-  // B-packing buffers, sized for the largest K panel. With an active
-  // WorkspaceScope the plan is one step-arena allocation, released (and
-  // LIFO-rewound) when this call returns; otherwise the shared pack uses
-  // a local vector and task packs the thread-local scratch. A prepacked
-  // B needs no buffer at all.
-  const int64_t shared_b_floats =
-      (shared_b && pre_b == nullptr) ? panels * kb_max * kNr : 0;
-  PackPlan plan;
-  plan.task_b_floats = shared_b ? 0 : panels * kb_max * kNr;
   // Intra-op team scoping: the region below is bounded by the calling
   // thread's ThreadBudget slice (TeamScope), so an engine worker's GEMMs
   // can never spawn a machine-wide team and oversubscribe its peers.
   const int team = small ? 1 : avail_team;
   (void)team;  // consumed only by the pragma; unused without OpenMP
-  Workspace* workspace = small ? nullptr : Workspace::Current();
-  if (workspace != nullptr) {
-    plan.arena =
-        workspace->Allocate(shared_b_floats + plan.task_b_floats * team);
-    plan.shared_b = shared_b_floats > 0 ? plan.arena.get() : nullptr;
-    plan.tasks = plan.arena.get() + shared_b_floats;
-  } else if (small) {
-    // Serial: a shared pack and per-task packs are mutually exclusive, so
-    // either can draw from the same thread-local scratch vector.
-    if (shared_b_floats > 0) {
-      TlsBPack()->resize(shared_b_floats);
-      plan.shared_b = TlsBPack()->data();
-    }
-  } else {
-    plan.fallback_b.resize(shared_b_floats);
-    plan.shared_b = shared_b_floats > 0 ? plan.fallback_b.data() : nullptr;
-  }
+  float* shared_pack =
+      shared_b && pre_b == nullptr ? BPackScratch(b_floats) : nullptr;
 
   for (int64_t p0 = 0; p0 < k; p0 += kKc) {
     const int64_t kb = std::min<int64_t>(kKc, k - p0);
@@ -811,13 +567,11 @@ void BatchedGemmPrepackedInto(int64_t batch, bool trans_a, bool trans_b,
     // caller supplied them (identical to what PackB/PackA would write),
     // packed on the fly for a shared B otherwise.
     const float* sb = nullptr;
-    if (shared_b) {
-      if (pre_b != nullptr) {
-        sb = pre_b->data() + (p0 / kKc) * pre_b->panel_stride();
-      } else {
-        PackB(b, ldb, trans_b, p0, kb, n, plan.shared_b);
-        sb = plan.shared_b;
-      }
+    if (pre_b != nullptr) {
+      sb = pre_b->data() + (p0 / kKc) * pre_b->panel_stride();
+    } else if (shared_b) {
+      PackB(b, ldb, trans_b, p0, kb, n, shared_pack);
+      sb = shared_pack;
     }
     const float* sa = pre_a != nullptr
                           ? pre_a->data() + (p0 / kKc) * pre_a->panel_stride()
@@ -831,29 +585,17 @@ void BatchedGemmPrepackedInto(int64_t batch, bool trans_a, bool trans_b,
       const int64_t mb = std::min<int64_t>(kMc, m - i0);
       const float* b_pack = sb;
       if (!shared_b) {
-        float* task_b;
-        if (plan.arena != nullptr) {
-          task_b = plan.tasks + ThreadNum() * plan.task_b_floats;
-        } else {
-          TlsBPack()->resize(plan.task_b_floats);
-          task_b = TlsBPack()->data();
-        }
+        float* task_b = BPackScratch(b_floats);
         PackB(b + bi * b_stride, ldb, trans_b, p0, kb, n, task_b);
         b_pack = task_b;
       }
       const int64_t off = bi * c_stride + i0 * ldc;
       const BlockSink out{c + off, ldc, eff_beta, eff_ep, off};
-      if (sa != nullptr) {
-        // kMc is a multiple of kMr, so row-block ic starts at packed group
-        // i0 / kMr of the whole-M prepacked panel.
-        ComputeBlock(sa + (i0 / kMr) * kb * kMr, b_pack, mb, n, kb, out);
-      } else if (trans_a) {
-        ComputeBlockDirectAT(a + bi * a_stride, lda, i0, p0, b_pack, mb, n,
-                             kb, out);
-      } else {
-        ComputeBlockDirectA(a + bi * a_stride, lda, i0, p0, b_pack, mb, n,
-                            kb, out);
-      }
+      // kMc is a multiple of kMr, so row-block ic starts at packed group
+      // i0 / kMr of the whole-M prepacked panel.
+      ComputeBlock(a + bi * a_stride, lda, trans_a,
+                   sa != nullptr ? sa + (i0 / kMr) * kb * kMr : nullptr, i0,
+                   p0, b_pack, mb, n, kb, out);
     };
     // Deterministic per thread count: tasks partition the output, and each
     // element's accumulation order is fixed by the (p0, p) loop structure.

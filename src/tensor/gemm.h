@@ -1,12 +1,20 @@
-// Cache-blocked, packed float32 GEMM — the compute core behind MatMul and
+// Cache-blocked float32 GEMM — the compute core behind MatMul and
 // BatchedMatMul in src/tensor/ops.cc.
 //
 // Design notes
 //  * BLIS-style blocking: the K dimension is split into kKc panels, rows
 //    into kMc blocks, and a kMr x kNr register tile is accumulated per
 //    micro-kernel call. The B operand is packed into contiguous panels
-//    first, so both trans_b settings run unit-stride inner loops — the
-//    packing absorbs the strides.
+//    per K panel, so both trans_b settings run unit-stride inner loops —
+//    the packing absorbs the strides.
+//  * One micro-kernel pair (one B panel, or two adjacent panels per pass)
+//    serves every op(A) layout: it reads the kMr rows of a row group
+//    through row pointers plus a K stride. No-trans A is read in place
+//    (its rows, stride 1, padded rows at a static zero row), trans A in
+//    place (row lanes, stride lda) and packed A panels with stride kMr.
+//    Only a trans-A tail row group, whose padded lanes would read past
+//    the matrix edge, is staged through the packer. A is never packed at
+//    call time otherwise; activations dominate packing time.
 //  * Deterministic for any OpenMP thread count: parallelism is over
 //    (batch, row-block) tasks inside a K-panel, each output element is
 //    written by exactly one task, and its floating-point accumulation
@@ -26,13 +34,11 @@
 //    bit-identical to the GEMM followed by the equivalent tensor ops
 //    (Add of a row vector, MulScalar, Relu, Add, MulScalar, and
 //    Tanh(Mul(a, b)) + Relu(·)). A plain call is the empty epilogue.
-//  * The A operand is never packed at call time: no-trans A is consumed
-//    directly through strided row pointers and trans A through strided
-//    row lanes (activations dominate packing time), unless the caller
-//    supplies prepacked A panels. GEMMs under the parallel cutoff skip the
-//    arena plan and OpenMP region entirely. The direct kernels replay the
-//    packed kernels' per-element accumulation order exactly, so results
-//    are bit-identical to packing op(A) with PackedPanels::PackAOperand.
+//  * Every layout runs the same kernels, so reading A in place is
+//    bit-identical to packing op(A) with PackedPanels::PackAOperand.
+//  * One grow-only B scratch per thread: a call packs either one shared B
+//    on the calling thread or one B per task on the thread running it,
+//    never both. GEMMs under the parallel cutoff skip the OpenMP region.
 //  * PackedPanels lets a caller pack a long-lived operand (a frozen
 //    checkpoint weight) once and reuse the panels across calls — the
 //    packed bytes are the same ones the on-the-fly path would produce,

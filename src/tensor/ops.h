@@ -86,9 +86,9 @@ Tensor Clamp(const Tensor& a, float lo, float hi);
 /// @}
 
 /// \name Matrix products
-/// All matmuls run on the blocked, packed GEMM in src/tensor/gemm.h: every
-/// trans_a/trans_b combination packs into unit-stride panels, and results
-/// are bit-deterministic for any OpenMP thread count.
+/// All matmuls run on the blocked GEMM in src/tensor/gemm.h: op(B) is
+/// packed into unit-stride panels, op(A) is read in place for either
+/// trans_a, and results are bit-deterministic for any OpenMP thread count.
 /// @{
 
 /// \brief 2-D product C = op(A) * op(B), where op transposes when requested.

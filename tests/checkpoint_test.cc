@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/baselines/gnn_models.h"
 #include "src/data/dataset.h"
 #include "src/models/dyhsl.h"
 #include "src/nn/layers.h"
@@ -387,6 +388,125 @@ TEST(CheckpointTest, RejectsTrailingBytes) {
   WriteFile(path, bytes);
   EXPECT_EQ(LoadCheckpoint(&source, path).code(),
             StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+namespace {
+
+// Bytes rather than floats: a flip that loads can write a NaN, which must
+// still compare equal to itself on the next round.
+std::vector<char> ParamBytes(const nn::Module& module) {
+  std::vector<char> all;
+  for (const auto& [name, param] : module.NamedParameters()) {
+    const char* p = reinterpret_cast<const char*>(param.value().data());
+    all.insert(all.end(), p, p + param.value().numel() * sizeof(float));
+  }
+  return all;
+}
+
+// {offset, width} of every length field in a plain (version 2) checkpoint
+// of `module`: the parameter count, then per record its name length, its
+// rank and each dim.
+std::vector<std::pair<size_t, size_t>> LengthFields(const nn::Module& module) {
+  std::vector<std::pair<size_t, size_t>> fields = {{5, sizeof(uint64_t)}};
+  size_t off = 13;  // magic(4) + version(1) + count(8)
+  for (const auto& [name, param] : module.NamedParameters()) {
+    fields.emplace_back(off, sizeof(uint32_t));
+    off += sizeof(uint32_t) + name.size();
+    fields.emplace_back(off, sizeof(uint32_t));
+    off += sizeof(uint32_t);
+    for (int64_t d = 0; d < param.value().dim(); ++d) {
+      fields.emplace_back(off, sizeof(int64_t));
+      off += sizeof(int64_t);
+    }
+    off += param.value().numel() * sizeof(float);
+  }
+  return fields;
+}
+
+// Writes `bytes` to `path` and loads it into `module`: the load either
+// succeeds or fails with every parameter byte-identical to before.
+// Returns whether it loaded.
+bool LoadsOrLeavesModuleUntouched(nn::Module* module, const std::string& path,
+                                  const std::string& bytes,
+                                  const std::string& what) {
+  WriteFile(path, bytes);
+  const std::vector<char> before = ParamBytes(*module);
+  Status status = LoadCheckpoint(module, path);
+  if (!status.ok()) {
+    EXPECT_EQ(ParamBytes(*module), before) << what << ": " << status.ToString();
+  }
+  return status.ok();
+}
+
+}  // namespace
+
+TEST(CheckpointTest, SeededMutationsLoadOrFailWithoutMutation) {
+  // Seeded single-bit flips anywhere in the file, and every length field
+  // inflated, over a DyHSL and a DCRNN checkpoint. A flip may land in a
+  // float and load; anything the loader rejects must leave the module as
+  // it was. An inflated length never describes the module, so it must be
+  // rejected.
+  data::TrafficDataset dataset = data::TrafficDataset::Generate(
+      data::DatasetSpec::Pems08Like(0.1, 2, 9));
+  ForecastTask task = ForecastTask::FromDataset(dataset);
+  models::DyHslConfig cfg;
+  cfg.hidden_dim = 8;
+  cfg.prior_layers = 1;
+  cfg.mhce_layers = 1;
+  cfg.num_hyperedges = 4;
+  cfg.window_sizes = {1, 12};
+  models::DyHsl dyhsl_source(task, cfg);
+  cfg.seed += 1;
+  models::DyHsl dyhsl_target(task, cfg);
+  baselines::Dcrnn dcrnn_source(task, 8, 2, 1);
+  baselines::Dcrnn dcrnn_target(task, 8, 2, 2);
+  struct Case {
+    const char* name;
+    const nn::Module* source;
+    nn::Module* target;
+  };
+  const Case cases[] = {{"DyHSL", &dyhsl_source, &dyhsl_target},
+                        {"DCRNN", &dcrnn_source, &dcrnn_target}};
+  const std::string path = TempPath("mutated.ckpt");
+  Rng rng(2023);
+  for (const Case& c : cases) {
+    ASSERT_TRUE(SaveCheckpoint(*c.source, path).ok()) << c.name;
+    const std::string bytes = ReadFile(path);
+    int loaded = 0;
+    int rejected = 0;
+    for (int i = 0; i < 256; ++i) {
+      const uint64_t bit = rng.NextUint64() % (bytes.size() * 8);
+      std::string hacked = bytes;
+      hacked[bit / 8] = static_cast<char>(hacked[bit / 8] ^ (1 << (bit % 8)));
+      const bool ok = LoadsOrLeavesModuleUntouched(
+          c.target, path, hacked,
+          std::string(c.name) + " flip of bit " + std::to_string(bit));
+      ++(ok ? loaded : rejected);
+    }
+    // Both outcomes are exercised: payload flips load, header flips do not.
+    EXPECT_GT(loaded, 0) << c.name;
+    EXPECT_GT(rejected, 0) << c.name;
+
+    for (const auto& [off, width] : LengthFields(*c.source)) {
+      uint64_t value = 0;
+      std::memcpy(&value, bytes.data() + off, width);
+      const uint64_t max = width == sizeof(uint32_t)
+                               ? std::numeric_limits<uint32_t>::max()
+                               : std::numeric_limits<int64_t>::max();
+      const uint64_t inflated_values[] = {value + 1, value + 4096,
+                                          value + (uint64_t{1} << 30), max};
+      for (uint64_t inflated : inflated_values) {
+        std::string hacked = bytes;
+        std::memcpy(hacked.data() + off, &inflated, width);
+        const std::string what = std::string(c.name) + " length field at " +
+                                 std::to_string(off) + " set to " +
+                                 std::to_string(inflated);
+        EXPECT_FALSE(LoadsOrLeavesModuleUntouched(c.target, path, hacked, what))
+            << what;
+      }
+    }
+  }
   std::remove(path.c_str());
 }
 

@@ -1,5 +1,5 @@
-// Tests for the inference-plan layer: the GEMM's in-place A kernels
-// (direct-A, direct-AT, the small-size no-plan path), prepacked operands
+// Tests for the inference-plan layer: the GEMM reading op(A) in place
+// (no-trans and trans A, parallel and serial), prepacked operands
 // (tensor::PackedPanels / BatchedGemmPrepackedInto), the process
 // PrepackCache with its enrollment/lookup/invalidation lifecycle, the
 // serving engine's plan bring-up and stats.
@@ -57,8 +57,8 @@ Tensor RunBatched(int64_t batch, bool trans_a, bool trans_b, int64_t m,
 }
 
 // The oracle for RunBatched: the same product with op(A) served from
-// PackAOperand panels, so the packed-A reference kernel (PackA +
-// ComputeBlock) computes every element. A prepacked A must be shared, so
+// PackAOperand panels, so the micro-kernels read every element from the
+// packed layout. A prepacked A must be shared, so
 // a non-shared A runs one batch item at a time at batch 1, each against
 // its own packed item.
 Tensor RunPackedA(int64_t batch, bool trans_a, bool trans_b, int64_t m,
@@ -87,13 +87,14 @@ Tensor RunPackedA(int64_t batch, bool trans_a, bool trans_b, int64_t m,
   return c;
 }
 
-// The GEMM property sweep: reading A in place (direct-A for !trans_a,
-// direct-AT for trans_a) must be bitwise identical to the packed-A
-// reference over odd and prime shapes that exercise micro-kernel tails,
-// multiple K panels (k > 240), multiple MC blocks (m > 120) and lone-panel
-// n tails. At the default team size, {13,97,53}, {31,33,241} and
-// {127,19,67} exceed the parallel cutoff and take the planned path; the
-// TeamScope(1) leg forces the small serial path for every case.
+// The GEMM property sweep: reading A in place (row pointers with stride 1
+// for !trans_a, row lanes with stride lda for trans_a) must be bitwise
+// identical to the packed-A reference over odd and prime shapes that
+// exercise micro-kernel tails, multiple K panels (k > 240), multiple MC
+// blocks (m > 120) and lone-panel n tails. At the default team size,
+// {13,97,53}, {31,33,241} and {127,19,67} exceed the parallel cutoff and
+// take the OpenMP path; the TeamScope(1) leg forces the serial path for
+// every case.
 TEST(GemmDirectATest, DirectABitIdenticalToPackedA) {
   struct Case {
     int64_t m, n, k;

@@ -478,6 +478,16 @@ TEST(StreamSessionTest, TtlEvictsIdleSessions) {
   EXPECT_EQ(manager.EvictExpired(), 1);
   EXPECT_EQ(manager.OpenSessions(), 0);
   EXPECT_EQ(manager.Stats().evicted_ttl, 1);
+
+  // Open runs the same sweep: an Open after the TTL evicts the idle
+  // session before the new one joins.
+  ASSERT_TRUE(manager.Open("idle2", SessionOptions()).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  ASSERT_TRUE(manager.Open("fresh", SessionOptions()).ok());
+  EXPECT_EQ(manager.OpenSessions(), 1);
+  EXPECT_EQ(manager.Stats().evicted_ttl, 2);
+  EXPECT_FALSE(manager.SessionInfo("idle2").ok());
+  EXPECT_TRUE(manager.SessionInfo("fresh").ok());
 }
 
 TEST(StreamSessionTest, RollingStatsTrackMaskedFlowAndDrift) {
@@ -1026,6 +1036,63 @@ TEST(StreamSessionTest, BatchedResyncIsExactPerSession) {
     EXPECT_TRUE(TensorEq(solo[0].forecast,
                          cold.Reshape({task.horizon, task.num_nodes})))
         << ids[i];
+  }
+}
+
+TEST(StreamSessionTest, BatchedWarmAdvanceKeepsEachMembersOwnFeed) {
+  // Four warm sessions, each fed the series from its own offset, advance
+  // together in one AppendMany per tick with no resync; a twin of each
+  // advances alone on the same feed as a batch of one. The members carry
+  // different states, so a batched step that mixed up whose hidden state
+  // lands in which row would move every member away from its twin.
+  const data::TrafficDataset& ds = SharedDataset();
+  train::ForecastTask task = train::ForecastTask::FromDataset(ds);
+  auto router = std::move(ForecastRouter::Create()).ValueOrDie();
+  ASSERT_TRUE(
+      router->AddModel("dcrnn", task, ZooFactory("DCRNN", TinyZoo())).ok());
+  SessionManager manager(router.get());
+
+  const std::vector<int64_t> offsets = {0, 5, 17, 40};
+  std::vector<std::string> batch_ids;
+  std::vector<std::string> solo_ids;
+  std::vector<data::TickStream> feeds;
+  for (size_t i = 0; i < offsets.size(); ++i) {
+    SessionOptions warm;
+    warm.model = "dcrnn";
+    warm.warm_state = true;
+    warm.resync_every = 0;
+    batch_ids.push_back("b" + std::to_string(i));
+    solo_ids.push_back("a" + std::to_string(i));
+    ASSERT_TRUE(manager.Open(batch_ids.back(), warm).ok());
+    ASSERT_TRUE(manager.Open(solo_ids.back(), warm).ok());
+    feeds.emplace_back(ds.traffic(), offsets[i]);
+  }
+  for (int64_t tick = 0; tick < task.history + 5; ++tick) {
+    std::vector<T::Tensor> frames;
+    for (size_t i = 0; i < feeds.size(); ++i) {
+      frames.push_back(feeds[i].Frame());
+      feeds[i].Advance();
+      for (const Status& s :
+           manager.AppendMany({solo_ids[i]}, tick, {frames.back()})) {
+        ASSERT_TRUE(s.ok()) << s.ToString();
+      }
+    }
+    for (const Status& s : manager.AppendMany(batch_ids, tick, frames)) {
+      ASSERT_TRUE(s.ok()) << s.ToString();
+    }
+  }
+
+  // BatchedWarmCarryMatchesSequentialWithinTolerance's warm tolerance:
+  // 1e-5 in normalized model units, scaled by the training std.
+  const float warm_atol = 1e-5f * task.scaler_std;
+  for (size_t i = 0; i < offsets.size(); ++i) {
+    EXPECT_EQ(manager.SessionInfo(batch_ids[i]).ValueOrDie().resyncs, 0);
+    ForecastResponse batched = manager.Forecast(batch_ids[i]);
+    ForecastResponse solo = manager.Forecast(solo_ids[i]);
+    ASSERT_TRUE(batched.status.ok()) << batched.status.ToString();
+    ASSERT_TRUE(solo.status.ok()) << solo.status.ToString();
+    EXPECT_TRUE(TensorNear(batched.forecast, solo.forecast, warm_atol))
+        << batch_ids[i];
   }
 }
 
