@@ -1,5 +1,6 @@
 #include "src/baselines/gnn_models.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <utility>
@@ -56,14 +57,20 @@ Variable StepSlice(const Variable& x, int64_t t) {
 
 // ---------------------------------------------------------------- Stgcn --
 
+// Both gated convs are causal with this kernel: an output step reads itself
+// and the kStgcnKernel - 1 steps before it.
+constexpr int64_t kStgcnKernel = 3;
+
 Stgcn::Stgcn(const train::ForecastTask& task, int64_t hidden_dim,
              uint64_t seed)
     : GnnModelBase(task, seed),
       hidden_dim_(hidden_dim),
       sym_adj_(SymAdj(task.spatial_adj)),
-      tconv1_(task.input_dim, 2 * hidden_dim, 3, &rng_, 1, /*causal=*/true),
+      tconv1_(task.input_dim, 2 * hidden_dim, kStgcnKernel, &rng_, 1,
+              /*causal=*/true),
       gconv_(hidden_dim, hidden_dim, &rng_),
-      tconv2_(hidden_dim, 2 * hidden_dim, 3, &rng_, 1, /*causal=*/true),
+      tconv2_(hidden_dim, 2 * hidden_dim, kStgcnKernel, &rng_, 1,
+              /*causal=*/true),
       head_(hidden_dim, task.horizon, &rng_) {
   RegisterChild("tconv1", &tconv1_);
   RegisterChild("gconv", &gconv_);
@@ -82,17 +89,24 @@ Variable Stgcn::TemporalGated(const nn::Conv1dLayer& conv, const Variable& h,
 
 Variable Stgcn::Forward(const tensor::Tensor& x, bool training) {
   (void)training;
-  Variable input(x);
+  // The head reads tconv2's last step, which sees the last g graph-conv
+  // steps; those see the last g + kReach input steps through tconv1.
+  constexpr int64_t kReach = kStgcnKernel - 1;
   int64_t batch = x.size(0), t_in = x.size(1), n = x.size(2);
-  // Temporal gated conv over each sensor, channels-last: (B, T, N, C).
+  int64_t g = std::min<int64_t>(t_in, kReach + 1);
+  int64_t s = std::min<int64_t>(t_in, g + kReach);
+  Variable input(T::Slice(x, 1, t_in - s, s));
+  // Temporal gated conv over each sensor, channels-last: (B, s, N, C).
+  // Causal padding keeps each kept step's tap order (the last tap first).
   Variable h = TemporalGated(tconv1_, input, hidden_dim_);
+  h = ag::Slice(h, 1, s - g, g);
   // Spatial graph conv applied per time position.
-  h = ag::Reshape(h, {batch * t_in, n, hidden_dim_});
+  h = ag::Reshape(h, {batch * g, n, hidden_dim_});
   h = ag::Relu(gconv_.Forward(ag::SpMM(sym_adj_, h)));
   // Second temporal gated conv.
-  h = ag::Reshape(h, {batch, t_in, n, hidden_dim_});
+  h = ag::Reshape(h, {batch, g, n, hidden_dim_});
   h = TemporalGated(tconv2_, h, hidden_dim_);
-  Variable last = ag::Reshape(ag::Slice(h, 1, t_in - 1, 1),
+  Variable last = ag::Reshape(ag::Slice(h, 1, g - 1, 1),
                               {batch * n, hidden_dim_});
   Variable out = ag::Reshape(head_.Forward(last),
                              {batch, n, task_.horizon});

@@ -53,6 +53,15 @@ class GnnModelBase : public nn::Module, public train::ForecastModel {
 
 /// \brief STGCN (Yu et al., IJCAI'18): [temporal gated conv -> graph conv
 /// -> temporal gated conv] blocks followed by a fully-connected head.
+///
+/// The head reads only the second conv's last step. With both convs
+/// kernel 3 and causal, that step depends on the last 3 graph-conv steps,
+/// and those on the last 5 input steps, so Forward computes only them:
+/// tconv1 over the last min(T, 5) input steps, keeping its last
+/// min(T, 3) outputs; the SpMM, graph conv and ReLU over those; tconv2
+/// over the same steps, its last row feeding the head. Both convs keep
+/// their causal padding, so each kept output sums its taps in the same
+/// order as over the full window and the forecast keeps its bits.
 class Stgcn : public GnnModelBase {
  public:
   Stgcn(const train::ForecastTask& task, int64_t hidden_dim, uint64_t seed);

@@ -206,7 +206,11 @@ Tensor MaxPoolAxisValues(const Tensor& a, int64_t axis, int64_t window);
 /// result does not depend on B. The weight is re-laid tap-major on every
 /// call (K * Cin * Cout floats). Summation order, per output element:
 /// the widest-reaching tap first (writing with the bias), then the others
-/// by ascending k; rows that tap does not reach start from the bias.
+/// by ascending k; rows that tap does not reach start from the bias. The
+/// widest-reaching tap is the one covering the most output rows, the first
+/// in k order winning ties: under causal padding (pad_left = reach,
+/// pad_right = 0) that is the last tap at every length, while a valid conv
+/// (no padding) ties every tap and leads with k = 0.
 /// @{
 
 /// \brief y = conv(x, w) + bias. `bias` is Cout floats or null.

@@ -5,8 +5,11 @@
 // optimization step reduces loss); classical models get analytic checks.
 
 #include <cmath>
+#include <cstring>
+#include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +17,7 @@
 #include "src/autograd/inference.h"
 #include "src/autograd/ops.h"
 #include "src/baselines/classical.h"
+#include "src/baselines/gnn_models.h"
 #include "src/data/dataset.h"
 #include "src/hypergraph/hypergraph.h"
 #include "src/optim/optimizer.h"
@@ -252,6 +256,125 @@ TEST(SparsePathAgreementTest, HgcRnnFactoredHypergraphMatchesDenseReference) {
       ag::SpMM(f.edge_to_node, ag::SpMM(f.node_to_edge, x)).value();
   T::Tensor via_dense = ag::BatchedMatMul(ag::Variable(g_dense), x).value();
   EXPECT_LE(MaxRelDiff(via_sparse, via_dense), 1e-4f);
+}
+
+// An STGCN with every parameter drawn at random, biases included, so each
+// bias write-back shows in the bits.
+std::unique_ptr<baselines::Stgcn> RandomStgcn(int64_t hidden) {
+  auto model = std::make_unique<baselines::Stgcn>(
+      ForecastTask::FromDataset(SharedDataset()), hidden, /*seed=*/13);
+  Rng rng(29);
+  for (auto& [name, param] : model->NamedParameters()) {
+    param.mutable_value()->CopyDataFrom(
+        T::Tensor::Randn(param.shape(), &rng, 0.3f));
+  }
+  return model;
+}
+
+T::Tensor StgcnForecast(baselines::Stgcn* model, const T::Tensor& x,
+                        bool grad_free) {
+  if (grad_free) {
+    ag::InferenceModeGuard no_grad;
+    return model->Forward(x, false).value();
+  }
+  return model->Forward(x, false).value();
+}
+
+// Reference STGCN over the whole window: both gated convs and the graph
+// conv over all T steps, the head on step T-1, with Stgcn's ops and
+// parameters.
+T::Tensor FullWindowStgcn(const baselines::Stgcn& model, int64_t hidden,
+                          const T::Tensor& x) {
+  const ForecastTask task = ForecastTask::FromDataset(SharedDataset());
+  std::map<std::string, ag::Variable> p;
+  for (const auto& [name, param] : model.NamedParameters()) p[name] = param;
+  auto gated = [&](const std::string& conv, const ag::Variable& h) {
+    auto half = [&](int64_t begin) {
+      return ag::TemporalConv(h, ag::Slice(p[conv + ".weight"], 0, begin, hidden),
+                              ag::Slice(p[conv + ".bias"], 0, begin, hidden),
+                              /*dilation=*/1, /*pad_left=*/2, /*pad_right=*/0);
+    };
+    return ag::Mul(half(0), ag::Sigmoid(half(hidden)));
+  };
+  const int64_t b = x.size(0), t = x.size(1), n = x.size(2);
+  ag::SparseConstant adj(task.spatial_adj.WithSelfLoops().SymNormalized());
+  ag::Variable h =
+      ag::Reshape(gated("tconv1", ag::Variable(x)), {b * t, n, hidden});
+  h = ag::Reshape(ag::SpMM(adj, h), {b * t * n, hidden});
+  h = ag::Relu(ag::Affine(h, p["gconv.weight"], p["gconv.bias"]));
+  h = gated("tconv2", ag::Reshape(h, {b, t, n, hidden}));
+  ag::Variable last = ag::Reshape(ag::Slice(h, 1, t - 1, 1), {b * n, hidden});
+  ag::Variable out =
+      ag::Reshape(ag::Affine(last, p["head.weight"], p["head.bias"]),
+                  {b, n, task.horizon});
+  return Descale(ag::TransposePerm(out, {0, 2, 1}), task.scaler_mean,
+                 task.scaler_std)
+      .value();
+}
+
+// STGCN's head reads tconv2's last step. Through two kernel-3 causal convs
+// that step sees exactly the last five input steps, so a longer window with
+// the same last five steps forecasts the same bits, an edit to any earlier
+// step changes nothing, and an edit to step T-5 changes the forecast.
+TEST(StgcnReceptiveFieldTest, ForecastReadsExactlyTheLastFiveSteps) {
+  auto model = RandomStgcn(8);
+  for (int64_t b : {1, 3}) {
+    const T::Tensor x = SharedBatchX(b);
+    const int64_t t = x.size(1), n = x.size(2), f = x.size(3);
+    const int64_t step = n * f;
+    // A 20-step window of noise ending in x's last five steps.
+    Rng rng(40 + b);
+    T::Tensor longer = T::Tensor::Randn({b, 20, n, f}, &rng);
+    for (int64_t i = 0; i < b; ++i) {
+      std::memcpy(longer.data() + (i * 20 + 15) * step,
+                  x.data() + (i * t + t - 5) * step,
+                  static_cast<size_t>(5 * step) * sizeof(float));
+    }
+    // x with 1 added to every value of step s in every item.
+    auto edited = [&](int64_t s) {
+      T::Tensor y = x.Clone();
+      for (int64_t i = 0; i < b; ++i) {
+        float* p = y.data() + (i * t + s) * step;
+        for (int64_t j = 0; j < step; ++j) p[j] += 1.0f;
+      }
+      return y;
+    };
+    for (bool grad_free : {false, true}) {
+      SCOPED_TRACE("B=" + std::to_string(b) +
+                   (grad_free ? " grad-free" : " taped"));
+      auto forecast = [&](const T::Tensor& in) {
+        return StgcnForecast(model.get(), in, grad_free);
+      };
+      const T::Tensor base = forecast(x);
+      EXPECT_TRUE(dyhsl::testing::TensorEq(forecast(longer), base));
+      for (int64_t s = 0; s <= t - 6; ++s) {
+        EXPECT_TRUE(dyhsl::testing::TensorEq(forecast(edited(s)), base))
+            << "edit to step " << s;
+      }
+      EXPECT_FALSE(dyhsl::testing::TensorEq(forecast(edited(t - 5)), base))
+          << "edit to step " << t - 5;
+    }
+  }
+}
+
+// The trimmed forward keeps the full-window forward's bits at every window
+// length, including those shorter than the receptive field: the kept steps
+// sum their conv taps in the same order.
+TEST(StgcnReceptiveFieldTest, TrimmedForecastBitIdenticalToFullWindow) {
+  auto model = RandomStgcn(8);
+  for (int64_t b : {1, 3}) {
+    const T::Tensor x = SharedBatchX(b);
+    for (int64_t t : {1, 2, 3, 4, 5, 6, 12}) {
+      const T::Tensor window = T::Slice(x, 1, x.size(1) - t, t);
+      const T::Tensor full = FullWindowStgcn(*model, 8, window);
+      for (bool grad_free : {false, true}) {
+        EXPECT_TRUE(dyhsl::testing::TensorEq(
+            StgcnForecast(model.get(), window, grad_free), full))
+            << "B=" << b << " T=" << t
+            << (grad_free ? " grad-free" : " taped");
+      }
+    }
+  }
 }
 
 TEST(ModelZooTest, KeysAreUniqueAndConstructible) {

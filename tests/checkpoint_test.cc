@@ -12,6 +12,7 @@
 
 #include "src/baselines/gnn_models.h"
 #include "src/data/dataset.h"
+#include "src/graph/shard.h"
 #include "src/models/dyhsl.h"
 #include "src/nn/layers.h"
 #include "src/train/checkpoint.h"
@@ -404,12 +405,22 @@ std::vector<char> ParamBytes(const nn::Module& module) {
   return all;
 }
 
-// {offset, width} of every length field in a plain (version 2) checkpoint
-// of `module`: the parameter count, then per record its name length, its
+// Bytes between the version byte and the parameter count: none in a
+// plain (version 2) checkpoint, the six int64 ShardMeta fields in a
+// sharded (version 3) one.
+size_t ShardBlockBytes(const ShardMeta& meta) {
+  return meta.sharded() ? 6 * sizeof(int64_t) : 0;
+}
+
+// {offset, width} of every length field in a checkpoint of `module` written
+// with `meta`: the parameter count, then per record its name length, its
 // rank and each dim.
-std::vector<std::pair<size_t, size_t>> LengthFields(const nn::Module& module) {
-  std::vector<std::pair<size_t, size_t>> fields = {{5, sizeof(uint64_t)}};
-  size_t off = 13;  // magic(4) + version(1) + count(8)
+std::vector<std::pair<size_t, size_t>> LengthFields(const nn::Module& module,
+                                                    const ShardMeta& meta) {
+  const size_t count_off = 5 + ShardBlockBytes(meta);  // magic(4) + version(1)
+  std::vector<std::pair<size_t, size_t>> fields = {
+      {count_off, sizeof(uint64_t)}};
+  size_t off = count_off + sizeof(uint64_t);
   for (const auto& [name, param] : module.NamedParameters()) {
     fields.emplace_back(off, sizeof(uint32_t));
     off += sizeof(uint32_t) + name.size();
@@ -432,7 +443,8 @@ bool LoadsOrLeavesModuleUntouched(nn::Module* module, const std::string& path,
                                   const std::string& what) {
   WriteFile(path, bytes);
   const std::vector<char> before = ParamBytes(*module);
-  Status status = LoadCheckpoint(module, path);
+  ShardMeta meta;
+  Status status = LoadCheckpoint(module, path, &meta);
   if (!status.ok()) {
     EXPECT_EQ(ParamBytes(*module), before) << what << ": " << status.ToString();
   }
@@ -443,10 +455,12 @@ bool LoadsOrLeavesModuleUntouched(nn::Module* module, const std::string& path,
 
 TEST(CheckpointTest, SeededMutationsLoadOrFailWithoutMutation) {
   // Seeded single-bit flips anywhere in the file, and every length field
-  // inflated, over a DyHSL and a DCRNN checkpoint. A flip may land in a
+  // inflated, over a DyHSL and a DCRNN checkpoint and a version-3 STGCN
+  // shard checkpoint as the sharded router loads it. A flip may land in a
   // float and load; anything the loader rejects must leave the module as
   // it was. An inflated length never describes the module, so it must be
-  // rejected.
+  // rejected. An inflated ShardMeta field may still describe a consistent
+  // shard, so it must load or be rejected untouched.
   data::TrafficDataset dataset = data::TrafficDataset::Generate(
       data::DatasetSpec::Pems08Like(0.1, 2, 9));
   ForecastTask task = ForecastTask::FromDataset(dataset);
@@ -461,18 +475,27 @@ TEST(CheckpointTest, SeededMutationsLoadOrFailWithoutMutation) {
   models::DyHsl dyhsl_target(task, cfg);
   baselines::Dcrnn dcrnn_source(task, 8, 2, 1);
   baselines::Dcrnn dcrnn_target(task, 8, 2, 2);
+  baselines::Stgcn stgcn_source(task, 8, 1);
+  baselines::Stgcn stgcn_target(task, 8, 2);
+  const graph::ShardPlan plan = graph::ShardPlan::Build(task.spatial_adj, 2, 2);
   struct Case {
     const char* name;
     const nn::Module* source;
     nn::Module* target;
+    ShardMeta meta;
   };
-  const Case cases[] = {{"DyHSL", &dyhsl_source, &dyhsl_target},
-                        {"DCRNN", &dcrnn_source, &dcrnn_target}};
+  const Case cases[] = {
+      {"DyHSL", &dyhsl_source, &dyhsl_target, ShardMeta()},
+      {"DCRNN", &dcrnn_source, &dcrnn_target, ShardMeta()},
+      {"STGCN shard 1", &stgcn_source, &stgcn_target,
+       ShardMeta::FromPlan(plan, 1)}};
   const std::string path = TempPath("mutated.ckpt");
   Rng rng(2023);
   for (const Case& c : cases) {
-    ASSERT_TRUE(SaveCheckpoint(*c.source, path).ok()) << c.name;
+    ASSERT_TRUE(SaveCheckpoint(*c.source, path, c.meta).ok()) << c.name;
     const std::string bytes = ReadFile(path);
+    ASSERT_EQ(static_cast<uint8_t>(bytes[4]), c.meta.sharded() ? 3 : 2)
+        << c.name;
     int loaded = 0;
     int rejected = 0;
     for (int i = 0; i < 256; ++i) {
@@ -488,7 +511,32 @@ TEST(CheckpointTest, SeededMutationsLoadOrFailWithoutMutation) {
     EXPECT_GT(loaded, 0) << c.name;
     EXPECT_GT(rejected, 0) << c.name;
 
-    for (const auto& [off, width] : LengthFields(*c.source)) {
+    // Consistent inflations (say total_nodes + 1) load; the rest do not.
+    int meta_loaded = 0;
+    int meta_rejected = 0;
+    for (size_t field = 0; field < ShardBlockBytes(c.meta) / 8; ++field) {
+      const size_t off = 5 + field * sizeof(int64_t);
+      int64_t value = 0;
+      std::memcpy(&value, bytes.data() + off, sizeof(value));
+      const int64_t inflated_values[] = {
+          value + 1, value + 4096, value + (int64_t{1} << 30),
+          std::numeric_limits<int64_t>::max()};
+      for (int64_t inflated : inflated_values) {
+        std::string hacked = bytes;
+        std::memcpy(hacked.data() + off, &inflated, sizeof(inflated));
+        const bool ok = LoadsOrLeavesModuleUntouched(
+            c.target, path, hacked,
+            std::string(c.name) + " shard field " + std::to_string(field) +
+                " set to " + std::to_string(inflated));
+        ++(ok ? meta_loaded : meta_rejected);
+      }
+    }
+    if (c.meta.sharded()) {
+      EXPECT_GT(meta_loaded, 0) << c.name;
+      EXPECT_GT(meta_rejected, 0) << c.name;
+    }
+
+    for (const auto& [off, width] : LengthFields(*c.source, c.meta)) {
       uint64_t value = 0;
       std::memcpy(&value, bytes.data() + off, width);
       const uint64_t max = width == sizeof(uint32_t)
