@@ -116,7 +116,7 @@ int Main() {
   int64_t most_zeros = -1;
   for (int64_t i = 0; i < n; ++i) {
     int64_t zeros = 0;
-    for (float v : truth[i]) zeros += (v <= 1e-3f);
+    for (float v : truth[i]) zeros += (v <= metrics::kMaskThreshold);
     if (zeros > most_zeros) {
       most_zeros = zeros;
       anomalous = i;

@@ -94,16 +94,6 @@ Variable Mul(const Variable& a, const Variable& b) {
   });
 }
 
-Variable Div(const Variable& a, const Variable& b) {
-  T::Tensor av = a.value(), bv = b.value();
-  return MakeOpResult(T::Div(av, bv), {a, b}, [av, bv](Node* n) {
-    AccumulateBroadcast(n, 0, T::Div(n->grad, bv));
-    // d/db (a/b) = -a / b^2
-    T::Tensor gb = T::Neg(T::Div(T::Mul(n->grad, av), T::Mul(bv, bv)));
-    AccumulateBroadcast(n, 1, gb);
-  });
-}
-
 Variable Maximum(const Variable& a, const Variable& b) {
   T::Tensor av = a.value(), bv = b.value();
   return MakeOpResult(T::Maximum(av, bv), {a, b}, [av, bv](Node* n) {
@@ -135,16 +125,6 @@ Variable Relu(const Variable& a) {
   });
 }
 
-Variable LeakyRelu(const Variable& a, float slope) {
-  T::Tensor av = a.value();
-  return MakeOpResult(T::LeakyRelu(av, slope), {a}, [av, slope](Node* n) {
-    T::Tensor mask = T::Heaviside(av);  // 1 where x > 0
-    // grad * (mask + slope * (1 - mask))
-    T::Tensor scale = T::AddScalar(T::MulScalar(mask, 1.0f - slope), slope);
-    Accumulate(n, 0, T::Mul(n->grad, scale));
-  });
-}
-
 Variable Sigmoid(const Variable& a) {
   T::Tensor y = T::Sigmoid(a.value());
   return MakeOpResult(y, {a}, [y](Node* n) {
@@ -162,41 +142,10 @@ Variable Tanh(const Variable& a) {
   });
 }
 
-Variable Exp(const Variable& a) {
-  T::Tensor y = T::Exp(a.value());
-  return MakeOpResult(y, {a}, [y](Node* n) {
-    Accumulate(n, 0, T::Mul(n->grad, y));
-  });
-}
-
-Variable Log(const Variable& a) {
-  T::Tensor av = a.value();
-  return MakeOpResult(T::Log(av), {a}, [av](Node* n) {
-    Accumulate(n, 0, T::Div(n->grad, av));
-  });
-}
-
-Variable Sqrt(const Variable& a) {
-  T::Tensor y = T::Sqrt(a.value());
-  return MakeOpResult(y, {a}, [y](Node* n) {
-    Accumulate(n, 0, T::Div(T::MulScalar(n->grad, 0.5f), y));
-  });
-}
-
 Variable Abs(const Variable& a) {
   T::Tensor av = a.value();
   return MakeOpResult(T::Abs(av), {a}, [av](Node* n) {
     Accumulate(n, 0, T::Mul(n->grad, T::Sign(av)));
-  });
-}
-
-Variable InvSqrt(const Variable& a, float eps) {
-  T::Tensor y = T::Rsqrt(a.value(), eps);
-  return MakeOpResult(y, {a}, [y](Node* n) {
-    if (!ParentNeedsGrad(n, 0)) return;
-    // d/dx (x + eps)^(-1/2) = -1/2 y^3
-    T::Tensor y3 = T::Mul(T::Mul(y, y), y);
-    Accumulate(n, 0, T::Mul(n->grad, T::MulScalar(y3, -0.5f)));
   });
 }
 
@@ -604,15 +553,6 @@ Variable Tanh(Variable&& a) {
     return std::move(a);
   }
   return Tanh(static_cast<const Variable&>(a));
-}
-
-Variable MaeLoss(const Variable& pred, const Variable& target) {
-  return MeanAll(Abs(Sub(pred, target)));
-}
-
-Variable MseLoss(const Variable& pred, const Variable& target) {
-  Variable diff = Sub(pred, target);
-  return MeanAll(Mul(diff, diff));
 }
 
 }  // namespace dyhsl::autograd

@@ -4,7 +4,7 @@
 // src/tensor and attaches a backward closure implementing the exact
 // vector-Jacobian product. Every op declared here has a finite-difference
 // gradient check in tests/autograd_test.cc (OpGradCheck suite) — including
-// the subgradient ops (Relu, LeakyRelu, Abs, Maximum, MaxPoolAxis), which
+// the subgradient ops (Relu, Abs, Maximum, MaxPoolAxis), which
 // are checked away from their kinks, and Dropout, which is checked under a
 // fixed mask. Keep that suite in sync when adding an op.
 
@@ -37,7 +37,6 @@ Variable Add(const Variable& a, const Variable& b);
 Variable Add(Variable&& a, const Variable& b);
 Variable Sub(const Variable& a, const Variable& b);
 Variable Mul(const Variable& a, const Variable& b);
-Variable Div(const Variable& a, const Variable& b);
 /// Elementwise max; the subgradient routes to the larger operand (ties: a).
 Variable Maximum(const Variable& a, const Variable& b);
 /// @}
@@ -51,18 +50,11 @@ Variable MulScalar(Variable&& a, float s);
 Variable Neg(const Variable& a);
 Variable Relu(const Variable& a);
 Variable Relu(Variable&& a);
-Variable LeakyRelu(const Variable& a, float slope = 0.2f);
 Variable Sigmoid(const Variable& a);
 Variable Sigmoid(Variable&& a);
 Variable Tanh(const Variable& a);
 Variable Tanh(Variable&& a);
-Variable Exp(const Variable& a);
-Variable Log(const Variable& a);
-Variable Sqrt(const Variable& a);
 Variable Abs(const Variable& a);
-/// Fused y = 1 / sqrt(a + eps) — one node instead of the
-/// AddScalar/Sqrt/Div chain of a normalization denominator.
-Variable InvSqrt(const Variable& a, float eps = 0.0f);
 /// @}
 
 /// \name Linear algebra
@@ -109,7 +101,7 @@ Variable MeanAll(const Variable& a);
 Variable SoftmaxLastAxis(const Variable& a);
 /// Fused layer normalization over the last axis with 1-D gamma/beta of the
 /// row width: one kernel (and one tape node) instead of the
-/// Mean/Sub/Mul/Mean/InvSqrt/Mul/Add chain.
+/// Mean/Sub/Mul/Mean/rsqrt/Mul/Add chain.
 Variable LayerNormLastAxis(const Variable& x, const Variable& gamma,
                            const Variable& beta, float eps = 1e-5f);
 /// May normalize x's storage in place (inference mode, sole owner).
@@ -131,14 +123,6 @@ Variable TemporalConv(const Variable& x, const Variable& w, const Variable& b,
 
 /// \brief Inverted dropout. Identity when !training or p == 0.
 Variable Dropout(const Variable& a, float p, bool training, Rng* rng);
-
-/// \name Losses
-/// @{
-/// Mean absolute error (the paper's training loss) -> scalar {1}.
-Variable MaeLoss(const Variable& pred, const Variable& target);
-/// Mean squared error -> scalar {1}.
-Variable MseLoss(const Variable& pred, const Variable& target);
-/// @}
 
 }  // namespace dyhsl::autograd
 

@@ -111,11 +111,6 @@ void Variable::Backward(const tensor::Tensor& seed) const {
   }
 }
 
-Variable Variable::Detach() const {
-  DYHSL_CHECK(defined());
-  return Variable(node_->value, /*requires_grad=*/false);
-}
-
 Variable Variable::FromNode(std::shared_ptr<Node> node) {
   Variable v;
   v.node_ = std::move(node);

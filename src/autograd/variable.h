@@ -62,9 +62,6 @@ class Variable {
   /// \brief Backward from a non-scalar output with an explicit seed.
   void Backward(const tensor::Tensor& seed) const;
 
-  /// \brief Leaf copy sharing the same value but cut off from the tape.
-  Variable Detach() const;
-
   std::shared_ptr<Node> node() const { return node_; }
 
   /// \brief True if this Variable holds the only reference to its node —

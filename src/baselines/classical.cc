@@ -69,7 +69,7 @@ void HistoricalAverage::Fit(const data::TrafficDataset& dataset) {
         has_weekend_ && ((s / steps_per_day_) % 7 >= 5) ? 1 : 0;
     for (int64_t i = 0; i < n; ++i) {
       float v = p[s * n + i];
-      if (v <= 1e-3f) continue;  // skip dropout readings
+      if (v <= metrics::kMaskThreshold) continue;  // skip dropout readings
       bucket_mean_[regime][tod * n + i] += v;
       counts[regime][tod * n + i] += 1;
     }

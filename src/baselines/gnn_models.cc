@@ -547,31 +547,30 @@ Variable HgcRnn::Forward(const tensor::Tensor& x, bool training) {
 
 namespace {
 
-// DHGNN's kNN + k-means construction (no gradient through structure).
-hypergraph::FactoredIncidence BuildDhgnnStructure(const T::Tensor& signatures,
-                                                  int64_t num_clusters,
-                                                  int64_t knn_k) {
+// DHGNN's kNN + k-means construction (no gradient through structure) over
+// one window's node signatures (n x steps): appends its incidence, with
+// node ids from `node_base` and hyperedge ids from `edge_base`, so the
+// windows of a batch form one block-diagonal hypergraph.
+void AppendDhgnnIncidence(const T::Tensor& signatures, int64_t num_clusters,
+                          int64_t knn_k, int64_t node_base, int64_t edge_base,
+                          std::vector<T::Triplet>* incidence) {
   const int64_t n = signatures.size(0);
   Rng structure_rng(29);
   // Cluster hyperedges (k-means) plus kNN hyperedges around each node.
   std::vector<int64_t> labels = hypergraph::KMeansLabels(
       signatures, std::min(num_clusters, n), 5, &structure_rng);
-  std::vector<T::Triplet> incidence;
   for (int64_t i = 0; i < n; ++i) {
-    incidence.push_back({i, labels[i], 1.0f});
+    incidence->push_back({node_base + i, edge_base + labels[i], 1.0f});
   }
   T::CsrMatrix knn = graph::KnnGraph(signatures, std::min(knn_k, n - 1));
-  int64_t cluster_edges = num_clusters;
+  const int64_t knn_base = edge_base + num_clusters;
   for (int64_t i = 0; i < n; ++i) {
-    incidence.push_back({i, cluster_edges + i, 1.0f});  // node joins own edge
+    // Node i joins its own kNN hyperedge.
+    incidence->push_back({node_base + i, knn_base + i, 1.0f});
     for (int64_t k = knn.row_ptr()[i]; k < knn.row_ptr()[i + 1]; ++k) {
-      incidence.push_back({knn.col_idx()[k], cluster_edges + i, 1.0f});
+      incidence->push_back({node_base + knn.col_idx()[k], knn_base + i, 1.0f});
     }
   }
-  hypergraph::Hypergraph hg(
-      n, cluster_edges + n,
-      T::CsrMatrix::FromTriplets(n, cluster_edges + n, std::move(incidence)));
-  return hg.FactoredOperator();
 }
 
 }  // namespace
@@ -595,18 +594,28 @@ Dhgnn::Dhgnn(const train::ForecastTask& task, int64_t hidden_dim,
 Variable Dhgnn::Forward(const tensor::Tensor& x, bool training) {
   (void)training;
   int64_t batch = x.size(0), t_in = x.size(1), n = x.size(2), f = x.size(3);
-  // Node signatures of the current window (mean flow feature over batch).
-  T::Tensor signatures = T::Tensor::Zeros({n, t_in});
+  // Each window's hypergraph comes from that window's node signatures (its
+  // flow feature over time) alone, as in the reference DHGNN, so a
+  // window's forecast does not depend on its batch-mates.
+  const int64_t edges = num_clusters_ + n;
+  std::vector<T::Triplet> incidence;
+  T::Tensor signatures({n, t_in});
   for (int64_t b = 0; b < batch; ++b) {
     for (int64_t t = 0; t < t_in; ++t) {
       for (int64_t i = 0; i < n; ++i) {
-        signatures.data()[i * t_in + t] +=
-            x.data()[((b * t_in + t) * n + i) * f] / batch;
+        signatures.data()[i * t_in + t] =
+            x.data()[((b * t_in + t) * n + i) * f];
       }
     }
+    AppendDhgnnIncidence(signatures, num_clusters_, knn_, b * n, b * edges,
+                         &incidence);
   }
   hypergraph::FactoredIncidence hyper_op =
-      BuildDhgnnStructure(signatures, num_clusters_, knn_);
+      hypergraph::Hypergraph(batch * n, batch * edges,
+                             T::CsrMatrix::FromTriplets(batch * n,
+                                                        batch * edges,
+                                                        std::move(incidence)))
+          .FactoredOperator();
 
   // Temporal encoding (shared GRU per node), then hypergraph convolutions.
   Variable input(x);
@@ -617,11 +626,12 @@ Variable Dhgnn::Forward(const tensor::Tensor& x, bool training) {
     Variable xt = ag::Reshape(ag::Slice(seq, 1, t, 1), {batch * n, f});
     h = encoder_.Forward(xt, h);
   }
-  Variable node_h = ag::Reshape(h, {batch, n, hidden_dim_});
+  // All windows' nodes as one block-diagonal graph of batch * n nodes.
+  Variable node_h = ag::Reshape(h, {1, batch * n, hidden_dim_});
   Variable g1 = ag::Relu(hconv1_.Forward(HyperConv(hyper_op, node_h)));
   Variable g2 = ag::Relu(hconv2_.Forward(HyperConv(hyper_op, g1)));
-  Variable out = ag::TransposePerm(head_.Forward(ag::Add(node_h, g2)),
-                                   {0, 2, 1});
+  Variable mixed = ag::Reshape(ag::Add(node_h, g2), {batch, n, hidden_dim_});
+  Variable out = ag::TransposePerm(head_.Forward(mixed), {0, 2, 1});
   return train::Descale(out, task_.scaler_mean, task_.scaler_std);
 }
 

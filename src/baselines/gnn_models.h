@@ -221,7 +221,8 @@ class HgcRnn : public GnnModelBase {
 /// DHGNN is the zoo's data-dependent-structure model: unlike the static
 /// temporal-graph operators (precomputed once at construction), its
 /// kNN + k-means hypergraph slides with the window, so every Forward
-/// rebuilds it from that window's node signatures.
+/// rebuilds it from each window's own node signatures: a window's forecast
+/// does not depend on the other windows of its batch.
 class Dhgnn : public GnnModelBase {
  public:
   Dhgnn(const train::ForecastTask& task, int64_t hidden_dim,

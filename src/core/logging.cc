@@ -1,13 +1,10 @@
 #include "src/core/logging.h"
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 
 namespace dyhsl {
 namespace {
-
-std::atomic<int> g_min_level{static_cast<int>(LogLevel::kInfo)};
 
 const char* LevelTag(LogLevel level) {
   switch (level) {
@@ -25,14 +22,6 @@ const char* LevelTag(LogLevel level) {
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) {
-  g_min_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_min_level.load(std::memory_order_relaxed));
-}
-
 namespace internal {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
@@ -42,10 +31,7 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line)
 }
 
 LogMessage::~LogMessage() {
-  if (static_cast<int>(level_) <
-      g_min_level.load(std::memory_order_relaxed)) {
-    return;
-  }
+  if (static_cast<int>(level_) < static_cast<int>(kMinLogLevel)) return;
   using Clock = std::chrono::system_clock;
   auto now = Clock::to_time_t(Clock::now());
   struct tm tm_buf;

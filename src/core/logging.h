@@ -10,9 +10,8 @@ namespace dyhsl {
 
 enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 
-/// \brief Sets the global minimum level that is emitted (default: Info).
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
+/// \brief Messages below this level are dropped.
+inline constexpr LogLevel kMinLogLevel = LogLevel::kInfo;
 
 namespace internal {
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <climits>
 #include <cstdlib>
 #include <thread>
@@ -175,28 +174,6 @@ Status PinCurrentThread(const std::vector<int>& cores) {
   // Platforms without thread affinity: placement degrades to a no-op and
   // the ThreadBudget partition alone prevents oversubscription.
   return Status::OK();
-}
-
-int TeamConcurrencyProbe(std::atomic<int>* live, std::atomic<int>* peak,
-                         int spin_micros) {
-  const int team = TeamThreads();
-  (void)team;  // consumed only by the pragma; unused without OpenMP
-  std::atomic<int> ran{0};
-#pragma omp parallel num_threads(team)
-  {
-    const int now = live->fetch_add(1, std::memory_order_acq_rel) + 1;
-    int prev = peak->load(std::memory_order_relaxed);
-    while (now > prev &&
-           !peak->compare_exchange_weak(prev, now, std::memory_order_acq_rel)) {
-    }
-    ran.fetch_add(1, std::memory_order_relaxed);
-    const auto until = std::chrono::steady_clock::now() +
-                       std::chrono::microseconds(spin_micros);
-    while (std::chrono::steady_clock::now() < until) {
-    }
-    live->fetch_sub(1, std::memory_order_acq_rel);
-  }
-  return std::max(1, ran.load(std::memory_order_relaxed));
 }
 
 }  // namespace core

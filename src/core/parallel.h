@@ -30,7 +30,6 @@
 #ifndef DYHSL_CORE_PARALLEL_H_
 #define DYHSL_CORE_PARALLEL_H_
 
-#include <atomic>
 #include <vector>
 
 #include "src/core/status.h"
@@ -116,16 +115,6 @@ class TeamScope {
 /// if the kernel rejects the mask; a silent no-op success on platforms
 /// without thread affinity.
 Status PinCurrentThread(const std::vector<int>& cores);
-
-/// \brief Concurrency introspection used by the oversubscription
-/// regression tests: runs one parallel region scoped exactly the way the
-/// tensor kernels scope theirs (num_threads(TeamThreads())); every team
-/// member increments *live, folds the observed concurrency into *peak
-/// (a process-wide high watermark when shared across probing threads),
-/// spins for ~spin_micros, then decrements. Returns the team size that
-/// actually ran (1 without OpenMP).
-int TeamConcurrencyProbe(std::atomic<int>* live, std::atomic<int>* peak,
-                         int spin_micros);
 
 }  // namespace core
 }  // namespace dyhsl

@@ -48,12 +48,6 @@ DatasetSpec DatasetSpec::Pems08Like(double node_scale, int64_t days,
   return MakeSpec("SynPEMS08", 170, 295, node_scale, days, seed);
 }
 
-std::vector<DatasetSpec> DatasetSpec::AllPemsLike(double node_scale,
-                                                  int64_t days) {
-  return {Pems03Like(node_scale, days), Pems04Like(node_scale, days),
-          Pems07Like(node_scale, days), Pems08Like(node_scale, days)};
-}
-
 void StandardScaler::Fit(const tensor::Tensor& series, int64_t fit_steps) {
   DYHSL_CHECK_EQ(series.dim(), 2);
   DYHSL_CHECK_LE(fit_steps, series.size(0));
@@ -167,11 +161,6 @@ bool BatchIterator::Next(Batch* batch) {
   }
   cursor_ += b;
   return true;
-}
-
-int64_t BatchIterator::num_batches() const {
-  return (static_cast<int64_t>(order_.size()) + batch_size_ - 1) /
-         batch_size_;
 }
 
 }  // namespace dyhsl::data

@@ -35,9 +35,6 @@ struct DatasetSpec {
                                 uint64_t seed = 7);
   static DatasetSpec Pems08Like(double node_scale, int64_t days,
                                 uint64_t seed = 8);
-  /// All four, in paper order.
-  static std::vector<DatasetSpec> AllPemsLike(double node_scale,
-                                              int64_t days);
   /// @}
 };
 
@@ -122,8 +119,6 @@ class BatchIterator {
 
   /// \brief Fills `batch`; returns false at end of epoch.
   bool Next(Batch* batch);
-
-  int64_t num_batches() const;
 
  private:
   const TrafficDataset* dataset_;

@@ -77,15 +77,6 @@ ShardPlan ShardPlan::Build(const tensor::CsrMatrix& adjacency,
   return plan;
 }
 
-int64_t ShardPlan::OwnerOf(int64_t global_node) const {
-  DYHSL_CHECK_MSG(global_node >= 0 && global_node < num_nodes_,
-                  "OwnerOf: node id out of range");
-  auto it = std::upper_bound(
-      shards_.begin(), shards_.end(), global_node,
-      [](int64_t node, const ShardSpec& shard) { return node < shard.end; });
-  return it->shard_id;
-}
-
 tensor::CsrMatrix InducedSubgraph(const tensor::CsrMatrix& adjacency,
                                   const ShardSpec& shard) {
   DYHSL_CHECK_MSG(adjacency.rows() == adjacency.cols(),
@@ -150,13 +141,6 @@ void StitchOwnedColumns(const ShardSpec& shard, const tensor::Tensor& local,
                 local.data() + t * l + shard.owned_offset,
                 static_cast<size_t>(shard.owned_count()) * sizeof(float));
   }
-}
-
-autograd::SparseConstant ShardTemporalOperator(
-    const tensor::CsrMatrix& spatial, const ShardSpec& shard,
-    int64_t num_steps, const TemporalGraphOptions& options) {
-  return BuildNormalizedTemporalOp(InducedSubgraph(spatial, shard), num_steps,
-                                   options);
 }
 
 }  // namespace dyhsl::graph

@@ -28,8 +28,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/autograd/sparse.h"
-#include "src/graph/temporal_graph.h"
 #include "src/tensor/sparse.h"
 #include "src/tensor/tensor.h"
 
@@ -77,10 +75,6 @@ class ShardPlan {
   const ShardSpec& shard(int64_t s) const { return shards_.at(s); }
   const std::vector<ShardSpec>& shards() const { return shards_; }
 
-  /// \brief Shard owning a global sensor id (ranges are contiguous, so
-  /// this is a binary search over shard boundaries).
-  int64_t OwnerOf(int64_t global_node) const;
-
  private:
   int64_t num_nodes_ = 0;
   int64_t halo_hops_ = 0;
@@ -109,14 +103,6 @@ void StitchOwnedColumns(const ShardSpec& shard, const tensor::Tensor& local,
 /// normalization helpers applies unchanged).
 tensor::CsrMatrix InducedSubgraph(const tensor::CsrMatrix& adjacency,
                                   const ShardSpec& shard);
-
-/// \brief Row-normalized temporal-graph operator (paper Eq. 4-5) of the
-/// shard's induced subgraph, as a tape-ready sparse constant of size
-/// (num_steps * num_local) squared — the per-shard counterpart of
-/// BuildNormalizedTemporalOp.
-autograd::SparseConstant ShardTemporalOperator(
-    const tensor::CsrMatrix& spatial, const ShardSpec& shard,
-    int64_t num_steps, const TemporalGraphOptions& options = {});
 
 }  // namespace dyhsl::graph
 

@@ -8,8 +8,7 @@
 namespace dyhsl::graph {
 
 tensor::CsrMatrix BuildTemporalGraph(const tensor::CsrMatrix& spatial,
-                                     int64_t num_steps,
-                                     const TemporalGraphOptions& options) {
+                                     int64_t num_steps) {
   DYHSL_CHECK_EQ(spatial.rows(), spatial.cols());
   DYHSL_CHECK_GE(num_steps, 1);
   int64_t n = spatial.rows();
@@ -27,14 +26,14 @@ tensor::CsrMatrix BuildTemporalGraph(const tensor::CsrMatrix& spatial,
             {base + r, base + spatial.col_idx()[k], spatial.values()[k]});
       }
       // Self loop (case i == j, t' == t).
-      triplets.push_back({base + r, base + r, options.temporal_weight});
+      triplets.push_back({base + r, base + r, 1.0f});
       // Temporal edge to the next step (case i == j, t' == t + 1).
       if (t + 1 < num_steps) {
-        triplets.push_back({base + r, base + n + r, options.temporal_weight});
+        triplets.push_back({base + r, base + n + r, 1.0f});
       }
-      // Backward temporal edge (aggregation from the past).
-      if (options.bidirectional_time && t > 0) {
-        triplets.push_back({base + r, base - n + r, options.temporal_weight});
+      // Backward temporal edge (aggregation from the past; see the header).
+      if (t > 0) {
+        triplets.push_back({base + r, base - n + r, 1.0f});
       }
     }
   }
@@ -42,10 +41,9 @@ tensor::CsrMatrix BuildTemporalGraph(const tensor::CsrMatrix& spatial,
 }
 
 autograd::SparseConstant BuildNormalizedTemporalOp(
-    const tensor::CsrMatrix& spatial, int64_t num_steps,
-    const TemporalGraphOptions& options) {
+    const tensor::CsrMatrix& spatial, int64_t num_steps) {
   return autograd::SparseConstant(
-      BuildTemporalGraph(spatial, num_steps, options).RowNormalized());
+      BuildTemporalGraph(spatial, num_steps).RowNormalized());
 }
 
 }  // namespace dyhsl::graph

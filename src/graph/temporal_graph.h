@@ -7,8 +7,9 @@
 //
 // matching the row order obtained by reshaping a (T, N, d) tensor to
 // (T*N, d). Spatial edges replicate the road network inside each step;
-// temporal edges connect the same sensor across consecutive steps; every
-// observation gets a self loop (the "t' = t" case of Eq. 4).
+// temporal edges connect the same sensor across consecutive steps, in both
+// directions; every observation gets a self loop (the "t' = t" case of
+// Eq. 4).
 
 #ifndef DYHSL_GRAPH_TEMPORAL_GRAPH_H_
 #define DYHSL_GRAPH_TEMPORAL_GRAPH_H_
@@ -18,28 +19,22 @@
 
 namespace dyhsl::graph {
 
-/// \brief Options for BuildTemporalGraph.
-struct TemporalGraphOptions {
-  /// Also add t -> t-1 edges. Eq. 4 writes only t' = t + 1, but aggregation
-  /// from the past is what a forecaster needs; with row normalization the
-  /// bidirectional variant subsumes the paper's and is the default.
-  bool bidirectional_time = true;
-  /// Weight of temporal edges and self loops (Eq. 4 uses 1).
-  float temporal_weight = 1.0f;
-};
-
 /// \brief Builds the adjacency \hat{A} of Eq. 4 for `num_steps` copies of
 /// the spatial adjacency `spatial` (N x N, no self loops), size (TN x TN).
+///
+/// Temporal edges and self loops have unit weight, as in Eq. 4. Eq. 4
+/// writes only the forward edge t' = t + 1; this graph also links each
+/// observation to the same sensor at t - 1, because aggregation from the
+/// past is what a forecaster needs. Under row normalization the
+/// bidirectional graph subsumes the paper's forward-only one.
 tensor::CsrMatrix BuildTemporalGraph(const tensor::CsrMatrix& spatial,
-                                     int64_t num_steps,
-                                     const TemporalGraphOptions& options = {});
+                                     int64_t num_steps);
 
 /// \brief Row-normalized temporal graph as a tape-ready sparse constant
 /// (\bar{A} below Eq. 5: every row sums to 1). Consumers run it with
 /// autograd::SpMM — the adjacency never densifies.
 autograd::SparseConstant BuildNormalizedTemporalOp(
-    const tensor::CsrMatrix& spatial, int64_t num_steps,
-    const TemporalGraphOptions& options = {});
+    const tensor::CsrMatrix& spatial, int64_t num_steps);
 
 /// \brief Flat observation index for (t, i) with N sensors.
 inline int64_t TemporalNodeIndex(int64_t t, int64_t i, int64_t num_nodes) {

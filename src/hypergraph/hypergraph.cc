@@ -33,14 +33,6 @@ Hypergraph Hypergraph::FromCommunities(const std::vector<int64_t>& labels) {
                                       std::move(triplets)));
 }
 
-Hypergraph Hypergraph::FromKMeans(const tensor::Tensor& features,
-                                  int64_t num_clusters, int64_t iterations,
-                                  Rng* rng) {
-  std::vector<int64_t> labels =
-      KMeansLabels(features, num_clusters, iterations, rng);
-  return FromCommunities(labels);
-}
-
 namespace {
 
 // Weighted degrees of every hyperedge (column sums) and node (row sums)
@@ -131,25 +123,6 @@ FactoredIncidence Hypergraph::FactoredOperator() const {
       tensor::CsrMatrix::FromTriplets(num_nodes_, num_edges_,
                                       std::move(to_node)));
   return factored;
-}
-
-Hypergraph Hypergraph::Induced(const std::vector<int64_t>& nodes) const {
-  const auto& rp = incidence_.row_ptr();
-  const auto& ci = incidence_.col_idx();
-  const auto& vals = incidence_.values();
-  std::vector<tensor::Triplet> triplets;
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    const int64_t g = nodes[i];
-    DYHSL_CHECK_MSG(g >= 0 && g < num_nodes_,
-                    "Hypergraph::Induced node id out of range");
-    for (int64_t k = rp[g]; k < rp[g + 1]; ++k) {
-      triplets.push_back({static_cast<int64_t>(i), ci[k], vals[k]});
-    }
-  }
-  const int64_t local_nodes = static_cast<int64_t>(nodes.size());
-  return Hypergraph(local_nodes, num_edges_,
-                    tensor::CsrMatrix::FromTriplets(local_nodes, num_edges_,
-                                                    std::move(triplets)));
 }
 
 std::vector<int64_t> KMeansLabels(const tensor::Tensor& points,

@@ -1,7 +1,7 @@
 // Static hypergraph structures and HGNN-style convolution operators.
 //
 // DyHSL itself *learns* a dense incidence matrix inside the model
-// (src/models/dhsl_block.h); this module provides the predefined-hypergraph
+// (src/models/blocks.h); this module provides the predefined-hypergraph
 // machinery needed by the HGC-RNN / DSTHGCN-style baselines and by analysis
 // tools: incidence construction from community labels or clustering, and
 // the normalized two-step propagation operator
@@ -51,12 +51,6 @@ class Hypergraph {
   /// (residential / business areas) act as static hyperedges.
   static Hypergraph FromCommunities(const std::vector<int64_t>& labels);
 
-  /// \brief Builds hyperedges by k-means clustering of node features
-  /// (R x d): one hyperedge per cluster (the DHGNN construction).
-  static Hypergraph FromKMeans(const tensor::Tensor& features,
-                               int64_t num_clusters, int64_t iterations,
-                               Rng* rng);
-
   int64_t num_nodes() const { return num_nodes_; }
   int64_t num_edges() const { return num_edges_; }
   const tensor::CsrMatrix& incidence() const { return incidence_; }
@@ -73,20 +67,6 @@ class Hypergraph {
   /// hyperedges are large, and exactly equal to it in exact arithmetic.
   /// The same zero-degree guards apply.
   FactoredIncidence FactoredOperator() const;
-
-  /// \brief Sub-hypergraph induced on `nodes` (global node ids, which
-  /// become local ids 0..|nodes|-1 in order): incidence rows are restricted
-  /// to the kept nodes while every hyperedge id survives, so hyperedges
-  /// whose members all fall outside the shard become empty — and the
-  /// zero-degree guards of NormalizedOperator / FactoredOperator make
-  /// empty hyperedges propagate nothing rather than divide by zero.
-  /// Note the label-derived baselines (HGC-RNN) don't need this: their
-  /// shard models rebuild FromCommunities over ShardTask's gathered
-  /// district labels, which induces the same structure minus the empty
-  /// edges. Induced is for hypergraphs that exist only as incidence
-  /// (k-means/kNN-built, or externally supplied) where hyperedge ids
-  /// must stay aligned across shards.
-  Hypergraph Induced(const std::vector<int64_t>& nodes) const;
 
  private:
   int64_t num_nodes_ = 0;

@@ -17,7 +17,7 @@ void MetricAccumulator::Add(const tensor::Tensor& pred,
 }
 
 void MetricAccumulator::AddValue(float pred, float truth) {
-  if (std::fabs(truth) <= mask_threshold_) return;  // masked reading
+  if (std::fabs(truth) <= kMaskThreshold) return;  // masked reading
   double err = static_cast<double>(pred) - truth;
   abs_sum_ += std::fabs(err);
   sq_sum_ += err * err;
@@ -37,40 +37,12 @@ double MetricAccumulator::Mape() const {
   return count_ == 0 ? 0.0 : 100.0 * ape_sum_ / count_;
 }
 
-void MetricAccumulator::Merge(const MetricAccumulator& other) {
-  abs_sum_ += other.abs_sum_;
-  sq_sum_ += other.sq_sum_;
-  ape_sum_ += other.ape_sum_;
-  count_ += other.count_;
-}
-
 std::string ForecastMetrics::ToString() const {
   std::ostringstream os;
   os.setf(std::ios::fixed);
   os.precision(2);
   os << "MAE " << mae << "  RMSE " << rmse << "  MAPE " << mape << "%";
   return os.str();
-}
-
-ForecastMetrics Evaluate(const tensor::Tensor& pred,
-                         const tensor::Tensor& truth, float mask_threshold) {
-  MetricAccumulator acc(mask_threshold);
-  acc.Add(pred, truth);
-  return {acc.Mae(), acc.Rmse(), acc.Mape()};
-}
-
-std::vector<ForecastMetrics> EvaluatePerHorizon(const tensor::Tensor& pred,
-                                                const tensor::Tensor& truth) {
-  DYHSL_CHECK_EQ(pred.dim(), 3);
-  DYHSL_CHECK(tensor::SameShape(pred, truth));
-  int64_t horizon = pred.size(1);
-  std::vector<ForecastMetrics> out;
-  out.reserve(horizon);
-  for (int64_t t = 0; t < horizon; ++t) {
-    out.push_back(Evaluate(tensor::Slice(pred, 1, t, 1),
-                           tensor::Slice(truth, 1, t, 1)));
-  }
-  return out;
 }
 
 }  // namespace dyhsl::metrics

@@ -9,18 +9,21 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "src/tensor/tensor.h"
 
 namespace dyhsl::metrics {
 
-/// \brief Aggregate MAE / RMSE / MAPE over a stream of (pred, truth) pairs.
+/// \brief The masked-zero threshold: a ground-truth reading within this of
+/// zero is a sensor outage. Every metric here, the training loss
+/// (train::MaskedMaeLoss), the classical baselines' fits and the streaming
+/// sessions' rolling statistics skip such readings.
+inline constexpr float kMaskThreshold = 1e-3f;
+
+/// \brief Aggregate MAE / RMSE / MAPE over a stream of (pred, truth) pairs;
+/// pairs whose |truth| <= kMaskThreshold are skipped.
 class MetricAccumulator {
  public:
-  explicit MetricAccumulator(float mask_threshold = 1e-3f)
-      : mask_threshold_(mask_threshold) {}
-
   /// \brief Adds every element of `pred` vs `truth` (same shape, raw scale).
   void Add(const tensor::Tensor& pred, const tensor::Tensor& truth);
 
@@ -33,11 +36,7 @@ class MetricAccumulator {
   double Mape() const;
   int64_t count() const { return count_; }
 
-  /// \brief Merges another accumulator (for per-horizon aggregation).
-  void Merge(const MetricAccumulator& other);
-
  private:
-  float mask_threshold_;
   double abs_sum_ = 0.0;
   double sq_sum_ = 0.0;
   double ape_sum_ = 0.0;
@@ -52,16 +51,6 @@ struct ForecastMetrics {
 
   std::string ToString() const;
 };
-
-/// \brief Convenience: metrics of one (pred, truth) tensor pair.
-ForecastMetrics Evaluate(const tensor::Tensor& pred,
-                         const tensor::Tensor& truth,
-                         float mask_threshold = 1e-3f);
-
-/// \brief Per-horizon metrics for (B, T', N) prediction tensors: result[t]
-/// covers horizon step t.
-std::vector<ForecastMetrics> EvaluatePerHorizon(const tensor::Tensor& pred,
-                                                const tensor::Tensor& truth);
 
 }  // namespace dyhsl::metrics
 

@@ -14,9 +14,4 @@ tensor::Tensor GlorotUniform2D(int64_t fan_in, int64_t fan_out, Rng* rng) {
   return GlorotUniform({fan_in, fan_out}, fan_in, fan_out, rng);
 }
 
-tensor::Tensor KaimingNormal(tensor::Shape shape, int64_t fan_in, Rng* rng) {
-  float stddev = std::sqrt(2.0f / static_cast<float>(fan_in));
-  return tensor::Tensor::Randn(std::move(shape), rng, stddev);
-}
-
 }  // namespace dyhsl::nn

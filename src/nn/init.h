@@ -15,9 +15,6 @@ tensor::Tensor GlorotUniform(tensor::Shape shape, int64_t fan_in,
 /// \brief Glorot for a 2-D weight, fans inferred from the shape.
 tensor::Tensor GlorotUniform2D(int64_t fan_in, int64_t fan_out, Rng* rng);
 
-/// \brief Kaiming/He normal for ReLU nets: N(0, sqrt(2 / fan_in)).
-tensor::Tensor KaimingNormal(tensor::Shape shape, int64_t fan_in, Rng* rng);
-
 }  // namespace dyhsl::nn
 
 #endif  // DYHSL_NN_INIT_H_

@@ -60,13 +60,7 @@ LayerNorm::LayerNorm(int64_t dim, float eps) : eps_(eps) {
   beta_ = RegisterParameter("beta", tensor::Tensor::Zeros({dim}));
 }
 
-Variable LayerNorm::Forward(const Variable& x) const {
-  // Fully fused kernel: one pass per row (see tensor::LayerNormLastAxisInto)
-  // and a single tape node with the analytic VJP.
-  return ag::LayerNormLastAxis(x, gamma_, beta_, eps_);
-}
-
-Variable LayerNorm::Forward(Variable&& x) const {
+Variable LayerNorm::Forward(Variable x) const {
   return ag::LayerNormLastAxis(std::move(x), gamma_, beta_, eps_);
 }
 
@@ -154,16 +148,6 @@ Variable Conv1dLayer::ForwardChannels(const Variable& x, int64_t begin,
   Variable bias;
   if (bias_.defined()) bias = ag::Slice(bias_, 0, begin, count);
   return Convolve(x, ag::Slice(weight_, 0, begin, count), bias);
-}
-
-GraphConv::GraphConv(int64_t in_dim, int64_t out_dim, Rng* rng, bool bias)
-    : proj_(in_dim, out_dim, rng, bias) {
-  RegisterChild("proj", &proj_);
-}
-
-Variable GraphConv::Forward(const autograd::SparseConstant& adj,
-                            const Variable& x) const {
-  return proj_.Forward(ag::SpMM(adj, x));
 }
 
 DiffusionConv::DiffusionConv(int64_t in_dim, int64_t out_dim, int64_t steps,

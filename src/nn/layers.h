@@ -65,9 +65,10 @@ class LayerNorm : public Module {
  public:
   explicit LayerNorm(int64_t dim, float eps = 1e-5f);
 
-  Variable Forward(const Variable& x) const;
-  /// Consuming form: may normalize x in place (inference mode).
-  Variable Forward(Variable&& x) const;
+  /// Fully fused (see tensor::LayerNormLastAxisInto): one pass per row and
+  /// one tape node. Takes x by value: a moved-in sole owner may be
+  /// normalized in place (inference mode).
+  Variable Forward(Variable x) const;
 
  private:
   float eps_;
@@ -140,20 +141,6 @@ class Conv1dLayer : public Module {
   bool causal_;
   Variable weight_;  // (Cout, Cin, K)
   Variable bias_;    // (Cout, 1)
-};
-
-/// \brief First-order graph convolution y = act(Ā x W) with a fixed sparse
-/// operator (road-network or temporal-graph adjacency).
-class GraphConv : public Module {
- public:
-  GraphConv(int64_t in_dim, int64_t out_dim, Rng* rng, bool bias = true);
-
-  /// x: (rows, in) or (B, rows, in); `adj` rows must match x rows.
-  Variable Forward(const autograd::SparseConstant& adj,
-                   const Variable& x) const;
-
- private:
-  Linear proj_;
 };
 
 /// \brief K-step bidirectional diffusion convolution (DCRNN):

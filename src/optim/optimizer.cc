@@ -6,42 +6,14 @@
 
 namespace dyhsl::optim {
 
-void Optimizer::ZeroGrad() {
-  for (Variable& p : params_) p.ZeroGrad();
-}
-
-Sgd::Sgd(std::vector<Variable> params, float lr, float momentum)
-    : Optimizer(std::move(params)), momentum_(momentum) {
-  lr_ = lr;
-  velocity_.reserve(params_.size());
-  for (const Variable& p : params_) {
-    velocity_.push_back(tensor::Tensor::Zeros(p.shape()));
-  }
-}
-
-void Sgd::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    Variable& p = params_[i];
-    if (!p.has_grad()) continue;
-    float* w = p.mutable_value()->data();
-    const float* g = p.grad().data();
-    float* vel = velocity_[i].data();
-    int64_t n = p.numel();
-    for (int64_t j = 0; j < n; ++j) {
-      vel[j] = momentum_ * vel[j] + g[j];
-      w[j] -= lr_ * vel[j];
-    }
-  }
-}
-
 Adam::Adam(std::vector<Variable> params, float lr, float beta1, float beta2,
            float eps, float weight_decay)
-    : Optimizer(std::move(params)),
+    : params_(std::move(params)),
+      lr_(lr),
       beta1_(beta1),
       beta2_(beta2),
       eps_(eps),
       weight_decay_(weight_decay) {
-  lr_ = lr;
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (const Variable& p : params_) {
@@ -72,6 +44,10 @@ void Adam::Step() {
       w[j] -= lr_ * m_hat / (std::sqrt(v_hat) + eps_);
     }
   }
+}
+
+void Adam::ZeroGrad() {
+  for (Variable& p : params_) p.ZeroGrad();
 }
 
 float ClipGradNorm(const std::vector<Variable>& params, float max_norm) {

@@ -1,4 +1,4 @@
-// First-order optimizers operating on Variable parameters.
+// The Adam optimizer over Variable parameters, and gradient clipping.
 
 #ifndef DYHSL_OPTIM_OPTIMIZER_H_
 #define DYHSL_OPTIM_OPTIMIZER_H_
@@ -11,52 +11,26 @@ namespace dyhsl::optim {
 
 using autograd::Variable;
 
-/// \brief Base optimizer over a fixed parameter list. Parameters whose
-/// gradient is undefined at Step() time are skipped (e.g. unused branches).
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<Variable> params)
-      : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
-
-  /// \brief Applies one update using the gradients currently stored.
-  virtual void Step() = 0;
-
-  /// \brief Clears all parameter gradients.
-  void ZeroGrad();
-
-  void set_learning_rate(float lr) { lr_ = lr; }
-  float learning_rate() const { return lr_; }
-
-  const std::vector<Variable>& params() const { return params_; }
-
- protected:
-  std::vector<Variable> params_;
-  float lr_ = 1e-3f;
-};
-
-/// \brief Stochastic gradient descent with classical momentum.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Variable> params, float lr, float momentum = 0.0f);
-
-  void Step() override;
-
- private:
-  float momentum_;
-  std::vector<tensor::Tensor> velocity_;
-};
-
-/// \brief Adam (Kingma & Ba, 2014) with optional decoupled weight decay.
-/// The paper trains DyHSL with Adam at lr 1e-3.
-class Adam : public Optimizer {
+/// \brief Adam (Kingma & Ba, 2014) with optional decoupled weight decay,
+/// the one optimizer: the paper trains DyHSL with Adam at lr 1e-3.
+/// Parameters whose gradient is undefined at Step() time are skipped
+/// (e.g. unused branches).
+class Adam {
  public:
   Adam(std::vector<Variable> params, float lr, float beta1 = 0.9f,
        float beta2 = 0.999f, float eps = 1e-8f, float weight_decay = 0.0f);
 
-  void Step() override;
+  /// \brief Applies one update using the gradients currently stored.
+  void Step();
+
+  /// \brief Clears all parameter gradients.
+  void ZeroGrad();
+
+  const std::vector<Variable>& params() const { return params_; }
 
  private:
+  std::vector<Variable> params_;
+  float lr_;
   float beta1_;
   float beta2_;
   float eps_;

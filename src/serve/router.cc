@@ -370,14 +370,6 @@ std::future<ForecastResponse> ForecastRouter::Submit(RouterRequest request) {
   return future;
 }
 
-std::vector<std::string> ForecastRouter::ModelNames() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(models_.size());
-  for (const auto& [name, entry] : models_) names.push_back(name);
-  return names;
-}
-
 int64_t ForecastRouter::ShardCountOf(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = models_.find(name);

@@ -228,7 +228,6 @@ class ForecastRouter {
   /// destructor.
   void Shutdown();
 
-  std::vector<std::string> ModelNames() const;
   /// Engines hosted for `name` (1 for unsharded models), 0 if unknown.
   int64_t ShardCountOf(const std::string& name) const;
 

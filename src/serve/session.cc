@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "src/core/check.h"
+#include "src/metrics/metrics.h"
 #include "src/tensor/ops.h"
 #include "src/train/forecast_model.h"
 
@@ -142,10 +143,6 @@ Status SessionManager::Open(const std::string& session_id,
   if (options.resync_every < 0) {
     return Status::InvalidArgument("SessionOptions.resync_every must be >= 0");
   }
-  if (!(options.stats_alpha > 0.0f && options.stats_alpha <= 1.0f)) {
-    return Status::InvalidArgument(
-        "SessionOptions.stats_alpha must be in (0, 1]");
-  }
   auto routed = router_->RouteFor(options.model);
   if (!routed.ok()) return routed.status();
   StreamRoute route = std::move(routed).ValueOrDie();
@@ -278,7 +275,7 @@ Status SessionManager::IngestFrameLocked(Session* s, int64_t tick,
   int64_t unmasked = 0;
   for (int64_t i = 0; i < n; ++i) {
     const float v = raw[i];
-    if (v > s->options.mask_threshold) {
+    if (v > metrics::kMaskThreshold) {
       sum += v;
       sum_sq += static_cast<double>(v) * v;
       unmasked += 1;
@@ -292,7 +289,7 @@ Status SessionManager::IngestFrameLocked(Session* s, int64_t tick,
       s->ema_sq = sq;
       s->stats_init = true;
     } else {
-      const double a = s->options.stats_alpha;
+      const double a = kSessionStatsAlpha;
       s->ema_mean += a * (mean - s->ema_mean);
       s->ema_sq += a * (sq - s->ema_sq);
     }
@@ -665,11 +662,6 @@ SessionManagerStats SessionManager::Stats() const {
     stats.batch_by_model = batch_by_model_;
   }
   return stats;
-}
-
-int64_t SessionManager::OpenSessions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int64_t>(sessions_.size());
 }
 
 }  // namespace dyhsl::serve

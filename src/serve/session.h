@@ -94,12 +94,12 @@ struct SessionOptions {
   /// every this many ticks (0 = never): bounds drift relative to the
   /// windowed reference at the cost of one T-step replay per cadence.
   int64_t resync_every = 0;
-  /// EMA weight of the rolling raw-flow statistics.
-  float stats_alpha = 0.05f;
-  /// Readings at or below this are sensor dropouts, excluded from the
-  /// rolling statistics (PEMS masking convention).
-  float mask_threshold = 1e-3f;
 };
+
+/// \brief EMA weight of a session's rolling raw-flow statistics. Readings
+/// at or below metrics::kMaskThreshold are sensor dropouts and stay out of
+/// them (PEMS masking convention).
+inline constexpr float kSessionStatsAlpha = 0.05f;
 
 /// \brief Manager-wide knobs.
 struct SessionManagerOptions {
@@ -239,7 +239,6 @@ class SessionManager {
 
   Result<SessionStats> SessionInfo(const std::string& session_id) const;
   SessionManagerStats Stats() const;
-  int64_t OpenSessions() const;
 
  private:
   struct Session;

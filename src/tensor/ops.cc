@@ -213,9 +213,6 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
 Tensor Mul(const Tensor& a, const Tensor& b) {
   return BinaryOp(a, b, [](float x, float y) { return x * y; });
 }
-Tensor Div(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, [](float x, float y) { return x / y; });
-}
 Tensor Maximum(const Tensor& a, const Tensor& b) {
   return BinaryOp(a, b, [](float x, float y) { return x > y ? x : y; });
 }
@@ -228,15 +225,6 @@ Tensor MulScalar(const Tensor& a, float s) {
 }
 
 void AddInPlace(Tensor* dst, const Tensor& src) { AddInto(*dst, src, dst); }
-
-void AxpyInPlace(Tensor* dst, float alpha, const Tensor& src) {
-  DYHSL_CHECK(SameShape(*dst, src));
-  float* pd = dst->data();
-  const float* ps = src.data();
-  int64_t n = dst->numel();
-#pragma omp parallel for if (n > kParallelCutoff)
-  for (int64_t i = 0; i < n; ++i) pd[i] += alpha * ps[i];
-}
 
 void ScaleInPlace(Tensor* dst, float s) {
   float* pd = dst->data();
@@ -312,10 +300,7 @@ void AddScalarInPlace(Tensor* t, float s) {
 Tensor Relu(const Tensor& a) {
   return UnaryOp(a, [](float x) { return x > 0.0f ? x : 0.0f; });
 }
-Tensor LeakyRelu(const Tensor& a, float slope) {
-  return UnaryOp(a, [slope](float x) { return x > 0.0f ? x : slope * x; });
-}
-// Sigmoid/Tanh/Exp route through vecmath.cc and the dispatched SIMD
+// Sigmoid/Tanh route through vecmath.cc and the dispatched SIMD
 // kernels, whose results do not depend on element position.
 Tensor Sigmoid(const Tensor& a) {
   Tensor out(a.shape());
@@ -327,20 +312,6 @@ Tensor Tanh(const Tensor& a) {
   TanhArray(a.data(), out.data(), a.numel());
   return out;
 }
-Tensor Exp(const Tensor& a) {
-  Tensor out(a.shape());
-  ExpArray(a.data(), out.data(), a.numel());
-  return out;
-}
-Tensor Log(const Tensor& a) {
-  return UnaryOp(a, [](float x) { return std::log(x); });
-}
-Tensor Sqrt(const Tensor& a) {
-  return UnaryOp(a, [](float x) { return std::sqrt(x); });
-}
-Tensor Rsqrt(const Tensor& a, float eps) {
-  return UnaryOp(a, [eps](float x) { return 1.0f / std::sqrt(x + eps); });
-}
 Tensor Abs(const Tensor& a) {
   return UnaryOp(a, [](float x) { return std::fabs(x); });
 }
@@ -351,9 +322,6 @@ Tensor Sign(const Tensor& a) {
 }
 Tensor Heaviside(const Tensor& a) {
   return UnaryOp(a, [](float x) { return x > 0.0f ? 1.0f : 0.0f; });
-}
-Tensor Clamp(const Tensor& a, float lo, float hi) {
-  return UnaryOp(a, [lo, hi](float x) { return std::min(std::max(x, lo), hi); });
 }
 
 namespace {
@@ -504,11 +472,6 @@ void BatchedMatMulReduceInto(const Tensor& a, const Tensor& b, bool trans_a,
   }
 }
 
-Tensor Transpose2D(const Tensor& a) {
-  DYHSL_CHECK_EQ(a.dim(), 2);
-  return TransposePerm(a, {1, 0});
-}
-
 Tensor TransposePerm(const Tensor& a, const std::vector<int64_t>& perm) {
   DYHSL_CHECK_EQ(static_cast<int64_t>(perm.size()), a.dim());
   Shape out_shape(perm.size());
@@ -649,11 +612,6 @@ float SumAllScalar(const Tensor& a) {
   return static_cast<float>(acc);
 }
 
-float MeanAllScalar(const Tensor& a) {
-  DYHSL_CHECK_GT(a.numel(), 0);
-  return SumAllScalar(a) / static_cast<float>(a.numel());
-}
-
 Tensor Sum(const Tensor& a, int64_t axis, bool keepdims) {
   if (axis < 0) axis += a.dim();
   DYHSL_CHECK_GE(axis, 0);
@@ -785,13 +743,6 @@ void LayerNormLastAxisInto(const Tensor& x, const Tensor& gamma,
       }
     }
   }
-}
-
-Tensor LayerNormLastAxis(const Tensor& x, const Tensor& gamma,
-                         const Tensor& beta, float eps) {
-  Tensor y(x.shape());
-  LayerNormLastAxisInto(x, gamma, beta, eps, &y);
-  return y;
 }
 
 PoolResult MaxPoolAxis(const Tensor& a, int64_t axis, int64_t window) {
@@ -1033,14 +984,6 @@ Tensor TemporalConvBackwardWeight(const Tensor& grad_out, const Tensor& x,
     }
   }
   return gw;
-}
-
-float MaxAllScalar(const Tensor& a) {
-  DYHSL_CHECK_GT(a.numel(), 0);
-  const float* p = a.data();
-  float mx = p[0];
-  for (int64_t i = 1; i < a.numel(); ++i) mx = std::max(mx, p[i]);
-  return mx;
 }
 
 bool SameShape(const Tensor& a, const Tensor& b) {

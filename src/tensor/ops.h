@@ -30,7 +30,6 @@ Tensor ReduceToShape(const Tensor& t, const Shape& target);
 Tensor Add(const Tensor& a, const Tensor& b);
 Tensor Sub(const Tensor& a, const Tensor& b);
 Tensor Mul(const Tensor& a, const Tensor& b);
-Tensor Div(const Tensor& a, const Tensor& b);
 Tensor Maximum(const Tensor& a, const Tensor& b);
 /// @}
 
@@ -44,8 +43,6 @@ Tensor MulScalar(const Tensor& a, float s);
 /// @{
 /// dst += src
 void AddInPlace(Tensor* dst, const Tensor& src);
-/// dst += alpha * src
-void AxpyInPlace(Tensor* dst, float alpha, const Tensor& src);
 /// dst *= s
 void ScaleInPlace(Tensor* dst, float s);
 
@@ -72,17 +69,12 @@ void AddInto(const Tensor& a, const Tensor& b, Tensor* out);
 /// @{
 Tensor Neg(const Tensor& a);
 Tensor Relu(const Tensor& a);
-Tensor LeakyRelu(const Tensor& a, float slope);
 Tensor Sigmoid(const Tensor& a);
 Tensor Tanh(const Tensor& a);
-Tensor Exp(const Tensor& a);
-Tensor Log(const Tensor& a);
-Tensor Sqrt(const Tensor& a);
 Tensor Abs(const Tensor& a);
 Tensor Sign(const Tensor& a);
 /// 1 where a > 0, else 0 (subgradient mask for Relu/Abs backward).
 Tensor Heaviside(const Tensor& a);
-Tensor Clamp(const Tensor& a, float lo, float hi);
 /// @}
 
 /// \name Matrix products
@@ -126,7 +118,6 @@ void BatchedMatMulReduceInto(const Tensor& a, const Tensor& b, bool trans_a,
 
 /// \name Movement
 /// @{
-Tensor Transpose2D(const Tensor& a);
 /// \brief General axis permutation (copies).
 Tensor TransposePerm(const Tensor& a, const std::vector<int64_t>& perm);
 Tensor Concat(const std::vector<Tensor>& parts, int64_t axis);
@@ -148,7 +139,6 @@ void ScatterAddRows(Tensor* dst, const std::vector<int64_t>& indices,
 /// \name Reductions
 /// @{
 float SumAllScalar(const Tensor& a);
-float MeanAllScalar(const Tensor& a);
 Tensor Sum(const Tensor& a, int64_t axis, bool keepdims = false);
 Tensor Mean(const Tensor& a, int64_t axis, bool keepdims = false);
 /// @}
@@ -158,9 +148,6 @@ Tensor SoftmaxLastAxis(const Tensor& a);
 
 /// \brief In-place variant of SoftmaxLastAxis (no output allocation).
 void SoftmaxLastAxisInPlace(Tensor* a);
-
-/// \brief Elementwise 1 / sqrt(a + eps) (fused normalization denominator).
-Tensor Rsqrt(const Tensor& a, float eps = 0.0f);
 
 /// \brief Fused layer normalization over the last axis:
 /// y = (x - mean) / sqrt(var + eps) * gamma + beta, with per-row mean/var
@@ -172,10 +159,6 @@ Tensor Rsqrt(const Tensor& a, float eps = 0.0f);
 void LayerNormLastAxisInto(const Tensor& x, const Tensor& gamma,
                            const Tensor& beta, float eps, Tensor* y,
                            Tensor* xhat = nullptr, Tensor* inv_std = nullptr);
-
-/// \brief Allocating convenience wrapper around LayerNormLastAxisInto.
-Tensor LayerNormLastAxis(const Tensor& x, const Tensor& gamma,
-                         const Tensor& beta, float eps);
 
 /// \brief Result of a pooling op; `argmax` holds flat input indices per
 /// output element so the backward pass can scatter gradients.
@@ -225,9 +208,6 @@ Tensor TemporalConvBackwardWeight(const Tensor& grad_out, const Tensor& x,
                                   const Shape& w_shape, int64_t dilation,
                                   int64_t pad_left);
 /// @}
-
-/// \brief Max over all elements (helper for tests/metrics).
-float MaxAllScalar(const Tensor& a);
 
 /// \brief True if shapes are identical.
 bool SameShape(const Tensor& a, const Tensor& b);

@@ -65,7 +65,6 @@ struct PrepackCache::Impl {
 };
 
 PrepackCache::PrepackCache() : impl_(new Impl()) {}
-PrepackCache::~PrepackCache() { delete impl_; }
 
 PrepackCache& PrepackCache::Instance() {
   // Leaked singleton: serving threads may outlive static destruction.

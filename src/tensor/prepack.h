@@ -96,7 +96,7 @@ class PrepackCache {
 
  private:
   PrepackCache();
-  ~PrepackCache();
+  ~PrepackCache() = delete;  // leaked singleton, see Instance()
   struct Impl;
   Impl* impl_;
 };

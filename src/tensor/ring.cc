@@ -63,9 +63,4 @@ Tensor RingWindow::LastFrames(int64_t last) const {
   return buffer_.Alias(start * frame_numel_, std::move(view_shape));
 }
 
-void RingWindow::Clear() {
-  cursor_ = 0;
-  count_ = 0;
-}
-
 }  // namespace dyhsl::tensor

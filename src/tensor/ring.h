@@ -57,9 +57,6 @@ class RingWindow {
   /// (last, frame_shape...). Requires count() >= last.
   Tensor LastFrames(int64_t last) const;
 
-  /// \brief Drops all buffered frames (storage is kept).
-  void Clear();
-
  private:
   int64_t steps_;
   Shape frame_shape_;

@@ -168,13 +168,6 @@ CsrMatrix CsrMatrix::FromTriplets(int64_t rows, int64_t cols,
   return m;
 }
 
-CsrMatrix CsrMatrix::Identity(int64_t n) {
-  std::vector<Triplet> t;
-  t.reserve(n);
-  for (int64_t i = 0; i < n; ++i) t.push_back({i, i, 1.0f});
-  return FromTriplets(n, n, std::move(t));
-}
-
 CsrMatrix CsrMatrix::Transposed() const {
   std::vector<Triplet> t;
   t.reserve(values_.size());

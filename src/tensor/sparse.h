@@ -43,9 +43,6 @@ class CsrMatrix {
   static CsrMatrix FromTriplets(int64_t rows, int64_t cols,
                                 std::vector<Triplet> triplets);
 
-  /// \brief Identity matrix of size n.
-  static CsrMatrix Identity(int64_t n);
-
   int64_t rows() const { return rows_; }
   int64_t cols() const { return cols_; }
   int64_t nnz() const { return static_cast<int64_t>(values_.size()); }

@@ -70,12 +70,6 @@ Tensor Tensor::Uniform(Shape shape, Rng* rng, float lo, float hi) {
   return t;
 }
 
-Tensor Tensor::Arange(int64_t n) {
-  Tensor t({n});
-  for (int64_t i = 0; i < n; ++i) t.data()[i] = static_cast<float>(i);
-  return t;
-}
-
 Tensor Tensor::Scalar(float value) { return Full({1}, value); }
 
 Tensor Tensor::FromStorage(std::shared_ptr<float[]> storage, Shape shape) {
@@ -159,19 +153,6 @@ void Tensor::CopyDataFrom(const Tensor& other) {
 
 std::vector<float> Tensor::ToVector() const {
   return std::vector<float>(data(), data() + numel_);
-}
-
-std::string Tensor::ToString(int64_t max_elements) const {
-  std::ostringstream os;
-  os << "Tensor" << ShapeToString(shape_) << " {";
-  int64_t show = std::min(numel_, max_elements);
-  for (int64_t i = 0; i < show; ++i) {
-    if (i > 0) os << ", ";
-    os << data()[i];
-  }
-  if (show < numel_) os << ", ...";
-  os << "}";
-  return os.str();
 }
 
 int64_t FlatIndex(const Shape& shape, const std::vector<int64_t>& index) {

@@ -55,8 +55,6 @@ class Tensor {
   static Tensor Randn(Shape shape, Rng* rng, float stddev = 1.0f);
   /// Uniform entries in [lo, hi).
   static Tensor Uniform(Shape shape, Rng* rng, float lo, float hi);
-  /// 1-D tensor [0, 1, ..., n-1].
-  static Tensor Arange(int64_t n);
   /// Rank-0-like scalar represented as shape {1}.
   static Tensor Scalar(float value);
   /// Wraps existing storage without copying — the zero-copy view factory
@@ -115,9 +113,6 @@ class Tensor {
 
   /// \brief All elements as a vector (test convenience).
   std::vector<float> ToVector() const;
-
-  /// \brief Compact human-readable rendering (truncated for large tensors).
-  std::string ToString(int64_t max_elements = 32) const;
 
  private:
   std::shared_ptr<float[]> storage_;

@@ -4,6 +4,7 @@
 
 #include "src/autograd/ops.h"
 #include "src/core/check.h"
+#include "src/metrics/metrics.h"
 #include "src/tensor/ops.h"
 
 namespace dyhsl::train {
@@ -45,14 +46,13 @@ ForecastTask ShardTask(const ForecastTask& global,
 }
 
 ag::Variable MaskedMaeLoss(const ag::Variable& pred,
-                           const tensor::Tensor& target,
-                           float mask_threshold) {
+                           const tensor::Tensor& target) {
   DYHSL_CHECK(pred.shape() == target.shape());
-  // Constant mask from the target: 1 where |truth| > threshold.
+  // Constant mask from the target: 1 where |truth| > kMaskThreshold.
   T::Tensor mask(target.shape());
   double active = 0.0;
   for (int64_t i = 0; i < target.numel(); ++i) {
-    bool keep = std::fabs(target.data()[i]) > mask_threshold;
+    bool keep = std::fabs(target.data()[i]) > metrics::kMaskThreshold;
     mask.data()[i] = keep ? 1.0f : 0.0f;
     active += keep;
   }

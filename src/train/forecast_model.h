@@ -59,10 +59,10 @@ class ForecastModel {
 };
 
 /// \brief Masked mean-absolute-error training loss (PEMS convention: target
-/// readings of ~0 are sensor dropouts and carry no gradient).
+/// readings within metrics::kMaskThreshold of 0 are sensor dropouts and
+/// carry no gradient).
 autograd::Variable MaskedMaeLoss(const autograd::Variable& pred,
-                                 const tensor::Tensor& target,
-                                 float mask_threshold = 1e-3f);
+                                 const tensor::Tensor& target);
 
 /// \brief De-normalizes a scaled prediction back to raw flow.
 autograd::Variable Descale(const autograd::Variable& scaled, float mean,

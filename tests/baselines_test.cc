@@ -131,6 +131,36 @@ TEST_P(NeuralZooTest, OneAdamStepReducesLoss) {
   EXPECT_LT(last_loss, first_loss) << model->name();
 }
 
+TEST_P(NeuralZooTest, ForecastIndependentOfBatchMates) {
+  // A window's forecast is a function of that window alone: its B=1
+  // forecast equals its row in a batch of other windows, bit for bit,
+  // taped and grad-free. The windows overlap in time, as consecutive
+  // evaluation windows do, so a model that pools anything across the
+  // batch sees another window's future.
+  auto model = MakeModel();
+  const auto& ds = SharedDataset();
+  constexpr int64_t kBatch = 5;
+  std::vector<T::Tensor> windows;
+  for (int64_t k = 0; k < kBatch; ++k) {
+    windows.push_back(ds.MakeInput(ds.test_range().begin + 7 * k));
+  }
+  const T::Tensor batch = T::PackBatch(windows);
+  for (bool grad_free : {false, true}) {
+    SCOPED_TRACE(grad_free ? "grad-free" : "taped");
+    std::unique_ptr<ag::InferenceModeGuard> no_grad;
+    if (grad_free) no_grad = std::make_unique<ag::InferenceModeGuard>();
+    const T::Tensor batched = model->Forward(batch, false).value();
+    for (int64_t k = 0; k < kBatch; ++k) {
+      const T::Shape one = {1, ds.history(), ds.num_nodes(),
+                            ds.num_features()};
+      const T::Tensor alone =
+          model->Forward(windows[k].Reshape(one), false).value();
+      EXPECT_TRUE(dyhsl::testing::TensorEq(T::Slice(batched, 0, k, 1), alone))
+          << model->name() << " window " << k;
+    }
+  }
+}
+
 TEST_P(NeuralZooTest, ParameterCountPositiveAndConsistent) {
   auto model = MakeModel();
   int64_t total = 0;

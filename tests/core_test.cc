@@ -15,9 +15,12 @@
 #include "src/core/profile.h"
 #include "src/core/rng.h"
 #include "src/core/status.h"
+#include "tests/testing_utils.h"
 
 namespace dyhsl {
 namespace {
+
+using ::dyhsl::testing::TeamConcurrencyProbe;
 
 TEST(StatusTest, DefaultIsOk) {
   Status s;
@@ -256,7 +259,7 @@ TEST(ThreadBudgetTest, ScopedWorkersNeverExceedBudget) {
       core::TeamScope team(budget.team_size);
       for (int i = 0; i < 40; ++i) {
         const int ran =
-            core::TeamConcurrencyProbe(&live, &peak, /*spin_micros=*/200);
+            TeamConcurrencyProbe(&live, &peak, /*spin_micros=*/200);
         EXPECT_GE(ran, 1);
         EXPECT_LE(ran, budget.team_size);
       }

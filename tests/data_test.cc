@@ -259,7 +259,7 @@ TEST(BatchIteratorTest, CoversEpochExactlyOnce) {
     EXPECT_EQ(batch.x.size(0), batch.y.size(0));
   }
   EXPECT_EQ(seen.size(), 50u);
-  EXPECT_EQ(batches, it.num_batches());
+  EXPECT_EQ(batches, (50 + 16 - 1) / 16);
   // Reset starts a fresh epoch.
   it.Reset();
   EXPECT_TRUE(it.Next(&batch));
@@ -306,27 +306,42 @@ namespace T = ::dyhsl::tensor;
 
 TEST(MetricsTest, PerfectPredictionIsZeroError) {
   T::Tensor t = T::Tensor::FromVector({2, 2}, {10, 20, 30, 40});
-  ForecastMetrics m = Evaluate(t, t);
-  EXPECT_EQ(m.mae, 0.0);
-  EXPECT_EQ(m.rmse, 0.0);
-  EXPECT_EQ(m.mape, 0.0);
+  MetricAccumulator m;
+  m.Add(t, t);
+  EXPECT_EQ(m.count(), 4);
+  EXPECT_EQ(m.Mae(), 0.0);
+  EXPECT_EQ(m.Rmse(), 0.0);
+  EXPECT_EQ(m.Mape(), 0.0);
 }
 
 TEST(MetricsTest, KnownValues) {
   T::Tensor truth = T::Tensor::FromVector({4}, {10, 10, 10, 10});
   T::Tensor pred = T::Tensor::FromVector({4}, {11, 9, 12, 8});
-  ForecastMetrics m = Evaluate(pred, truth);
-  EXPECT_NEAR(m.mae, 1.5, 1e-9);
-  EXPECT_NEAR(m.rmse, std::sqrt((1 + 1 + 4 + 4) / 4.0), 1e-9);
-  EXPECT_NEAR(m.mape, 15.0, 1e-9);
+  MetricAccumulator m;
+  m.Add(pred, truth);
+  EXPECT_NEAR(m.Mae(), 1.5, 1e-9);
+  EXPECT_NEAR(m.Rmse(), std::sqrt((1 + 1 + 4 + 4) / 4.0), 1e-9);
+  EXPECT_NEAR(m.Mape(), 15.0, 1e-9);
 }
 
 TEST(MetricsTest, ZeroTruthIsMasked) {
   T::Tensor truth = T::Tensor::FromVector({3}, {0, 10, 0});
   T::Tensor pred = T::Tensor::FromVector({3}, {100, 11, 100});
-  ForecastMetrics m = Evaluate(pred, truth);
-  EXPECT_NEAR(m.mae, 1.0, 1e-9);  // only the middle reading counts
-  EXPECT_NEAR(m.mape, 10.0, 1e-9);
+  MetricAccumulator m;
+  m.Add(pred, truth);
+  EXPECT_EQ(m.count(), 1);
+  EXPECT_NEAR(m.Mae(), 1.0, 1e-9);  // only the middle reading counts
+  EXPECT_NEAR(m.Mape(), 10.0, 1e-9);
+}
+
+TEST(MetricsTest, MaskThresholdIsInclusive) {
+  // |truth| <= kMaskThreshold is a dropout, on either side of zero.
+  MetricAccumulator m;
+  m.AddValue(5.0f, kMaskThreshold);
+  m.AddValue(5.0f, -kMaskThreshold);
+  EXPECT_EQ(m.count(), 0);
+  m.AddValue(5.0f, 2.0f * kMaskThreshold);
+  EXPECT_EQ(m.count(), 1);
 }
 
 TEST(MetricsTest, MapePenalizesSmallTruthHarder) {
@@ -336,28 +351,6 @@ TEST(MetricsTest, MapePenalizesSmallTruthHarder) {
   large_truth.AddValue(116.0f, 100.0f);
   EXPECT_NEAR(small_truth.Mape(), 400.0, 1e-9);
   EXPECT_NEAR(large_truth.Mape(), 16.0, 1e-9);
-}
-
-TEST(MetricsTest, MergeMatchesJointAccumulation) {
-  MetricAccumulator a, b, joint;
-  a.AddValue(1, 2);
-  b.AddValue(5, 4);
-  joint.AddValue(1, 2);
-  joint.AddValue(5, 4);
-  a.Merge(b);
-  EXPECT_DOUBLE_EQ(a.Mae(), joint.Mae());
-  EXPECT_DOUBLE_EQ(a.Rmse(), joint.Rmse());
-  EXPECT_EQ(a.count(), joint.count());
-}
-
-TEST(MetricsTest, PerHorizonSplitsTime) {
-  // pred/truth (B=1, T'=2, N=1): first horizon exact, second off by 2.
-  T::Tensor truth = T::Tensor::FromVector({1, 2, 1}, {10, 10});
-  T::Tensor pred = T::Tensor::FromVector({1, 2, 1}, {10, 12});
-  auto per = EvaluatePerHorizon(pred, truth);
-  ASSERT_EQ(per.size(), 2u);
-  EXPECT_NEAR(per[0].mae, 0.0, 1e-9);
-  EXPECT_NEAR(per[1].mae, 2.0, 1e-9);
 }
 
 }  // namespace

@@ -76,19 +76,10 @@ TEST(TemporalGraphTest, TemporalEdgesConnectSameSensor) {
   // Sensor 0 at t=0 (node 0) -> t=1 (node 2).
   EXPECT_EQ(dense.At({0, 2}), 1.0f);
   EXPECT_EQ(dense.At({2, 4}), 1.0f);
-  // Bidirectional option adds the reverse edge.
+  // The backward edge, which Eq. 4 lacks, is always there.
   EXPECT_EQ(dense.At({2, 0}), 1.0f);
   // No skip connections across two steps.
   EXPECT_EQ(dense.At({0, 4}), 0.0f);
-}
-
-TEST(TemporalGraphTest, PaperVariantIsForwardOnly) {
-  Graph g = PathGraph(2);
-  TemporalGraphOptions opts;
-  opts.bidirectional_time = false;
-  T::Tensor dense = BuildTemporalGraph(g.ToAdjacency(), 3, opts).ToDense();
-  EXPECT_EQ(dense.At({0, 2}), 1.0f);  // forward edge (Eq. 4)
-  EXPECT_EQ(dense.At({2, 0}), 0.0f);  // no backward edge
 }
 
 TEST(TemporalGraphTest, NormalizedRowsSumToOne) {
@@ -222,21 +213,6 @@ TEST(KMeansTest, SeparatesObviousClusters) {
   for (int64_t i = 1; i < 10; ++i) EXPECT_EQ(labels[i], labels[0]);
   for (int64_t i = 11; i < 20; ++i) EXPECT_EQ(labels[i], labels[10]);
   EXPECT_NE(labels[0], labels[10]);
-}
-
-TEST(KMeansTest, FromKMeansBuildsValidHypergraph) {
-  Rng rng(4);
-  T::Tensor pts = T::Tensor::Randn({12, 3}, &rng);
-  Hypergraph h = Hypergraph::FromKMeans(pts, 3, 5, &rng);
-  EXPECT_EQ(h.num_nodes(), 12);
-  EXPECT_LE(h.num_edges(), 3);
-  // Every node belongs to exactly one hyperedge.
-  T::Tensor inc = h.incidence().ToDense();
-  for (int64_t v = 0; v < 12; ++v) {
-    float degree = 0.0f;
-    for (int64_t e = 0; e < h.num_edges(); ++e) degree += inc.At({v, e});
-    EXPECT_EQ(degree, 1.0f);
-  }
 }
 
 }  // namespace

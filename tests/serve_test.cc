@@ -704,7 +704,7 @@ class ProbeModel : public train::ForecastModel {
       : task_(std::move(task)), live_(live), peak_(peak) {}
 
   autograd::Variable Forward(const tensor::Tensor& x, bool) override {
-    const int ran = core::TeamConcurrencyProbe(live_, peak_,
+    const int ran = ::dyhsl::testing::TeamConcurrencyProbe(live_, peak_,
                                                /*spin_micros=*/300);
     team_seen_.store(std::max(team_seen_.load(), ran));
     return autograd::Variable(

@@ -1,5 +1,5 @@
 // Tests for the sharded multi-model serving path: ShardPlan partitioning
-// and halo expansion, induced subgraph / sub-hypergraph extraction, the
+// and halo expansion, induced subgraph extraction, the
 // shard checkpoint family, and — the acceptance bar — ForecastRouter
 // forecasts over 2- and 4-way partitioned N=1024 networks matching the
 // unsharded engine element-wise within 1e-5 for graph-operator models.
@@ -66,11 +66,6 @@ TEST(ShardPlanTest, PartitionsContiguouslyAndBalanced) {
     expect_begin = shard.end;
   }
   EXPECT_EQ(expect_begin, 10);
-  for (int64_t g = 0; g < 10; ++g) {
-    const graph::ShardSpec& owner = plan.shard(plan.OwnerOf(g));
-    EXPECT_GE(g, owner.begin);
-    EXPECT_LT(g, owner.end);
-  }
 }
 
 TEST(ShardPlanTest, HaloCoversHopNeighborhoodOnRing) {
@@ -165,17 +160,17 @@ TEST(InducedSubgraphTest, CutNodesMayBecomeIsolatedWithoutNormalizationNan) {
   T::CsrMatrix normalized = induced.WithSelfLoops().SymNormalized();
   for (float v : normalized.values()) EXPECT_TRUE(std::isfinite(v));
   autograd::SparseConstant op =
-      graph::ShardTemporalOperator(adj, spec, /*num_steps=*/3);
+      graph::BuildNormalizedTemporalOp(induced, /*num_steps=*/3);
   EXPECT_EQ(op.rows(), 6);
   for (float v : op.matrix().values()) EXPECT_TRUE(std::isfinite(v));
 }
 
-TEST(ShardTemporalOperatorTest, RowsAreStochasticOverTheInducedGraph) {
+TEST(InducedSubgraphTest, TemporalOperatorOverItIsRowStochastic) {
   train::ForecastTask task = RingForecastTask(12);
   graph::ShardPlan plan = graph::ShardPlan::Build(task.spatial_adj, 2, 1);
   const graph::ShardSpec& s1 = plan.shard(1);
-  autograd::SparseConstant op =
-      graph::ShardTemporalOperator(task.spatial_adj, s1, /*num_steps=*/4);
+  autograd::SparseConstant op = graph::BuildNormalizedTemporalOp(
+      graph::InducedSubgraph(task.spatial_adj, s1), /*num_steps=*/4);
   ASSERT_EQ(op.rows(), 4 * s1.num_local());
   ASSERT_EQ(op.cols(), 4 * s1.num_local());
   const auto& rp = op.matrix().row_ptr();
@@ -184,29 +179,6 @@ TEST(ShardTemporalOperatorTest, RowsAreStochasticOverTheInducedGraph) {
     double sum = 0.0;
     for (int64_t k = rp[r]; k < rp[r + 1]; ++k) sum += vals[k];
     EXPECT_NEAR(sum, 1.0, 1e-5) << "row " << r;
-  }
-}
-
-TEST(InducedHypergraphTest, EmptyHyperedgesSurviveWithoutNan) {
-  // Districts 0 and 1; the induced node set only touches district 0, so
-  // hyperedge 1 becomes empty — and must stay harmless.
-  hypergraph::Hypergraph hg =
-      hypergraph::Hypergraph::FromCommunities({0, 0, 0, 1, 1, 1});
-  hypergraph::Hypergraph sub = hg.Induced({0, 1, 2});
-  EXPECT_EQ(sub.num_nodes(), 3);
-  EXPECT_EQ(sub.num_edges(), 2);  // hyperedge ids survive
-  autograd::SparseConstant op = sub.NormalizedOperator();
-  for (float v : op.matrix().values()) EXPECT_TRUE(std::isfinite(v));
-  // District 0's three members still average each other: row sums 1.
-  T::Tensor dense = op.matrix().ToDense();
-  for (int64_t i = 0; i < 3; ++i) {
-    double sum = 0.0;
-    for (int64_t j = 0; j < 3; ++j) sum += dense.At({i, j});
-    EXPECT_NEAR(sum, 1.0, 1e-5);
-  }
-  hypergraph::FactoredIncidence factored = sub.FactoredOperator();
-  for (float v : factored.node_to_edge.matrix().values()) {
-    EXPECT_TRUE(std::isfinite(v));
   }
 }
 
@@ -683,7 +655,6 @@ TEST(ForecastRouterTest, StatsAggregateAcrossTheFleet) {
     EXPECT_EQ(e.stats.requests, kRequests);
     EXPECT_GE(e.stats.batches, 1);
   }
-  EXPECT_EQ(router->ModelNames(), (std::vector<std::string>{"m"}));
 }
 
 // ------------------------------------------------- placement + threading --

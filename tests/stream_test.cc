@@ -21,8 +21,8 @@
 #include "src/autograd/inference.h"
 #include "src/core/parallel.h"
 #include "src/data/dataset.h"
-#include "src/data/stream.h"
 #include "src/graph/shard.h"
+#include "src/metrics/metrics.h"
 #include "src/serve/engine.h"
 #include "src/serve/router.h"
 #include "src/serve/session.h"
@@ -38,6 +38,7 @@ namespace {
 namespace T = ::dyhsl::tensor;
 
 using ::dyhsl::testing::TensorEq;
+using ::dyhsl::testing::TickStream;
 using ::dyhsl::testing::TensorNear;
 
 // One small dataset shared by every test in this file.
@@ -60,7 +61,7 @@ train::ZooConfig TinyZoo(uint64_t seed = 13) {
 // session, asserting every Append is accepted.
 void StreamTicks(SessionManager* manager, const std::string& id,
                  int64_t start, int64_t count) {
-  data::TickStream stream(SharedDataset().traffic(), start, start + count);
+  TickStream stream(SharedDataset().traffic(), start, start + count);
   for (; !stream.Done(); stream.Advance()) {
     Status s = manager->Append(id, stream.tick(), stream.Frame());
     ASSERT_TRUE(s.ok()) << s.ToString();
@@ -115,10 +116,6 @@ TEST(RingWindowTest, WindowIsZeroCopyAndLastFramesAgree) {
     EXPECT_EQ(last2.data()[i], window.data()[2 * 6 + i]);
     EXPECT_EQ(last2.data()[6 + i], window.data()[3 * 6 + i]);
   }
-  // Views alias the live ring: the next Push is visible through them.
-  ring.Clear();
-  EXPECT_EQ(ring.count(), 0);
-  EXPECT_FALSE(ring.full());
 }
 
 // ----------------------------------------------------------- TickStream --
@@ -126,7 +123,7 @@ TEST(RingWindowTest, WindowIsZeroCopyAndLastFramesAgree) {
 TEST(TickStreamTest, ReplaysRawFlowRowsZeroCopy) {
   const data::TrafficData& traffic = SharedDataset().traffic();
   const int64_t n = traffic.flow.size(1);
-  data::TickStream stream(traffic, 3, 8);
+  TickStream stream(traffic, 3, 8);
   EXPECT_EQ(stream.num_nodes(), n);
   int64_t expected_tick = 3;
   for (; !stream.Done(); stream.Advance()) {
@@ -166,7 +163,7 @@ TEST(StreamSessionTest, SessionForecastMatchesFullWindowSubmitForAllModels) {
   // Stream past one full window plus a few slides, comparing at each
   // position: the session window must equal MakeInput of the same start.
   const int64_t slides = 3;
-  data::TickStream stream(ds.traffic(), t0, t0 + task.history + slides);
+  TickStream stream(ds.traffic(), t0, t0 + task.history + slides);
   for (; !stream.Done(); stream.Advance()) {
     for (const std::string& key : train::NeuralModelKeys()) {
       Status s =
@@ -249,7 +246,7 @@ TEST(StreamSessionTest, WarmCarryIsBitIdenticalToColdEncoderOverAllTicks) {
   SessionManager long_manager(long_router.get());
   ASSERT_TRUE(long_manager.Open("c", SessionOptions()).ok());
 
-  data::TickStream stream(ds.traffic(), 0, kStream);
+  TickStream stream(ds.traffic(), 0, kStream);
   for (; !stream.Done(); stream.Advance()) {
     ASSERT_TRUE(warm_manager.Append("w", stream.tick(), stream.Frame()).ok());
     ASSERT_TRUE(long_manager.Append("c", stream.tick(), stream.Frame()).ok());
@@ -278,7 +275,7 @@ TEST(StreamSessionTest, ResyncEveryTickMatchesWindowedReferenceExactly) {
   ASSERT_TRUE(manager.Open("warm", warm_options).ok());
   ASSERT_TRUE(manager.Open("cold", SessionOptions()).ok());
 
-  data::TickStream stream(ds.traffic(), 0, task.history + 4);
+  TickStream stream(ds.traffic(), 0, task.history + 4);
   for (; !stream.Done(); stream.Advance()) {
     ASSERT_TRUE(manager.Append("warm", stream.tick(), stream.Frame()).ok());
     ASSERT_TRUE(manager.Append("cold", stream.tick(), stream.Frame()).ok());
@@ -316,7 +313,7 @@ TEST(StreamSessionTest, WarmWithoutResyncDriftsThenResyncRestoresExactness) {
   // again match the windowed reference bit for bit. Forecasts *between*
   // resyncs may drift (the carry remembers pre-window ticks) but must
   // stay finite.
-  data::TickStream stream(ds.traffic(), 0, task.history + kCadence);
+  TickStream stream(ds.traffic(), 0, task.history + kCadence);
   bool saw_mid_cadence_forecast = false;
   for (; !stream.Done(); stream.Advance()) {
     ASSERT_TRUE(manager.Append("warm", stream.tick(), stream.Frame()).ok());
@@ -355,7 +352,7 @@ TEST(StreamSessionTest, WarmStateRequiresStreamingModel) {
   options.warm_state = true;
   Status s = manager.Open("nope", options);
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(manager.OpenSessions(), 0);
+  EXPECT_EQ(manager.Stats().open, 0);
 }
 
 // ------------------------------------------------ Lifecycle and policy --
@@ -369,7 +366,7 @@ TEST(StreamSessionTest, RejectsDuplicateOutOfOrderAndGappedTicks) {
   SessionManager manager(router.get());
   ASSERT_TRUE(manager.Open("s", SessionOptions()).ok());
 
-  data::TickStream stream(ds.traffic(), 0, 4);
+  TickStream stream(ds.traffic(), 0, 4);
   T::Tensor frame0 = stream.Frame().Clone();
   ASSERT_TRUE(manager.Append("s", 0, frame0).ok());
   // Duplicate.
@@ -409,7 +406,7 @@ TEST(StreamSessionTest, ForecastUnavailableUntilWindowFills) {
   StreamTicks(&manager, "s", 0, task.history - 1);
   ForecastResponse short_one = manager.Forecast("s");
   EXPECT_EQ(short_one.status.code(), StatusCode::kUnavailable);
-  data::TickStream last(ds.traffic(), task.history - 1, task.history);
+  TickStream last(ds.traffic(), task.history - 1, task.history);
   ASSERT_TRUE(manager.Append("s", last.tick(), last.Frame()).ok());
   ForecastResponse full = manager.Forecast("s");
   EXPECT_TRUE(full.status.ok()) << full.status.ToString();
@@ -456,7 +453,7 @@ TEST(StreamSessionTest, LruEvictionAtCapacityKeepsRecentlyUsed) {
   frame.Fill(1.0f);
   ASSERT_TRUE(manager.Append("a", 0, frame).ok());
   ASSERT_TRUE(manager.Open("c", SessionOptions()).ok());
-  EXPECT_EQ(manager.OpenSessions(), 2);
+  EXPECT_EQ(manager.Stats().open, 2);
   EXPECT_TRUE(manager.SessionInfo("a").ok());
   EXPECT_FALSE(manager.SessionInfo("b").ok());
   EXPECT_TRUE(manager.SessionInfo("c").ok());
@@ -476,7 +473,7 @@ TEST(StreamSessionTest, TtlEvictsIdleSessions) {
   EXPECT_EQ(manager.EvictExpired(), 0);  // freshly touched
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   EXPECT_EQ(manager.EvictExpired(), 1);
-  EXPECT_EQ(manager.OpenSessions(), 0);
+  EXPECT_EQ(manager.Stats().open, 0);
   EXPECT_EQ(manager.Stats().evicted_ttl, 1);
 
   // Open runs the same sweep: an Open after the TTL evicts the idle
@@ -484,7 +481,7 @@ TEST(StreamSessionTest, TtlEvictsIdleSessions) {
   ASSERT_TRUE(manager.Open("idle2", SessionOptions()).ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   ASSERT_TRUE(manager.Open("fresh", SessionOptions()).ok());
-  EXPECT_EQ(manager.OpenSessions(), 1);
+  EXPECT_EQ(manager.Stats().open, 1);
   EXPECT_EQ(manager.Stats().evicted_ttl, 2);
   EXPECT_FALSE(manager.SessionInfo("idle2").ok());
   EXPECT_TRUE(manager.SessionInfo("fresh").ok());
@@ -496,9 +493,7 @@ TEST(StreamSessionTest, RollingStatsTrackMaskedFlowAndDrift) {
   ASSERT_TRUE(
       router->AddModel("stgcn", task, ZooFactory("STGCN", TinyZoo())).ok());
   SessionManager manager(router.get());
-  SessionOptions options;
-  options.stats_alpha = 0.5f;
-  ASSERT_TRUE(manager.Open("s", options).ok());
+  ASSERT_TRUE(manager.Open("s", SessionOptions()).ok());
 
   T::Tensor frame({8});
   frame.Fill(100.0f);
@@ -511,21 +506,24 @@ TEST(StreamSessionTest, RollingStatsTrackMaskedFlowAndDrift) {
       std::fabs(100.0f - task.scaler_mean) / task.scaler_std;
   EXPECT_NEAR(info.ValueOrDie().drift_score, expected_drift, 1e-4f);
 
-  // A fully masked tick (sensor dropout everywhere) must not move them.
+  // A fully masked tick (sensor dropout everywhere, readings at or below
+  // the masked-zero threshold) must not move them.
   T::Tensor zeros({8});
   zeros.Fill(0.0f);
+  zeros.data()[3] = metrics::kMaskThreshold;
   ASSERT_TRUE(manager.Append("s", 1, zeros).ok());
   auto after = manager.SessionInfo("s");
   ASSERT_TRUE(after.ok());
   EXPECT_FLOAT_EQ(after.ValueOrDie().rolling_mean, 100.0f);
 
-  // A different level pulls the EMA halfway (alpha = 0.5).
+  // A different level pulls the EMA by kSessionStatsAlpha of the gap.
   T::Tensor frame2({8});
   frame2.Fill(200.0f);
   ASSERT_TRUE(manager.Append("s", 2, frame2).ok());
   auto moved = manager.SessionInfo("s");
   ASSERT_TRUE(moved.ok());
-  EXPECT_FLOAT_EQ(moved.ValueOrDie().rolling_mean, 150.0f);
+  EXPECT_FLOAT_EQ(moved.ValueOrDie().rolling_mean,
+                  100.0f + kSessionStatsAlpha * 100.0f);
   EXPECT_GT(moved.ValueOrDie().rolling_std, 0.0f);
 }
 
@@ -542,7 +540,7 @@ TEST(StreamSessionTest, ConcurrentAppendAndForecastStaySequenced) {
   std::atomic<bool> done{false};
   std::atomic<int64_t> ok_forecasts{0};
   std::thread appender([&] {
-    data::TickStream stream(ds.traffic(), 0, kTicks);
+    TickStream stream(ds.traffic(), 0, kTicks);
     for (; !stream.Done(); stream.Advance()) {
       Status s = manager.Append("s", stream.tick(), stream.Frame());
       ASSERT_TRUE(s.ok()) << s.ToString();
@@ -808,7 +806,7 @@ TEST(StreamSessionTest, ForecastBatchMatchesPerSessionForecastAcrossModels) {
     ASSERT_TRUE(manager.Open("h" + std::to_string(i), sharded).ok());
     ids.push_back("h" + std::to_string(i));
   }
-  data::TickStream stream(ds.traffic(), 0, task.history + 1);
+  TickStream stream(ds.traffic(), 0, task.history + 1);
   for (; !stream.Done(); stream.Advance()) {
     std::vector<T::Tensor> frames(ids.size(), stream.Frame());
     for (const Status& s : manager.AppendMany(ids, stream.tick(), frames)) {
@@ -881,7 +879,7 @@ TEST(StreamSessionTest, BatchedWarmCarryMatchesSequentialWithinTolerance) {
     seq_ids.push_back("a" + std::to_string(i));
     batch_ids.push_back("b" + std::to_string(i));
   }
-  data::TickStream stream(ds.traffic(), 0, task.history + 9);
+  TickStream stream(ds.traffic(), 0, task.history + 9);
   for (; !stream.Done(); stream.Advance()) {
     for (const std::string& id : seq_ids) {
       ASSERT_TRUE(manager.Append(id, stream.tick(), stream.Frame()).ok());
@@ -924,7 +922,7 @@ TEST(StreamSessionTest, BatchedWarmCarryMatchesSequentialWithinTolerance) {
   // over the ring window right after a resync tick (the rebuild is the
   // cold encoder pass over that window).
   const int64_t resyncs = manager.SessionInfo(seq_ids[0]).ValueOrDie().resyncs;
-  data::TickStream more(ds.traffic(), task.history + 9,
+  TickStream more(ds.traffic(), task.history + 9,
                         task.history + 9 + kResyncEvery);
   for (; !more.Done(); more.Advance()) {
     ASSERT_TRUE(manager.Append(seq_ids[0], more.tick(), more.Frame()).ok());
@@ -987,7 +985,7 @@ TEST(StreamSessionTest, BatchedResyncIsExactPerSession) {
   const std::vector<int64_t> offsets = {0, 5, 17, 40, 9};
   const size_t kResynced = 4;
   std::vector<std::string> ids;
-  std::vector<data::TickStream> feeds;
+  std::vector<TickStream> feeds;
   for (size_t i = 0; i < offsets.size(); ++i) {
     SessionOptions warm;
     warm.model = "dcrnn";
@@ -1001,7 +999,7 @@ TEST(StreamSessionTest, BatchedResyncIsExactPerSession) {
   for (; manager.SessionInfo(ids[0]).ValueOrDie().resyncs < 2; ++tick) {
     ASSERT_LT(tick, 2 * task.history) << "the cadence never fired twice";
     std::vector<T::Tensor> frames;
-    for (data::TickStream& feed : feeds) {
+    for (TickStream& feed : feeds) {
       frames.push_back(feed.Frame());
       feed.Advance();
     }
@@ -1055,7 +1053,7 @@ TEST(StreamSessionTest, BatchedWarmAdvanceKeepsEachMembersOwnFeed) {
   const std::vector<int64_t> offsets = {0, 5, 17, 40};
   std::vector<std::string> batch_ids;
   std::vector<std::string> solo_ids;
-  std::vector<data::TickStream> feeds;
+  std::vector<TickStream> feeds;
   for (size_t i = 0; i < offsets.size(); ++i) {
     SessionOptions warm;
     warm.model = "dcrnn";
@@ -1113,7 +1111,7 @@ TEST(StreamSessionTest, ShardedWarmRouteResyncsPerShardEngine) {
 
   const std::vector<int64_t> offsets = {0, 23};
   std::vector<std::string> ids;
-  std::vector<data::TickStream> feeds;
+  std::vector<TickStream> feeds;
   for (size_t i = 0; i < offsets.size(); ++i) {
     SessionOptions warm;
     warm.model = "dcrnn2";
@@ -1131,7 +1129,7 @@ TEST(StreamSessionTest, ShardedWarmRouteResyncsPerShardEngine) {
   for (; manager.SessionInfo("w0").ValueOrDie().resyncs < 2; ++tick) {
     ASSERT_LT(tick, 2 * task.history) << "the cadence never fired twice";
     std::vector<T::Tensor> frames;
-    for (data::TickStream& feed : feeds) {
+    for (TickStream& feed : feeds) {
       frames.push_back(feed.Frame());
       frames.push_back(feed.Frame());
       feed.Advance();
@@ -1181,7 +1179,7 @@ TEST(StreamSessionTest, AppendManyIsolatesErrorsAndRejectsDuplicates) {
   ASSERT_TRUE(manager.Open("s0", SessionOptions()).ok());
   ASSERT_TRUE(manager.Open("s1", SessionOptions()).ok());
 
-  data::TickStream stream(ds.traffic(), 0, 1);
+  TickStream stream(ds.traffic(), 0, 1);
   T::Tensor frame = stream.Frame().Clone();
   std::vector<Status> statuses = manager.AppendMany(
       {"s0", "ghost", "s1", "s0"}, 0, {frame, frame, frame, frame});
@@ -1217,7 +1215,7 @@ TEST(StreamSessionTest, ConcurrentAppendDuringForecastAllStaysConsistent) {
   constexpr int64_t kTicks = 30;
   std::atomic<bool> done{false};
   std::thread appender([&] {
-    data::TickStream stream(ds.traffic(), 0, kTicks);
+    TickStream stream(ds.traffic(), 0, kTicks);
     for (; !stream.Done(); stream.Advance()) {
       std::vector<T::Tensor> frames(ids.size(), stream.Frame());
       for (const Status& s :

@@ -37,6 +37,7 @@ namespace dyhsl::tensor {
 namespace {
 
 using ::dyhsl::testing::SeededTest;
+using ::dyhsl::testing::Transpose2D;
 
 // Independent reference: naive i-k-j product over logical indices. Not the
 // production kernel of any era, so both old and new layouts are checked
@@ -237,12 +238,6 @@ TEST_F(TensorKernelsTest, SoftmaxInPlaceMatchesOutOfPlace) {
   EXPECT_TENSOR_EQ(inplace, expected);
 }
 
-TEST_F(TensorKernelsTest, RsqrtMatchesComposition) {
-  Tensor a = Tensor::Uniform({32}, &rng_, 0.1f, 5.0f);
-  Tensor expected = Div(Tensor::Ones({32}), Sqrt(AddScalar(a, 0.25f)));
-  EXPECT_TENSOR_NEAR(Rsqrt(a, 0.25f), expected, 1e-6f);
-}
-
 #ifdef _OPENMP
 TEST_F(TensorKernelsTest, GemmEpilogueMatchesUnfusedOpChain) {
   // Every epilogue the model fuses must equal the GEMM followed by the
@@ -365,64 +360,48 @@ TEST_F(TensorKernelsTest, ElementwiseResultsIndependentOfLengthAndPartition) {
   constexpr int64_t kOff = 13, kSub = (1 << 15) + 1001;
   const Tensor x = Tensor::Randn({kLen}, &rng_, 2.0f);
   const Tensor y = Tensor::Randn({kLen}, &rng_);
-  const Tensor pos = AddScalar(Abs(y), 0.5f);
   auto part = [](const Tensor& t) { return Slice(t, 0, kOff, kSub); };
-  using Op = std::function<Tensor(const Tensor&, const Tensor&,
-                                  const Tensor&)>;
+  using Op = std::function<Tensor(const Tensor&, const Tensor&)>;
   const std::vector<std::pair<const char*, Op>> ops = {
-      {"Add", [](auto& a, auto& b, auto&) { return Add(a, b); }},
-      {"Sub", [](auto& a, auto& b, auto&) { return Sub(a, b); }},
-      {"Mul", [](auto& a, auto& b, auto&) { return Mul(a, b); }},
-      {"Div", [](auto& a, auto&, auto& p) { return Div(a, p); }},
-      {"Maximum", [](auto& a, auto& b, auto&) { return Maximum(a, b); }},
-      {"AddScalar", [](auto& a, auto&, auto&) { return AddScalar(a, 0.3f); }},
-      {"MulScalar", [](auto& a, auto&, auto&) { return MulScalar(a, 0.3f); }},
-      {"Neg", [](auto& a, auto&, auto&) { return Neg(a); }},
-      {"Relu", [](auto& a, auto&, auto&) { return Relu(a); }},
-      {"LeakyRelu", [](auto& a, auto&, auto&) { return LeakyRelu(a, 0.1f); }},
-      {"Sigmoid", [](auto& a, auto&, auto&) { return Sigmoid(a); }},
-      {"Tanh", [](auto& a, auto&, auto&) { return Tanh(a); }},
-      {"Exp", [](auto& a, auto&, auto&) { return Exp(a); }},
-      {"Log", [](auto&, auto&, auto& p) { return Log(p); }},
-      {"Sqrt", [](auto&, auto&, auto& p) { return Sqrt(p); }},
-      {"Rsqrt", [](auto&, auto&, auto& p) { return Rsqrt(p, 1e-5f); }},
-      {"Abs", [](auto& a, auto&, auto&) { return Abs(a); }},
-      {"Sign", [](auto& a, auto&, auto&) { return Sign(a); }},
-      {"Clamp", [](auto& a, auto&, auto&) { return Clamp(a, -1.0f, 1.5f); }},
-      {"AxpyInPlace",
-       [](auto& a, auto& b, auto&) {
-         Tensor d = a.Clone();
-         AxpyInPlace(&d, 0.3f, b);
-         return d;
-       }},
+      {"Add", [](auto& a, auto& b) { return Add(a, b); }},
+      {"Sub", [](auto& a, auto& b) { return Sub(a, b); }},
+      {"Mul", [](auto& a, auto& b) { return Mul(a, b); }},
+      {"Maximum", [](auto& a, auto& b) { return Maximum(a, b); }},
+      {"AddScalar", [](auto& a, auto&) { return AddScalar(a, 0.3f); }},
+      {"MulScalar", [](auto& a, auto&) { return MulScalar(a, 0.3f); }},
+      {"Neg", [](auto& a, auto&) { return Neg(a); }},
+      {"Relu", [](auto& a, auto&) { return Relu(a); }},
+      {"Sigmoid", [](auto& a, auto&) { return Sigmoid(a); }},
+      {"Tanh", [](auto& a, auto&) { return Tanh(a); }},
+      {"Abs", [](auto& a, auto&) { return Abs(a); }},
+      {"Sign", [](auto& a, auto&) { return Sign(a); }},
       {"ScaleInPlace",
-       [](auto& a, auto&, auto&) {
+       [](auto& a, auto&) {
          Tensor d = a.Clone();
          ScaleInPlace(&d, 0.3f);
          return d;
        }},
       {"AddInto",
-       [](auto& a, auto& b, auto&) {
+       [](auto& a, auto& b) {
          Tensor d(a.shape());
          AddInto(a, b, &d);
          return d;
        }},
       {"ReluInPlace",
-       [](auto& a, auto&, auto&) {
+       [](auto& a, auto&) {
          Tensor d = a.Clone();
          ReluInPlace(&d);
          return d;
        }},
       {"AddScalarInPlace",
-       [](auto& a, auto&, auto&) {
+       [](auto& a, auto&) {
          Tensor d = a.Clone();
          AddScalarInPlace(&d, 0.3f);
          return d;
        }},
   };
   for (const auto& [name, op] : ops) {
-    EXPECT_TENSOR_EQ(op(part(x), part(y), part(pos)), part(op(x, y, pos)))
-        << name;
+    EXPECT_TENSOR_EQ(op(part(x), part(y)), part(op(x, y))) << name;
   }
 }
 

@@ -16,6 +16,8 @@
 namespace dyhsl::tensor {
 namespace {
 
+using ::dyhsl::testing::Transpose2D;
+
 TEST(TensorTest, ZerosShapeAndFill) {
   Tensor t = Tensor::Zeros({2, 3});
   EXPECT_EQ(t.dim(), 2);
@@ -55,9 +57,7 @@ TEST(TensorTest, CloneIsDeep) {
   EXPECT_EQ(t.At({0}), 1.0f);
 }
 
-TEST(TensorTest, ArangeAndScalar) {
-  Tensor a = Tensor::Arange(4);
-  EXPECT_EQ(a.ToVector(), (std::vector<float>{0, 1, 2, 3}));
+TEST(TensorTest, Scalar) {
   EXPECT_EQ(Tensor::Scalar(3.5f).At({0}), 3.5f);
 }
 
@@ -263,7 +263,6 @@ TEST(OpsTest, SumMeanAxis) {
   EXPECT_EQ(Sum(a, 1, true).shape(), (Shape{2, 1}));
   EXPECT_EQ(Mean(a, 1).ToVector(), (std::vector<float>{2, 5}));
   EXPECT_FLOAT_EQ(SumAllScalar(a), 21.0f);
-  EXPECT_FLOAT_EQ(MeanAllScalar(a), 3.5f);
 }
 
 TEST(OpsTest, SoftmaxRowsSumToOne) {
@@ -296,10 +295,6 @@ TEST(OpsTest, UnaryKernels) {
   EXPECT_EQ(Abs(a).ToVector(), (std::vector<float>{2, 0.5, 0, 3}));
   EXPECT_EQ(Sign(a).ToVector(), (std::vector<float>{-1, -1, 0, 1}));
   EXPECT_EQ(Heaviside(a).ToVector(), (std::vector<float>{0, 0, 0, 1}));
-  EXPECT_EQ(Clamp(a, -1, 1).ToVector(), (std::vector<float>{-1, -0.5, 0, 1}));
-  Tensor lr = LeakyRelu(a, 0.1f);
-  EXPECT_FLOAT_EQ(lr.At({0}), -0.2f);
-  EXPECT_FLOAT_EQ(lr.At({3}), 3.0f);
 }
 
 TEST(TemporalConvTest, IdentityKernel) {

@@ -1,6 +1,8 @@
 // Shared helpers for the GoogleTest suites: tensor comparison with
-// first-mismatch diagnostics, seeded-RNG fixtures and a slow stand-in
-// model for the serving tests.
+// first-mismatch diagnostics, seeded-RNG fixtures, a slow stand-in model
+// for the serving tests, a tick-by-tick replay of a simulated series, an
+// OpenMP team concurrency probe and a transpose oracle for the GEMM
+// tests.
 //
 // Keep this header test-only; production code must not include it.
 
@@ -8,6 +10,7 @@
 #define DYHSL_TESTS_TESTING_UTILS_H_
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -19,7 +22,11 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/check.h"
+#include "src/core/parallel.h"
 #include "src/core/rng.h"
+#include "src/data/traffic_sim.h"
+#include "src/tensor/ops.h"
 #include "src/tensor/tensor.h"
 #include "src/train/forecast_model.h"
 
@@ -185,6 +192,84 @@ class SlowForecastModel : public train::ForecastModel {
   int64_t num_nodes_;
   std::chrono::milliseconds forward_time_;
 };
+
+/// \brief 2-D transpose through the general permutation: the reference
+/// the trans-flag GEMM paths are checked against.
+inline tensor::Tensor Transpose2D(const tensor::Tensor& a) {
+  DYHSL_CHECK_EQ(a.dim(), 2);
+  return tensor::TransposePerm(a, {1, 0});
+}
+
+/// \brief Forward iterator over the raw-flow rows of a TrafficData series
+/// in [start_step, end_step): each row is a zero-copy (N,) frame plus its
+/// absolute tick index, the (tick, frame) pair SessionManager::Append
+/// consumes. The series is borrowed and must outlive the stream.
+class TickStream {
+ public:
+  /// `end_step` < 0 means the end of the series.
+  explicit TickStream(const data::TrafficData& data, int64_t start_step = 0,
+                      int64_t end_step = -1)
+      : flow_(&data.flow),
+        num_nodes_(data.flow.size(1)),
+        step_(start_step),
+        end_(end_step < 0 ? data.flow.size(0) : end_step) {
+    DYHSL_CHECK_GE(start_step, 0);
+    DYHSL_CHECK_LE(end_, data.flow.size(0));
+    DYHSL_CHECK_LE(step_, end_);
+  }
+
+  bool Done() const { return step_ >= end_; }
+  /// Absolute tick index of the current frame.
+  int64_t tick() const { return step_; }
+  /// \brief The current frame as a view into the series; Advance() does
+  /// not invalidate frames returned earlier.
+  tensor::Tensor Frame() const {
+    DYHSL_CHECK(!Done());
+    return flow_->Alias(step_ * num_nodes_, {num_nodes_});
+  }
+  void Advance() {
+    DYHSL_CHECK(!Done());
+    step_ += 1;
+  }
+
+  int64_t num_nodes() const { return num_nodes_; }
+  /// Ticks remaining, including the current one.
+  int64_t remaining() const { return end_ - step_; }
+
+ private:
+  const tensor::Tensor* flow_;
+  int64_t num_nodes_;
+  int64_t step_;
+  int64_t end_;
+};
+
+/// \brief Runs one parallel region scoped the way the tensor kernels scope
+/// theirs (num_threads(TeamThreads())): every team member increments
+/// *live, folds the observed concurrency into *peak (a process-wide high
+/// watermark when shared across probing threads), spins for ~spin_micros,
+/// then decrements. Returns the team size that actually ran (1 without
+/// OpenMP).
+inline int TeamConcurrencyProbe(std::atomic<int>* live,
+                                std::atomic<int>* peak, int spin_micros) {
+  const int team = core::TeamThreads();
+  (void)team;  // consumed only by the pragma; unused without OpenMP
+  std::atomic<int> ran{0};
+#pragma omp parallel num_threads(team)
+  {
+    const int now = live->fetch_add(1, std::memory_order_acq_rel) + 1;
+    int prev = peak->load(std::memory_order_relaxed);
+    while (now > prev &&
+           !peak->compare_exchange_weak(prev, now, std::memory_order_acq_rel)) {
+    }
+    ran.fetch_add(1, std::memory_order_relaxed);
+    const auto until = std::chrono::steady_clock::now() +
+                       std::chrono::microseconds(spin_micros);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+    live->fetch_sub(1, std::memory_order_acq_rel);
+  }
+  return std::max(1, ran.load(std::memory_order_relaxed));
+}
 
 /// \brief Fixture owning a deterministically seeded Rng.
 class SeededTest : public ::testing::Test {
